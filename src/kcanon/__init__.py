@@ -1,7 +1,7 @@
 """Kirchhoff resistor-network signatures for graph symmetry detection,
 isomorphism screening, and canonical labeling."""
 
-from .graph import Graph, adjacency, degree_matrix, load_graph, parse_edge_list, parse_json, relabel
+from .graph import Graph, adjacency, load_graph, parse_edge_list, parse_json, relabel
 from .solver import (
     LaplacianSystem,
     PairCurrents,
@@ -27,13 +27,11 @@ from .signatures import (
     fingerprint,
     iso_screen,
     orbit_partition,
-    quantize,
 )
 
 __all__ = [
     "Graph",
     "adjacency",
-    "degree_matrix",
     "load_graph",
     "parse_edge_list",
     "parse_json",
@@ -60,7 +58,6 @@ __all__ = [
     "fingerprint",
     "iso_screen",
     "orbit_partition",
-    "quantize",
 ]
 
 __version__ = "0.1.0"

@@ -153,24 +153,22 @@ def voltages(graph_file, a, b, method, sink_weight, tol, fmt):
 def orbits(graph_file, verify, tol, fmt):
     """Group nodes into orbit-candidate classes by voltage signature."""
     g = _guard(lambda: load_graph(graph_file))
-    part = _guard(lambda: sig_mod.orbit_partition(g, tol))
-    sigs = {s.node: s for s in _guard(lambda: sig_mod.all_node_signatures(g, tol))}
+    analysis = _guard(lambda: sig_mod._Analysis(g, tol))
     classes = []
-    for cls in part.classes:
-        sig = sigs[cls[0]]
-        payload = json.dumps([_f(k * tol) for k in sig.values]).encode()
+    for sig, nodes in analysis.classes.items():
+        payload = json.dumps([_f(k * tol) for k in sig]).encode()
         classes.append(
-            {"nodes": list(cls), "signature_sha256": hashlib.sha256(payload).hexdigest()}
+            {"nodes": nodes, "signature_sha256": hashlib.sha256(payload).hexdigest()}
         )
     doc = {"n": g.n, "m": g.m, "classes": classes}
     lines = ["orbit candidates:"]
     lines += [
-        f"  {list(c['nodes'])} sig {c['signature_sha256'][:16]}" for c in classes
+        f"  {c['nodes']} sig {c['signature_sha256'][:16]}" for c in classes
     ]
     if verify:
         report = _guard(lambda: oracle_mod.brute_force_automorphisms(g))
         oracle_classes = [list(o) for o in report.orbits]
-        candidate_classes = sorted([list(c) for c in part.classes])
+        candidate_classes = sorted(analysis.classes.values())
         match = sorted(oracle_classes) == candidate_classes
         doc["verify"] = {
             "oracle_orbits": oracle_classes,

@@ -27,6 +27,10 @@ class NonPositiveWeightError(GraphError):
     pass
 
 
+class NonFiniteWeightError(GraphError):
+    pass
+
+
 class DisconnectedError(GraphError):
     """Graph is not connected; carries the node components found."""
 

@@ -1,8 +1,9 @@
 """Immutable weighted graph type, validation, and edge-list / JSON parsing.
 
 Nodes are labeled 1..N in all files and public interfaces.  Edge weights are
-conductances in siemens and must be strictly positive.  Graphs must be simple
-(no self-loops, no parallel edges) and connected; construction fails otherwise.
+conductances in siemens and must be strictly positive and finite.  Graphs must
+be simple (no self-loops, no parallel edges) and connected; construction fails
+otherwise.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     DuplicateEdgeError,
     GraphError,
     MalformedLineError,
+    NonFiniteWeightError,
     NonPositiveWeightError,
     SelfLoopError,
 )
@@ -57,6 +59,8 @@ class Graph:
                 raise NonPositiveWeightError(
                     f"edge ({u},{v}) has non-positive weight {w}"
                 )
+            if w == float("inf"):
+                raise NonFiniteWeightError(f"edge ({u},{v}) has infinite weight")
         comps = _components(self.n, self.edges)
         if len(comps) > 1:
             raise DisconnectedError(comps)
@@ -125,11 +129,6 @@ def adjacency(graph: Graph) -> np.ndarray:
         a[u - 1, v - 1] = w
         a[v - 1, u - 1] = w
     return a
-
-
-def degree_matrix(graph: Graph) -> np.ndarray:
-    """Diagonal matrix of weighted degrees D_ii = sum_j a_ij."""
-    return np.diag(adjacency(graph).sum(axis=1))
 
 
 def parse_edge_list(text: str) -> Graph:

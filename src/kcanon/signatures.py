@@ -9,43 +9,72 @@ isomorphism search and drives canonical labeling.
 
 Only the N(N-1)/2 unordered pairs are solved; the reversed pair contributes
 the exact negation thanks to the sum-zero gauge.
+
+Every reader works from one analysis per graph: one factorization, one
+quantizer.  Nodes are solved in exact weighted colour-refinement order, so
+relabelled copies with a discrete refinement run bit-identical float
+operations and snap even near-half-grid values alike.  Ties inside a cell
+refinement cannot split (vertex-transitive graphs) still break by node id.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExhaustedError, GraphError, NonFiniteError
-from .graph import Graph
+from .graph import Graph, relabel
 from .solver import build_system, solve_all_pairs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_BUDGET = 10**6
 
 
-def quantize(x: float, tol: float = DEFAULT_TOL) -> float:
-    """Snap x to the grid of multiples of tol.
-
-    Odd under negation, and quantize(0) is +0.0.  This is the equality
-    convention for comparing solved voltages/currents in floating point.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if not math.isfinite(x):
-        raise NonFiniteError(f"cannot quantize {x}")
-    return round(x / tol) * tol + 0.0
-
-
 def _grid(values: np.ndarray, tol: float) -> np.ndarray:
-    """Vectorized snap-to-grid, in integer grid units."""
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteError("non-finite value in solve results")
-    return np.rint(values / tol).astype(np.int64)
+    """The quantizer: snap to integer multiples of tol, in grid units.
+
+    Odd under negation and 0 at zero.  Refuses values that are not finite or
+    whose grid index does not fit in int64.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scaled = values / tol
+    if not np.all(np.abs(scaled) < 2.0**63):
+        raise NonFiniteError(f"solve result is not finite or overflows the grid at tol {tol}")
+    return np.rint(scaled).astype(np.int64)
+
+
+def _refinement_order(graph: Graph) -> list[int]:
+    """Node ids sorted by exact weighted colour refinement, ties by id.
+
+    A node's next colour is the rank of its key, (colour, sorted (neighbour
+    colour, weight) pairs), among all keys; keys hold exact weights, never
+    float sums, so colours depend on structure and weights alone.
+    """
+    nbrs = [[] for _ in range(graph.n)]
+    for u, v, w in graph.edges:
+        nbrs[u - 1].append((v - 1, w))
+        nbrs[v - 1].append((u - 1, w))
+    colour, count = [0] * graph.n, 1
+    while True:
+        keys = [
+            (colour[x], tuple(sorted((colour[y], w) for y, w in nbrs[x])))
+            for x in range(graph.n)
+        ]
+        rank = {key: c for c, key in enumerate(sorted(set(keys)))}
+        colour = [rank[key] for key in keys]
+        if len(rank) == count:
+            return sorted(range(1, graph.n + 1), key=lambda x: (colour[x - 1], x))
+        count = len(rank)
+
+
+def _row(half: np.ndarray) -> tuple[int, ...]:
+    """Sorted values over all ordered pairs: the solved half and its negation."""
+    row = np.concatenate([half, -half])
+    row.sort()
+    return tuple(row.tolist())
 
 
 @dataclass(frozen=True)
@@ -99,58 +128,55 @@ class Fingerprint:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
-def _solve_grid(graph: Graph, tol: float):
-    """One factorization, all unordered pair solves, snapped to the grid."""
-    system = build_system(graph)
-    pairs, V = solve_all_pairs(system)
-    return pairs, V, _grid(V, tol)
+class _Analysis:
+    """One factorization and one batch of pair solves of one graph.
 
+    The graph is solved relabelled into refinement order; node rows, edge
+    rows and signature classes are keyed by the original ids.  Edge rows are
+    rebuilt on each request rather than kept, so a caller holding several
+    analyses holds only the edge rows it is using.
+    """
 
-def _node_signatures_from_grid(graph: Graph, G: np.ndarray, tol: float):
-    sigs = []
-    for k in range(graph.n):
-        row = np.concatenate([G[k], -G[k]])
-        row.sort()
-        sigs.append(NodeSignature(k + 1, tuple(int(x) for x in row), tol))
-    return sigs
+    def __init__(self, graph: Graph, tol: float):
+        if graph.n < 2:
+            raise GraphError("need at least 2 nodes and 1 edge")
+        self.graph, self.tol = graph, tol
+        # original id -> row of V
+        self.index = {x: k for k, x in enumerate(_refinement_order(graph))}
+        ordered = relabel(graph, {x: k + 1 for x, k in self.index.items()})
+        _, self.V = solve_all_pairs(build_system(ordered))
+        G = _grid(self.V, tol)
+        self.node_rows = [_row(G[self.index[x]]) for x in range(1, graph.n + 1)]
+        classes: dict[tuple, list[int]] = {}
+        for x, row in enumerate(self.node_rows, start=1):
+            classes.setdefault(row, []).append(x)
+        # Sorted by signature: the order of orbit classes and canonical positions.
+        self.classes = dict(sorted(classes.items()))
 
+    def edge_rows(self) -> list[tuple[int, ...]]:
+        """One row per stored edge, in graph.edges order."""
+        ix, V = self.index, self.V
+        return [_row(_grid(w * (V[ix[u]] - V[ix[v]]), self.tol)) for u, v, w in self.graph.edges]
 
-def _edge_signatures_from_solves(graph: Graph, V: np.ndarray, tol: float):
-    sigs = []
-    for u, v, w in graph.edges:
-        cur = _grid(w * (V[u - 1] - V[v - 1]), tol)
-        row = np.concatenate([cur, -cur])
-        row.sort()
-        sigs.append(EdgeSignature((u, v), tuple(int(x) for x in row), tol))
-    return sigs
+    def fingerprint(self) -> Fingerprint:
+        g = self.graph
+        return Fingerprint(g.n, g.m, self.tol, tuple(sorted(self.node_rows)),
+                           tuple(sorted(self.edge_rows())))
 
 
 def all_node_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> list[NodeSignature]:
-    if graph.n < 2:
-        raise GraphError("need at least 2 nodes")
-    _, _, G = _solve_grid(graph, tol)
-    return _node_signatures_from_grid(graph, G, tol)
+    rows = _Analysis(graph, tol).node_rows
+    return [NodeSignature(x, row, tol) for x, row in enumerate(rows, start=1)]
 
 
 def all_edge_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> list[EdgeSignature]:
-    if graph.m < 1:
-        raise GraphError("need at least 1 edge")
-    _, V, _ = _solve_grid(graph, tol)
-    return _edge_signatures_from_solves(graph, V, tol)
-
-
-def _signature_classes(sigs: list[NodeSignature]) -> dict[tuple, list[int]]:
-    classes: dict[tuple, list[int]] = {}
-    for sig in sigs:
-        classes.setdefault(sig.values, []).append(sig.node)
-    return classes
+    rows = _Analysis(graph, tol).edge_rows()
+    return [EdgeSignature((u, v), row, tol) for (u, v, _), row in zip(graph.edges, rows)]
 
 
 def orbit_partition(graph: Graph, tol: float = DEFAULT_TOL) -> OrbitPartition:
-    """Group nodes by identical signature; classes ordered deterministically."""
-    classes = _signature_classes(all_node_signatures(graph, tol))
-    ordered = sorted(classes.items(), key=lambda kv: (kv[0], min(kv[1])))
-    return OrbitPartition(tuple(tuple(sorted(nodes)) for _, nodes in ordered))
+    """Group nodes by identical signature; classes ordered by signature."""
+    return OrbitPartition(tuple(map(tuple, _Analysis(graph, tol).classes.values())))
 
 
 def fingerprint(graph: Graph, tol: float = DEFAULT_TOL) -> Fingerprint:
@@ -158,18 +184,7 @@ def fingerprint(graph: Graph, tol: float = DEFAULT_TOL) -> Fingerprint:
 
     One factorization and one batch of pair solves feed both parts.
     """
-    if graph.n < 2 or graph.m < 1:
-        raise GraphError("need at least 2 nodes and 1 edge")
-    _, V, G = _solve_grid(graph, tol)
-    node_sigs = _node_signatures_from_grid(graph, G, tol)
-    edge_sigs = _edge_signatures_from_solves(graph, V, tol)
-    return Fingerprint(
-        n=graph.n,
-        m=graph.m,
-        tol=tol,
-        node_part=tuple(sorted(s.values for s in node_sigs)),
-        edge_part=tuple(sorted(s.values for s in edge_sigs)),
-    )
+    return _Analysis(graph, tol).fingerprint()
 
 
 @dataclass(frozen=True)
@@ -218,20 +233,17 @@ def find_isomorphism(
     """
     if g1.n != g2.n or g1.m != g2.m:
         return None
-    c1 = _signature_classes(all_node_signatures(g1, tol))
-    c2 = _signature_classes(all_node_signatures(g2, tol))
-    if sorted((k, len(v)) for k, v in c1.items()) != sorted(
-        (k, len(v)) for k, v in c2.items()
-    ):
+    return _match(_Analysis(g1, tol), _Analysis(g2, tol), node_budget)
+
+
+def _match(a1: _Analysis, a2: _Analysis, node_budget: int) -> dict[int, int] | None:
+    g1, g2, c1, c2 = a1.graph, a2.graph, a1.classes, a2.classes
+    # Both class dicts are sorted by signature.
+    if [(k, len(v)) for k, v in c1.items()] != [(k, len(v)) for k, v in c2.items()]:
         return None
-    candidates = {}
-    for sig, nodes in c1.items():
-        for x in nodes:
-            candidates[x] = c2[sig]
+    candidates = {x: c2[sig] for sig, nodes in c1.items() for x in nodes}
     # Fail-first: smallest class first, then lowest node id.
-    order = sorted(
-        candidates, key=lambda x: (len(candidates[x]), x)
-    )
+    order = sorted(candidates, key=lambda x: (len(candidates[x]), x))
     mapping: dict[int, int] = {}
     used: set[int] = set()
     budget = [node_budget]
@@ -275,10 +287,12 @@ def iso_screen(
         return IsoVerdict(IsoVerdict.DISTINCT, reason="node counts differ")
     if g1.m != g2.m:
         return IsoVerdict(IsoVerdict.DISTINCT, reason="edge counts differ")
-    if fingerprint(g1, tol).digest() != fingerprint(g2, tol).digest():
+    a1, a2 = _Analysis(g1, tol), _Analysis(g2, tol)
+    # One fingerprint at a time: only one graph's edge rows are ever alive.
+    if a1.fingerprint().digest() != a2.fingerprint().digest():
         return IsoVerdict(IsoVerdict.DISTINCT, reason="fingerprints differ")
     try:
-        mapping = find_isomorphism(g1, g2, tol, node_budget)
+        mapping = _match(a1, a2, node_budget)
     except BudgetExhaustedError:
         return IsoVerdict(IsoVerdict.POSSIBLE, reason="search budget exhausted")
     if mapping is None:
@@ -333,14 +347,8 @@ def canonical_labeling(
     """
     if graph.n == 1:
         return CanonicalLabeling((1,), (), True, 0)
-    classes = _signature_classes(all_node_signatures(graph, tol))
-    ordered_classes = [
-        sorted(nodes) for _, nodes in sorted(classes.items(), key=lambda kv: kv[0])
-    ]
-    # class_of_position[k] indexes into ordered_classes
-    class_of_position = []
-    for ci, cls in enumerate(ordered_classes):
-        class_of_position.extend([ci] * len(cls))
+    classes = list(_Analysis(graph, tol).classes.values())
+    cell = [cls for cls in classes for _ in cls]  # the class of each position
     n = graph.n
     wfn = graph.weight
 
@@ -348,17 +356,10 @@ def canonical_labeling(
         return [wfn(p, cand) or 0.0 for p in prefix]
 
     # Greedy seed guarantees a complete form even if the budget is tiny.
-    used = set()
-    seed: list[int] = []
-    for k in range(n):
-        cls = ordered_classes[class_of_position[k]]
-        node = next(x for x in cls if x not in used)
-        used.add(node)
-        seed.append(node)
-    best_order = list(seed)
+    best_order = [x for cls in classes for x in cls]
     best_form: list[float] = []
     for k in range(1, n):
-        best_form.extend(column(seed[:k], seed[k]))
+        best_form.extend(column(best_order[:k], best_order[k]))
 
     expansions = [0]
     exhausted = [False]
@@ -379,8 +380,7 @@ def canonical_labeling(
                 return True
             return False
         updated = False
-        cls = ordered_classes[class_of_position[k]]
-        for cand in cls:
+        for cand in cell[k]:
             if cand in prefix_set:
                 continue
             if expansions[0] >= budget:

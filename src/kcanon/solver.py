@@ -50,14 +50,13 @@ def laplacian(graph: Graph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LaplacianSystem:
-    """Laplacian plus a reusable Cholesky factor of the grounded reduced system.
+    """Grounded reduced Laplacian plus its reusable Cholesky factor.
 
     Immutable after construction; solve calls share the factor read-only and
     are safe to run concurrently.
     """
 
     graph: Graph
-    L: np.ndarray
     ground: int
     reduced: np.ndarray
     factor: tuple = field(repr=False)
@@ -102,7 +101,7 @@ def build_system(graph: Graph, ground: int | None = None) -> LaplacianSystem:
     except scipy.linalg.LinAlgError as exc:
         raise FactorizationFailedError(str(exc))
     _factorization_count += 1
-    return LaplacianSystem(graph, L, ground, reduced, factor, keep)
+    return LaplacianSystem(graph, ground, reduced, factor, keep)
 
 
 def _injection(n, a, b):
@@ -198,15 +197,6 @@ def pair_currents(graph: Graph, profile: VoltageProfile) -> PairCurrents:
         w * (profile.v[u - 1] - profile.v[v - 1]) for u, v, w in graph.edges
     )
     return PairCurrents(profile.a, profile.b, currents)
-
-
-def node_balance(graph: Graph, currents: PairCurrents) -> np.ndarray:
-    """Net current out of each node; +1 at the source, -1 at the sink, else 0."""
-    out = np.zeros(graph.n)
-    for (u, v, _), i in zip(graph.edges, currents.currents):
-        out[u - 1] += i
-        out[v - 1] -= i
-    return out
 
 
 def kcl_residual(graph: Graph, profile: VoltageProfile) -> float:

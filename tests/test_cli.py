@@ -66,6 +66,13 @@ class TestVoltages:
         assert result.exit_code == 2
         assert json.loads(result.stderr)["error"] == "Disconnected"
 
+    def test_infinite_weight_exit_2(self, runner, write):
+        result = runner.invoke(main, ["voltages", write("1 2 inf\n2 3"), "1", "3"])
+        assert result.exit_code == 2
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == "NonFiniteWeight"
+
     @pytest.mark.parametrize("method", ["grounded", "pseudoinverse", "universal-sink"])
     def test_methods(self, runner, write, method):
         result, doc = run_json(
@@ -143,6 +150,14 @@ class TestFingerprint:
         _, doc1 = run_json(runner, ["fingerprint", write(cycle(4))])
         _, doc2 = run_json(runner, ["fingerprint", write(cycle(4), as_json=True)])
         assert doc1["sha256"] == doc2["sha256"]
+
+    def test_grid_overflow_exit_2(self, runner, write):
+        # A 1e-300 S bridge puts voltages near 1e300, beyond the int64 grid.
+        result = runner.invoke(main, ["fingerprint", write("1 2\n2 3 1e-300")])
+        assert result.exit_code == 2
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == "NonFinite"
 
     def test_empty_input_is_parse_error(self, runner, write):
         result = runner.invoke(main, ["fingerprint", write("")])

@@ -7,13 +7,13 @@ from kcanon.errors import (
     DuplicateEdgeError,
     GraphError,
     MalformedLineError,
+    NonFiniteWeightError,
     NonPositiveWeightError,
     SelfLoopError,
 )
 from kcanon.graph import (
     Graph,
     adjacency,
-    degree_matrix,
     is_connected,
     parse_edge_list,
     parse_graph,
@@ -59,6 +59,8 @@ class TestParseEdgeList:
             ("1 2 0", NonPositiveWeightError),
             ("1 2 -3", NonPositiveWeightError),
             ("1 2 nan", NonPositiveWeightError),
+            ("1 2 inf", NonFiniteWeightError),
+            ("1 2 1e400", NonFiniteWeightError),
             ("1 2 3 4", MalformedLineError),
             ("0 2", MalformedLineError),
             ("", GraphError),
@@ -67,6 +69,12 @@ class TestParseEdgeList:
     def test_rejects(self, text, err):
         with pytest.raises(err):
             parse_edge_list(text)
+
+    def test_graph_rejects_infinite_weight(self):
+        with pytest.raises(NonFiniteWeightError):
+            Graph(2, [(1, 2, float("inf"))])
+        with pytest.raises(NonFiniteWeightError):
+            parse_json('{"n": 2, "edges": [[1, 2, 1e999]]}')
 
     def test_gap_in_numbering_rejected(self):
         # Node 2 never appears; rejecting beats silently compacting ids.
@@ -102,10 +110,6 @@ class TestAdjacency:
         a = adjacency(Graph(2, [(1, 2, 0.5)]))
         assert a.tolist() == [[0, 0.5], [0.5, 0]]
 
-    def test_degree_matrix_row_sums(self):
-        g = parse_edge_list("1 2 0.5\n2 3 2\n1 3 4")
-        d = degree_matrix(g)
-        assert np.allclose(np.diag(d), adjacency(g).sum(axis=1))
 
 
 class TestIsConnected:

@@ -1,6 +1,7 @@
-import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,10 +16,12 @@ from kcanon.signatures import (
     fingerprint,
     iso_screen,
     orbit_partition,
-    quantize,
     verify_mapping,
     IsoVerdict,
+    _Analysis,
+    _grid,
 )
+from kcanon.solver import factorization_count, reset_factorization_count
 
 from conftest import complete, cycle, path, random_permutation, star
 
@@ -29,20 +32,33 @@ def grid(frac, tol=1e-8):
 
 
 class TestQuantize:
+    """The one quantizer, _grid, and the signature rows built on it."""
+
     def test_snap(self):
-        assert quantize(0.333333333007, 1e-8) == pytest.approx(0.33333333, abs=1e-15)
+        assert _grid(np.array([0.333333333007]), 1e-8).tolist() == [33333333]
 
     @given(st.floats(-1e6, 1e6), st.sampled_from([1e-8, 1e-6, 0.5]))
     def test_odd_symmetry(self, x, tol):
-        assert quantize(-x, tol) == -quantize(x, tol)
+        assert _grid(np.array([-x]), tol)[0] == -_grid(np.array([x]), tol)[0]
 
     def test_zero_is_positive_zero(self):
-        assert math.copysign(1.0, quantize(-1e-12)) == 1.0
+        assert _grid(np.array([-1e-12, -0.0]), 1e-8).tolist() == [0, 0]
+        # P3's middle node sits at 0 under the (1,3) solve; it serializes as +0.
+        text = fingerprint(path(3)).to_json()
+        assert '"0"' in text and '"-0"' not in text
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite(self, bad):
         with pytest.raises(NonFiniteError):
-            quantize(bad)
+            _grid(np.array([0.5, bad]), 1e-8)
+
+    def test_overflow(self):
+        assert _grid(np.array([-9.2e10]), 1e-8)[0] == -9_200_000_000_000_000_000
+        with pytest.raises(NonFiniteError):
+            _grid(np.array([9.3e10]), 1e-8)
+        # A 1e-300 S bridge puts voltages near 1e300.
+        with pytest.raises(NonFiniteError):
+            fingerprint(Graph(3, [(1, 2, 1.0), (2, 3, 1e-300)]))
 
     def test_symmetric_solves_quantize_identically(self):
         # K3 is vertex-transitive: node 1 under (1,2) and node 2 under (2,3)
@@ -52,7 +68,8 @@ class TestQuantize:
         system = build_system(complete(3))
         v12 = solve_pair(system, 1, 2).v
         v23 = solve_pair(system, 2, 3).v
-        assert quantize(v12[0]) == quantize(v23[1])
+        assert _grid(np.array([v12[0]]), 1e-8) == _grid(np.array([v23[1]]), 1e-8)
+        assert len({s.values for s in all_node_signatures(complete(3))}) == 1
 
 
 THIRD = grid(Fraction(1, 3))
@@ -254,3 +271,75 @@ class TestCanonicalLabeling:
     def test_order_is_permutation(self):
         lab = canonical_labeling(cycle(5))
         assert sorted(lab.order) == [1, 2, 3, 4, 5]
+
+
+def weighted_graph(n, seed):
+    """Connected graph on n nodes with 2n edges, 3-decimal weights in [0.5, 4]."""
+    rng = random.Random(seed)
+    pairs = {(rng.randint(1, k - 1), k) for k in range(2, n + 1)}
+    while len(pairs) < 2 * n:
+        u, v = sorted(rng.sample(range(1, n + 1), 2))
+        pairs.add((u, v))
+    return Graph(n, [(u, v, round(rng.uniform(0.5, 4.0), 3)) for u, v in sorted(pairs)])
+
+
+def shuffled_copy(g, rng):
+    """g with nodes permuted, edge order shuffled and orientations flipped."""
+    perm = random_permutation(g.n, rng)
+    edges = [(perm[v], perm[u], w) if rng.random() < 0.5 else (perm[u], perm[v], w)
+             for u, v, w in g.edges]
+    rng.shuffle(edges)
+    return Graph(g.n, edges), perm
+
+
+@pytest.fixture(params=range(4), ids=lambda seed: f"seed{seed}")
+def relabelled_pair(request):
+    seed = request.param
+    g = weighted_graph(48 + 5 * seed, seed)
+    h, perm = shuffled_copy(g, random.Random(seed))
+    return g, h, perm
+
+
+class TestLabelInvariance:
+    """Relabelled copies run bit-identical float operations."""
+
+    def test_float_voltage_rows_bit_equal(self, relabelled_pair):
+        g, h, perm = relabelled_pair
+        a, b = _Analysis(g, 1e-8), _Analysis(h, 1e-8)
+        for x in range(1, g.n + 1):
+            row_g = np.sort(a.V[a.index[x]])
+            row_h = np.sort(b.V[b.index[perm[x]]])
+            assert row_g.tobytes() == row_h.tobytes()
+
+    def test_digest_and_orbit_classes(self, relabelled_pair):
+        g, h, perm = relabelled_pair
+        assert fingerprint(h).digest() == fingerprint(g).digest()
+        mapped = sorted(sorted(perm[x] for x in cls) for cls in orbit_partition(g).classes)
+        assert mapped == sorted(list(cls) for cls in orbit_partition(h).classes)
+
+    def test_certified_canonical_digest(self, relabelled_pair):
+        g, h, _ = relabelled_pair
+        ref, lab = canonical_labeling(g), canonical_labeling(h)
+        assert ref.certified and lab.certified
+        assert lab.digest() == ref.digest()
+
+
+class TestFactorizations:
+    """One analysis, so one factorization, per graph."""
+
+    def test_fingerprint(self):
+        reset_factorization_count()
+        fingerprint(weighted_graph(20, 0))
+        assert factorization_count() == 1
+
+    def test_canonical_labeling(self):
+        reset_factorization_count()
+        canonical_labeling(weighted_graph(20, 0))
+        assert factorization_count() == 1
+
+    def test_iso_screen_isomorphic_pair(self):
+        g = weighted_graph(20, 0)
+        h, _ = shuffled_copy(g, random.Random(1))
+        reset_factorization_count()
+        assert iso_screen(g, h).kind == IsoVerdict.ISOMORPHIC
+        assert factorization_count() == 2
