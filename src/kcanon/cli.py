@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 parse/validation failure, 3 solver failure,
 4 orbit verification mismatch, and for `iso` 0/1/5 for isomorphic-certified /
 distinct-certified / possibly-isomorphic.  Validation and solver errors print
 machine-readable JSON on stderr.  All floats in JSON output are serialized
-as 17-significant-digit decimal strings.
+as 17-significant-digit decimal strings; fingerprint values are JSON integers
+in grid units of tol.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import solver as solver_mod
 from .errors import (
     BudgetExhaustedError,
     GraphError,
+    InvalidToleranceError,
     KCanonError,
     NonFiniteError,
     SameSourceSinkError,
@@ -28,7 +30,9 @@ from .errors import (
 )
 from .graph import load_graph
 
-VALIDATION_ERRORS = (GraphError, SameSourceSinkError, NonFiniteError, TooLargeError)
+VALIDATION_ERRORS = (
+    GraphError, SameSourceSinkError, NonFiniteError, TooLargeError, InvalidToleranceError
+)
 
 
 def _f(x: float) -> str:
@@ -156,7 +160,7 @@ def orbits(graph_file, verify, tol, fmt):
     analysis = _guard(lambda: sig_mod._Analysis(g, tol))
     classes = []
     for sig, nodes in analysis.classes.items():
-        payload = json.dumps([_f(k * tol) for k in sig]).encode()
+        payload = json.dumps(sig).encode()
         classes.append(
             {"nodes": nodes, "signature_sha256": hashlib.sha256(payload).hexdigest()}
         )

@@ -65,6 +65,10 @@ class NonFiniteError(KCanonError):
     pass
 
 
+class InvalidToleranceError(KCanonError):
+    """Quantization tolerance is not a finite number above zero."""
+
+
 class TooLargeError(KCanonError):
     """Input exceeds the hard size limit of a brute-force routine."""
 

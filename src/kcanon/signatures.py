@@ -10,6 +10,10 @@ isomorphism search and drives canonical labeling.
 Only the N(N-1)/2 unordered pairs are solved; the reversed pair contributes
 the exact negation thanks to the sum-zero gauge.
 
+Signature values are integer grid units k (standing for k * tol) from the
+quantizer through to the fingerprint's JSON, and fingerprints compare as
+values, not as serialized text.
+
 Every reader works from one analysis per graph: one factorization, one
 quantizer.  Nodes are solved in exact weighted colour-refinement order, so
 relabelled copies with a discrete refinement run bit-identical float
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, GraphError, NonFiniteError
+from .errors import BudgetExhaustedError, GraphError, InvalidToleranceError, NonFiniteError
 from .graph import Graph, relabel
 from .solver import build_system, solve_all_pairs
 
@@ -104,7 +108,11 @@ class OrbitPartition:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Label-invariant multiset summary of all node and edge signatures."""
+    """Label-invariant multiset summary of all node and edge signatures.
+
+    Parts hold integer grid units (multiply by tol for volts and amperes).
+    Instances compare by value; digest() is sha256 of to_json().
+    """
 
     n: int
     m: int
@@ -113,14 +121,13 @@ class Fingerprint:
     edge_part: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> str:
-        """Canonical serialization: quantized decimals, fixed key order."""
-        fmt = lambda k: format(k * self.tol, ".17g")
+        """Canonical serialization: integer grid units, fixed key order."""
         obj = {
             "n": self.n,
             "m": self.m,
             "tol": format(self.tol, ".17g"),
-            "edge_part": [[fmt(k) for k in sig] for sig in self.edge_part],
-            "node_part": [[fmt(k) for k in sig] for sig in self.node_part],
+            "edge_part": self.edge_part,
+            "node_part": self.node_part,
         }
         return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
@@ -138,6 +145,8 @@ class _Analysis:
     """
 
     def __init__(self, graph: Graph, tol: float):
+        if not 0 < tol < float("inf"):
+            raise InvalidToleranceError(f"tol must be finite and above 0, got {tol}")
         if graph.n < 2:
             raise GraphError("need at least 2 nodes and 1 edge")
         self.graph, self.tol = graph, tol
@@ -288,8 +297,7 @@ def iso_screen(
     if g1.m != g2.m:
         return IsoVerdict(IsoVerdict.DISTINCT, reason="edge counts differ")
     a1, a2 = _Analysis(g1, tol), _Analysis(g2, tol)
-    # One fingerprint at a time: only one graph's edge rows are ever alive.
-    if a1.fingerprint().digest() != a2.fingerprint().digest():
+    if a1.fingerprint() != a2.fingerprint():
         return IsoVerdict(IsoVerdict.DISTINCT, reason="fingerprints differ")
     try:
         mapping = _match(a1, a2, node_budget)

@@ -225,3 +225,17 @@ class TestConfig:
             env={"KCANON_TOL": "0.5"},
         )
         assert json.loads(result.output)["fingerprint"]["tol"] == "9.9999999999999995e-07"
+
+    @pytest.mark.parametrize("args, env", [
+        (["--tol=-1e-8"], {}),
+        (["--tol=0"], {}),
+        (["--tol=nan"], {}),
+        (["--tol=inf"], {}),
+        ([], {"KCANON_TOL": "-1"}),
+    ])
+    def test_invalid_tol_exit_2(self, runner, write, args, env):
+        result = runner.invoke(main, ["fingerprint", write(path(3))] + args, env=env)
+        assert result.exit_code == 2
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == "InvalidTolerance"

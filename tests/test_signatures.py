@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from kcanon import oracle
 from kcanon.errors import BudgetExhaustedError, NonFiniteError
 from kcanon.graph import Graph, relabel
 from kcanon.signatures import (
+    Fingerprint,
     all_edge_signatures,
     all_node_signatures,
     canonical_labeling,
@@ -43,9 +46,17 @@ class TestQuantize:
 
     def test_zero_is_positive_zero(self):
         assert _grid(np.array([-1e-12, -0.0]), 1e-8).tolist() == [0, 0]
-        # P3's middle node sits at 0 under the (1,3) solve; it serializes as +0.
-        text = fingerprint(path(3)).to_json()
-        assert '"0"' in text and '"-0"' not in text
+        # P3's middle node sits at 0 under the (1,3) solve; it serializes as
+        # the integer 0, and every value as its exact grid unit.
+        fp = fingerprint(path(3))
+        text = fp.to_json()
+        doc = json.loads(text)
+        end = [-ONE, -TWO_THIRDS, -THIRD, THIRD, TWO_THIRDS, ONE]
+        assert doc["node_part"] == [end, end, [-THIRD, -THIRD, 0, 0, THIRD, THIRD]]
+        assert doc["edge_part"] == [[-ONE, -ONE, 0, 0, ONE, ONE]] * 2
+        assert doc["node_part"] == [list(row) for row in fp.node_part]
+        assert doc["edge_part"] == [list(row) for row in fp.edge_part]
+        assert re.search(r"-0\b", text) is None
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite(self, bad):
@@ -232,6 +243,24 @@ class TestIsoScreen:
         h = relabel(g, random_permutation(6, rng))
         verdict = iso_screen(g, h, node_budget=1)
         assert verdict.kind == IsoVerdict.POSSIBLE
+
+    def test_decides_without_serializing(self, rng, monkeypatch):
+        def refuse(self):
+            raise AssertionError("iso_screen serialized a fingerprint")
+
+        monkeypatch.setattr(Fingerprint, "to_json", refuse)
+        chorded = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)]
+        g = Graph(6, [(u, v, 1.0) for u, v in chorded])
+        h = relabel(g, random_permutation(6, rng))
+        assert iso_screen(g, h).kind == IsoVerdict.ISOMORPHIC
+        # Double edge swap 1-2, 4-5 -> 1-5, 4-2: same degrees, not isomorphic.
+        swapped = Graph(6, [(u, v, 1.0) for u, v in chorded[1:3] + chorded[4:]
+                            + [(1, 5), (4, 2)]])
+        assert swapped.degree_sequence() == g.degree_sequence()
+        assert oracle.brute_force_isomorphic(g, swapped) is None
+        verdict = iso_screen(g, swapped)
+        assert verdict.kind == IsoVerdict.DISTINCT
+        assert verdict.reason == "fingerprints differ"
 
 
 class TestCanonicalLabeling:

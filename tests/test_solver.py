@@ -7,6 +7,7 @@ from kcanon import oracle
 from kcanon.errors import SameSourceSinkError
 from kcanon.graph import Graph
 from kcanon.solver import (
+    VoltageProfile,
     build_system,
     effective_resistance,
     factorization_count,
@@ -77,6 +78,17 @@ class TestSolvePair:
             p = solve_pair(system, a, b)
             assert abs(p.v.sum()) < 1e-9
             assert kcl_residual(g, p) < 1e-9
+
+    def test_residual_of_wrong_profile(self):
+        g = Graph(5, [(1, 2, 0.5), (2, 3, 2.0), (3, 4, 1.0), (1, 4, 3.0), (4, 5, 0.25)])
+        p = solve_pair(build_system(g), 2, 5)
+        v = p.v + np.linspace(-0.3, 0.2, g.n) ** 2
+        wrong = VoltageProfile(p.a, p.b, v)
+        rhs = np.zeros(g.n)
+        rhs[1], rhs[4] = 1.0, -1.0
+        expected = np.abs(laplacian(g) @ v - rhs).max()
+        assert expected > 0.01
+        assert kcl_residual(g, wrong) == pytest.approx(expected, abs=1e-12)
 
     def test_antisymmetry_exact(self):
         g = Graph(4, [(1, 2, 0.5), (2, 3, 2.0), (3, 4, 1.0), (1, 4, 3.0)])
