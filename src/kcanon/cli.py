@@ -82,7 +82,7 @@ format_option = click.option(
 )
 budget_option = click.option(
     "--budget", type=int, default=sig_mod.DEFAULT_BUDGET, show_default=True,
-    help="search node-expansion budget",
+    help="canonical-labeling search budget, in IR tree nodes per graph",
 )
 
 

@@ -78,4 +78,4 @@ class SingularSystemError(KCanonError):
 
 
 class BudgetExhaustedError(KCanonError):
-    """Search stopped because the node-expansion budget ran out (not a proof of absence)."""
+    """Search stopped because its tree-node budget ran out (not a proof of absence)."""

@@ -4,8 +4,9 @@ For every ordered pair (a,b) the network is solved with unit current from a
 to b.  Each node collects its voltage across all N(N-1) ordered pairs; each
 edge collects its current.  Sorted and quantized, these vectors are label
 independent, so equal vectors group nodes into orbit candidates, the multiset
-of all vectors fingerprints the whole graph, and the class structure prunes
-isomorphism search and drives canonical labeling.
+of all vectors fingerprints the whole graph, and the signature classes seed
+the individualization-refinement search behind canonical labeling, which in
+turn decides isomorphism.
 
 Only the N(N-1)/2 unordered pairs are solved; the reversed pair contributes
 the exact negation thanks to the sum-zero gauge.
@@ -18,7 +19,8 @@ Every reader works from one analysis per graph: one factorization, one
 quantizer.  Nodes are solved in exact weighted colour-refinement order, so
 relabelled copies with a discrete refinement run bit-identical float
 operations and snap even near-half-grid values alike.  Ties inside a cell
-refinement cannot split (vertex-transitive graphs) still break by node id.
+refinement cannot split (vertex-transitive graphs) still break by node id in
+the solve order; the canonical labeling resolves them by search instead.
 """
 
 from __future__ import annotations
@@ -50,27 +52,26 @@ def _grid(values: np.ndarray, tol: float) -> np.ndarray:
     return np.rint(scaled).astype(np.int64)
 
 
-def _refinement_order(graph: Graph) -> list[int]:
-    """Node ids sorted by exact weighted colour refinement, ties by id.
+def _refine(nbrs: list[list[tuple[int, float]]], colour: list[int]) -> list[int]:
+    """Exact weighted colour refinement of colour, to the coarsest stable one.
 
     A node's next colour is the rank of its key, (colour, sorted (neighbour
     colour, weight) pairs), among all keys; keys hold exact weights, never
-    float sums, so colours depend on structure and weights alone.
+    float sums, so colours depend on structure and weights alone.  Ranks keep
+    the order of the colours they split, so a cell of the input colouring
+    stays one interval of the order by colour.  nbrs and colour are indexed
+    by node id - 1.
     """
-    nbrs = [[] for _ in range(graph.n)]
-    for u, v, w in graph.edges:
-        nbrs[u - 1].append((v - 1, w))
-        nbrs[v - 1].append((u - 1, w))
-    colour, count = [0] * graph.n, 1
+    count = len(set(colour))
     while True:
         keys = [
             (colour[x], tuple(sorted((colour[y], w) for y, w in nbrs[x])))
-            for x in range(graph.n)
+            for x in range(len(nbrs))
         ]
         rank = {key: c for c, key in enumerate(sorted(set(keys)))}
         colour = [rank[key] for key in keys]
         if len(rank) == count:
-            return sorted(range(1, graph.n + 1), key=lambda x: (colour[x - 1], x))
+            return colour
         count = len(rank)
 
 
@@ -150,8 +151,14 @@ class _Analysis:
         if graph.n < 2:
             raise GraphError("need at least 2 nodes and 1 edge")
         self.graph, self.tol = graph, tol
-        # original id -> row of V
-        self.index = {x: k for k, x in enumerate(_refinement_order(graph))}
+        self.nbrs = [[] for _ in range(graph.n)]
+        for u, v, w in graph.edges:
+            self.nbrs[u - 1].append((v - 1, w))
+            self.nbrs[v - 1].append((u - 1, w))
+        colour = _refine(self.nbrs, [0] * graph.n)
+        order = sorted(range(1, graph.n + 1), key=lambda x: (colour[x - 1], x))
+        # original id -> row of V; ties inside a cell break by id
+        self.index = {x: k for k, x in enumerate(order)}
         ordered = relabel(graph, {x: k + 1 for x, k in self.index.items()})
         _, self.V = solve_all_pairs(build_system(ordered))
         G = _grid(self.V, tol)
@@ -234,55 +241,19 @@ def find_isomorphism(
     tol: float = DEFAULT_TOL,
     node_budget: int = DEFAULT_BUDGET,
 ) -> dict[int, int] | None:
-    """Backtracking matcher restricted to equal-signature node classes.
+    """Weight-preserving mapping that lines up the two canonical orders.
 
-    Returns a weight-preserving mapping, or None when the search space is
-    exhausted (a proof of non-isomorphism).  Raises BudgetExhaustedError when
-    node_budget expansions run out first.
+    Returns None when the canonical forms differ (a proof of
+    non-isomorphism).  Raises BudgetExhaustedError when either canonical
+    labeling runs out of its node_budget IR tree nodes first.
     """
     if g1.n != g2.n or g1.m != g2.m:
         return None
-    return _match(_Analysis(g1, tol), _Analysis(g2, tol), node_budget)
-
-
-def _match(a1: _Analysis, a2: _Analysis, node_budget: int) -> dict[int, int] | None:
-    g1, g2, c1, c2 = a1.graph, a2.graph, a1.classes, a2.classes
-    # Both class dicts are sorted by signature.
-    if [(k, len(v)) for k, v in c1.items()] != [(k, len(v)) for k, v in c2.items()]:
-        return None
-    candidates = {x: c2[sig] for sig, nodes in c1.items() for x in nodes}
-    # Fail-first: smallest class first, then lowest node id.
-    order = sorted(candidates, key=lambda x: (len(candidates[x]), x))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-    budget = [node_budget]
-
-    def extend(depth: int) -> bool:
-        if depth == len(order):
-            return True
-        x = order[depth]
-        for y in candidates[x]:
-            if y in used:
-                continue
-            if budget[0] <= 0:
-                raise BudgetExhaustedError(
-                    f"isomorphism search exceeded {node_budget} expansions"
-                )
-            budget[0] -= 1
-            ok = all(
-                g1.weight(x, xp) == g2.weight(y, yp) for xp, yp in mapping.items()
-            )
-            if not ok:
-                continue
-            mapping[x] = y
-            used.add(y)
-            if extend(depth + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
-
-    return dict(mapping) if extend(0) else None
+    c1 = _canonical(_Analysis(g1, tol), node_budget)
+    c2 = _canonical(_Analysis(g2, tol), node_budget)
+    if not (c1.certified and c2.certified):
+        raise BudgetExhaustedError(f"canonical labeling exceeded {node_budget} IR tree nodes")
+    return dict(zip(c1.order, c2.order)) if c1.form == c2.form else None
 
 
 def iso_screen(
@@ -291,7 +262,11 @@ def iso_screen(
     tol: float = DEFAULT_TOL,
     node_budget: int = DEFAULT_BUDGET,
 ) -> IsoVerdict:
-    """Fingerprint screen plus verified search; never certifies without proof."""
+    """Fingerprint screen, then canonical forms; never certifies without proof.
+
+    Certified canonical forms that differ prove non-isomorphism; equal forms
+    give a mapping that must pass verify_mapping.
+    """
     if g1.n != g2.n:
         return IsoVerdict(IsoVerdict.DISTINCT, reason="node counts differ")
     if g1.m != g2.m:
@@ -299,14 +274,12 @@ def iso_screen(
     a1, a2 = _Analysis(g1, tol), _Analysis(g2, tol)
     if a1.fingerprint() != a2.fingerprint():
         return IsoVerdict(IsoVerdict.DISTINCT, reason="fingerprints differ")
-    try:
-        mapping = _match(a1, a2, node_budget)
-    except BudgetExhaustedError:
+    c1, c2 = _canonical(a1, node_budget), _canonical(a2, node_budget)
+    if not (c1.certified and c2.certified):
         return IsoVerdict(IsoVerdict.POSSIBLE, reason="search budget exhausted")
-    if mapping is None:
-        # Exhausted search with equal fingerprints: a completed search is
-        # itself a certificate of non-isomorphism.
-        return IsoVerdict(IsoVerdict.DISTINCT, reason="search exhausted, no mapping")
+    if c1.form != c2.form:
+        return IsoVerdict(IsoVerdict.DISTINCT, reason="canonical forms differ")
+    mapping = dict(zip(c1.order, c2.order))
     if not verify_mapping(g1, g2, mapping):
         return IsoVerdict(IsoVerdict.POSSIBLE, reason="mapping failed verification")
     return IsoVerdict(IsoVerdict.ISOMORPHIC, mapping=mapping, reason="verified mapping")
@@ -314,12 +287,16 @@ def iso_screen(
 
 @dataclass(frozen=True)
 class CanonicalLabeling:
-    """Canonical node order and the adjacency weight sequence it minimizes.
+    """Canonical node order and the adjacency weight sequence it gives.
 
-    order[i] is the original node id placed at canonical position i.  form is
-    the column-incremental upper-triangle weight sequence of the reordered
-    adjacency matrix: entries (0,1), (0,2), (1,2), (0,3), ... certified is
-    False when the tie-exploration budget ran out before the search finished.
+    order[i] is the original node id placed at canonical position i; the
+    positions keep the signature classes in signature order.  form is the
+    column-incremental upper-triangle weight sequence of the reordered
+    adjacency matrix: entries (0,1), (0,2), (1,2), (0,3), ..., the least over
+    the leaves of the individualization-refinement search.  expansions counts
+    the search's tree nodes, root included.  certified is False when the
+    budget of tree nodes ran out before the search finished; order is a full
+    permutation either way.
     """
 
     order: tuple[int, ...]
@@ -346,76 +323,105 @@ def canonical_labeling(
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
 ) -> CanonicalLabeling:
-    """Order signature classes lexicographically, break ties by backtracking.
+    """Signature classes in signature order, ties broken by an IR search.
 
-    Positions are grouped by signature class (classes sorted by signature);
-    within that structure the search picks the permutation minimizing the
-    adjacency weight sequence.  Fully explored ties make the result label
-    invariant.
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): start from the signature classes, refine them by
+    exact weighted colour refinement, and branch on each node of the first
+    smallest non-singleton cell.  Every discrete leaf gives an order; the one
+    with the least form wins.  Automorphisms found on the way prune
+    equivalent branches.  A finished search makes the form label invariant.
     """
     if graph.n == 1:
         return CanonicalLabeling((1,), (), True, 0)
-    classes = list(_Analysis(graph, tol).classes.values())
-    cell = [cls for cls in classes for _ in cls]  # the class of each position
-    n = graph.n
-    wfn = graph.weight
+    return _canonical(_Analysis(graph, tol), budget)
 
-    def column(prefix: list[int], cand: int) -> list[float]:
-        return [wfn(p, cand) or 0.0 for p in prefix]
 
-    # Greedy seed guarantees a complete form even if the budget is tiny.
-    best_order = [x for cls in classes for x in cls]
-    best_form: list[float] = []
-    for k in range(1, n):
-        best_form.extend(column(best_order[:k], best_order[k]))
+def _orbits(n: int, generators: list[list[int]]) -> list[int]:
+    """Orbit representative of each node under the group the generators make."""
+    rep = list(range(n))
 
-    expansions = [0]
-    exhausted = [False]
+    def root(x: int) -> int:
+        while rep[x] != x:
+            x = rep[x]
+        return x
 
-    def search(prefix: list[int], form: list[float], tied: bool) -> bool:
-        """tied: partial form equals the incumbent's prefix (else strictly less).
+    for gamma in generators:
+        for x, y in enumerate(gamma):
+            a, b = root(x), root(y)
+            rep[max(a, b)] = min(a, b)
+    return [root(x) for x in range(n)]
 
-        Returns True when the incumbent best was replaced inside this subtree;
-        the caller's partial is then a prefix of the new best, so it flips back
-        to tied for the remaining siblings.
-        """
-        nonlocal best_order, best_form
-        k = len(prefix)
-        if k == n:
-            if not tied:
-                best_order = list(prefix)
-                best_form = list(form)
-                return True
-            return False
-        updated = False
-        for cand in cell[k]:
-            if cand in prefix_set:
+
+def _canonical(analysis: _Analysis, budget: int) -> CanonicalLabeling:
+    """Depth-first IR search for the leaf with the least form.
+
+    A child individualizes one node v of its parent's first smallest
+    non-singleton cell, placing v first in that cell, and refines.  Refinement keeps colour order, so a
+    node that is a singleton cell keeps one position in every leaf below it.
+    Hence when two leaves have equal forms, the map between their orders is
+    an automorphism that fixes their common prefix and carries the earlier
+    leaf's branch at the common ancestor onto the later leaf's.  The earlier
+    branch is finished, so the search resumes at the common ancestor.  At
+    every tree node, children in one orbit of the automorphisms found so far
+    that fix the node's prefix are equivalent: one per orbit is explored.
+    Node indices are id - 1.
+    """
+    nbrs, n = analysis.nbrs, analysis.graph.n
+    adj = [dict(a) for a in nbrs]
+    start = [0] * n
+    for c, cls in enumerate(analysis.classes.values()):
+        for x in cls:
+            start[x - 1] = c
+    autos: list[list[int]] = []
+    first = best = None  # leaves: (form, order, path)
+    expansions, exhausted = 1, False
+
+    def search(colour: list[int], path: list[int]) -> int:
+        """Explore the subtree at path; return the depth to resume at."""
+        nonlocal first, best, expansions, exhausted
+        cells: dict[int, list[int]] = {}
+        for x, c in enumerate(colour):
+            cells.setdefault(c, []).append(x)
+        cell = min((xs for _, xs in sorted(cells.items()) if len(xs) > 1), key=len, default=None)
+        if cell is None:
+            order = sorted(range(n), key=colour.__getitem__)
+            form = tuple(adj[order[k]].get(order[i], 0.0) for k in range(1, n) for i in range(k))
+            if first is None:
+                first = best = (form, order, path)
+                return len(path) - 1
+            for ref_form, ref_order, ref_path in (first, best):
+                if form == ref_form:
+                    gamma = [0] * n
+                    for x, y in zip(ref_order, order):
+                        gamma[x] = y
+                    autos.append(gamma)
+                    common = 0
+                    while path[common] == ref_path[common]:
+                        common += 1
+                    return common
+            if form < best[0]:
+                best = (form, order, path)
+            return len(path) - 1
+        done: list[int] = []
+        known = -1
+        for v in cell:
+            if known != len(autos):
+                known = len(autos)
+                orbit = _orbits(n, [g for g in autos if all(g[x] == x for x in path)])
+            if orbit[v] in {orbit[u] for u in done}:
                 continue
-            if expansions[0] >= budget:
-                exhausted[0] = True
-                return updated
-            expansions[0] += 1
-            col = column(prefix, cand)
-            child_tied = tied
-            if tied:
-                ref = best_form[len(form) : len(form) + len(col)]
-                if col > ref:
-                    continue
-                if col < ref:
-                    child_tied = False
-            prefix.append(cand)
-            prefix_set.add(cand)
-            if search(prefix, form + col, child_tied):
-                updated = True
-                tied = True
-            prefix.pop()
-            prefix_set.discard(cand)
-            if exhausted[0]:
-                return updated
-        return updated
+            if first is not None and expansions >= budget:
+                exhausted = True
+                return -1
+            expansions += 1
+            individualized = [2 * c + (x != v) for x, c in enumerate(colour)]
+            resume = search(_refine(nbrs, individualized), path + [v])
+            if resume < len(path):
+                return resume
+            done.append(v)
+        return len(path) - 1
 
-    prefix_set: set[int] = set()
-    search([], [], True)
-    return CanonicalLabeling(
-        tuple(best_order), tuple(best_form), not exhausted[0], expansions[0]
-    )
+    search(_refine(nbrs, start), [])
+    form, order, _ = best
+    return CanonicalLabeling(tuple(x + 1 for x in order), form, not exhausted, expansions)

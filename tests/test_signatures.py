@@ -22,6 +22,7 @@ from kcanon.signatures import (
     verify_mapping,
     IsoVerdict,
     _Analysis,
+    _canonical,
     _grid,
 )
 from kcanon.solver import factorization_count, reset_factorization_count
@@ -32,6 +33,66 @@ from conftest import complete, cycle, path, random_permutation, star
 def grid(frac, tol=1e-8):
     """Expected grid units of an exact rational value."""
     return round(Fraction(frac) / Fraction(tol))
+
+
+def unit_graph(n, pairs):
+    """Unweighted graph on nodes 1..n from 0-based node pairs, duplicates merged."""
+    edges = {(min(u, v) + 1, max(u, v) + 1) for u, v in pairs}
+    return Graph(n, [(u, v, 1.0) for u, v in sorted(edges)])
+
+
+def circulant(n, jumps):
+    return unit_graph(n, [(x, (x + j) % n) for x in range(n) for j in jumps])
+
+
+def hypercube(d):
+    return unit_graph(2**d, [(x, x ^ 1 << i) for x in range(2**d) for i in range(d)])
+
+
+def torus(a, b):
+    return unit_graph(a * b, [(b * i + j, b * ((i + di) % a) + (j + dj) % b)
+                              for i in range(a) for j in range(b) for di, dj in ((0, 1), (1, 0))])
+
+
+def prism(k):
+    return unit_graph(2 * k, [(x + s, (x + 1) % k + s) for x in range(k) for s in (0, k)]
+                      + [(x, x + k) for x in range(k)])
+
+
+def complete_bipartite(k):
+    return unit_graph(2 * k, [(i, k + j) for i in range(k) for j in range(k)])
+
+
+def cayley_z4z4(steps):
+    """Cayley graph of Z4 x Z4 whose connection set is steps and their negations."""
+    return unit_graph(16, [(4 * a + b, 4 * ((a + s) % 4) + (b + t) % 4)
+                           for a in range(4) for b in range(4) for s, t in steps])
+
+
+# Both strongly regular with parameters (16, 6, 2, 2), and not isomorphic.
+SHRIKHANDE = cayley_z4z4([(0, 1), (1, 0), (1, 1)])
+ROOK_4X4 = cayley_z4z4([(0, 1), (0, 2), (1, 0), (2, 0)])
+
+# Cubic graphs that are not vertex-transitive, where the search alone, started
+# from a single cell, must find automorphisms to prune and resume correctly.
+CUBIC = [
+    unit_graph(12, [(0, 7), (2, 4), (5, 11), (0, 10), (3, 11), (6, 11), (4, 9), (2, 7), (1, 8),
+                    (0, 9), (1, 4), (5, 10), (3, 9), (5, 6), (1, 10), (3, 6), (7, 8), (2, 8)]),
+    unit_graph(10, [(0, 7), (2, 4), (1, 2), (3, 4), (4, 9), (6, 8), (0, 3), (5, 7), (1, 7),
+                    (8, 9), (0, 5), (3, 6), (5, 9), (1, 6), (2, 8)]),
+]
+
+# Vertex-transitive graphs whose signature classes are a single cell.
+SYMMETRIC = {
+    "C12": cycle(12),
+    "C16": cycle(16),
+    "Q4": hypercube(4),
+    "T4x4": torus(4, 4),
+    "Prism8": prism(8),
+    "K8,8": complete_bipartite(8),
+    "Circ16(1,3)": circulant(16, (1, 3)),
+    "Q5": hypercube(5),
+}
 
 
 class TestQuantize:
@@ -238,6 +299,19 @@ class TestIsoScreen:
                 break
         assert iso_screen(g, h).kind == IsoVerdict.DISTINCT
 
+    def test_srg_16_6_2_2_decided_by_canonical_form(self, rng):
+        # Equal parameters give equal signatures, so only the canonical forms
+        # tell the Shrikhande graph from the 4x4 rook's graph.
+        assert fingerprint(SHRIKHANDE) == fingerprint(ROOK_4X4)
+        verdict = iso_screen(SHRIKHANDE, ROOK_4X4)
+        assert verdict.kind == IsoVerdict.DISTINCT
+        assert verdict.reason == "canonical forms differ"
+        assert find_isomorphism(SHRIKHANDE, ROOK_4X4) is None
+        h = relabel(SHRIKHANDE, random_permutation(16, rng))
+        verdict = iso_screen(SHRIKHANDE, h)
+        assert verdict.kind == IsoVerdict.ISOMORPHIC
+        assert verify_mapping(SHRIKHANDE, h, verdict.mapping)
+
     def test_budget_one_gives_possible(self, rng):
         g = cycle(6)
         h = relabel(g, random_permutation(6, rng))
@@ -291,6 +365,42 @@ class TestCanonicalLabeling:
             assert lab.certified
             assert lab.form == ref.form
             assert lab.digest() == ref.digest()
+
+    def test_small_graphs_certified_distinct_and_stable(self):
+        """Every connected graph on 2..7 nodes: forms tell them apart."""
+        rng = random.Random(7)
+        forms = set()
+        for n in range(2, 8):
+            for g in oracle.enumerate_connected_graphs(n):
+                lab = canonical_labeling(g)
+                assert lab.certified
+                forms.add(lab.form)
+                for _ in range(3):
+                    h = relabel(g, random_permutation(n, rng))
+                    assert canonical_labeling(h).form == lab.form
+        assert len(forms) == 995
+
+    @pytest.mark.parametrize("name", SYMMETRIC)
+    def test_vertex_transitive_certifies(self, name, rng):
+        g = SYMMETRIC[name]
+        assert len(orbit_partition(g).classes) == 1
+        lab = canonical_labeling(g, budget=100_000)
+        assert lab.certified
+        other = canonical_labeling(relabel(g, random_permutation(g.n, rng)), budget=100_000)
+        assert other.certified
+        assert other.digest() == lab.digest()
+
+    @pytest.mark.parametrize("g", CUBIC, ids=["n12", "n10"])
+    def test_search_from_one_cell_is_label_invariant(self, g):
+        forms = set()
+        for seed in range(10):
+            h = relabel(g, random_permutation(g.n, random.Random(seed)))
+            analysis = _Analysis(h, 1e-8)
+            analysis.classes = {(): list(range(1, g.n + 1))}  # no help from signatures
+            lab = _canonical(analysis, 10**6)
+            assert lab.certified
+            forms.add(lab.form)
+        assert len(forms) == 1
 
     def test_budget_exhaustion_flags_uncertified(self):
         lab = canonical_labeling(cycle(6), budget=1)
