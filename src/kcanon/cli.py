@@ -26,6 +26,7 @@ from .errors import (
     KCanonError,
     NonFiniteError,
     SameSourceSinkError,
+    SingularSystemError,
     TooLargeError,
 )
 from .graph import load_graph
@@ -33,6 +34,8 @@ from .graph import load_graph
 VALIDATION_ERRORS = (
     GraphError, SameSourceSinkError, NonFiniteError, TooLargeError, InvalidToleranceError
 )
+# Largest KCL residual an exact (non-approximate) solve may report.
+KCL_LIMIT = 1e-9
 
 
 def _f(x: float) -> str:
@@ -118,6 +121,11 @@ def voltages(graph_file, a, b, method, sink_weight, tol, fmt):
     profile = _guard(solve)
     currents = _guard(lambda: solver_mod.pair_currents(g, profile))
     residual = solver_mod.kcl_residual(g, profile)
+    if not (profile.approximate or residual <= KCL_LIMIT):
+        _fail(SingularSystemError(
+            f"KCL residual {_f(residual)} exceeds {KCL_LIMIT:g}: the system is "
+            "numerically singular at this weight range"
+        ), 3)
     resistance = float(profile.v[a - 1] - profile.v[b - 1])
     doc = {
         "n": g.n,

@@ -75,6 +75,15 @@ class Graph:
         return {(min(u, v), max(u, v)): w for u, v, w in self.edges}
 
     @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (u, v, w) edge arrays in stored edge order; ids 0-based."""
+        e = np.array(self.edges, dtype=float).reshape(-1, 3)
+        arrays = (e[:, 0].astype(np.intp) - 1, e[:, 1].astype(np.intp) - 1, e[:, 2].copy())
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """neighbors[k] lists nodes adjacent to node k+1, ascending."""
         adj = [[] for _ in range(self.n)]

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, GraphError, InvalidToleranceError, NonFiniteError
 from .graph import Graph, relabel
-from .solver import build_system, solve_all_pairs
+from .solver import build_dense_system, solve_all_pairs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_BUDGET = 10**6
@@ -160,7 +160,7 @@ class _Analysis:
         # original id -> row of V; ties inside a cell break by id
         self.index = {x: k for k, x in enumerate(order)}
         ordered = relabel(graph, {x: k + 1 for x, k in self.index.items()})
-        _, self.V = solve_all_pairs(build_system(ordered))
+        _, self.V = solve_all_pairs(build_dense_system(ordered))
         G = _grid(self.V, tol)
         self.node_rows = [_row(G[self.index[x]]) for x in range(1, graph.n + 1)]
         classes: dict[tuple, list[int]] = {}

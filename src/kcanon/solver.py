@@ -2,12 +2,25 @@
 
 Three strategies for the singular system L v = e_a - e_b:
 
-* grounded:       factor the (N-1)x(N-1) reduced system once (Cholesky) and
+* grounded:       factor the (N-1)x(N-1) reduced system once and
                   back-substitute per pair; the default and fastest.
 * pseudoinverse:  spectral decomposition of L with the zero mode deflated.
 * universal sink: augment with a sink node tied to every node, which makes the
                   system nonsingular but changes the physical network; the
                   result is approximate and flagged as such.
+
+A grounded system holds one of two factor kinds, both solved through
+factor.solve(B):
+
+* build_system:       sparse LU (SuperLU) of the grounded block, held as a CSC
+                      matrix built from the edge arrays, with a fill-reducing
+                      minimum-degree ordering and no pivoting (the block is
+                      symmetric positive definite).  Memory and per-query work
+                      grow with the fill and m, not with N^2, so point queries
+                      run at N >= 10^4.
+* build_dense_system: dense LAPACK Cholesky of the dense grounded block, for the
+                      signature analysis, whose right-hand side is the dense
+                      N x N(N-1)/2 block of all pairs.
 
 All voltage vectors are gauge-fixed to sum to zero, which makes the (b,a)
 solution the exact elementwise negation of the (a,b) solution.
@@ -16,6 +29,7 @@ solution the exact elementwise negation of the (a,b) solution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +43,8 @@ from .errors import (
 )
 from .graph import Graph, adjacency
 
-# Incremented by build_system; lets callers assert the factor-once contract.
+# Incremented by build_system and build_dense_system; lets callers assert the
+# factor-once contract.
 _factorization_count = 0
 
 
@@ -48,18 +63,64 @@ def laplacian(graph: Graph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
+def _sparse_laplacian(graph: Graph, shift: float = 0.0):
+    """L + shift * I as an N x N CSC matrix, built from the edge arrays."""
+    import scipy.sparse
+
+    u, v, w = graph.arrays
+    n = graph.n
+    nodes = np.arange(n)
+    diagonal = np.bincount(u, w, n) + np.bincount(v, w, n) + shift
+    rows = np.concatenate([u, v, nodes])
+    cols = np.concatenate([v, u, nodes])
+    values = np.concatenate([-w, -w, diagonal])
+    return scipy.sparse.csc_matrix((values, (rows, cols)), shape=(n, n))
+
+
+def _sparse_lu(a):
+    """SuperLU factor of a symmetric positive definite CSC matrix.
+
+    The minimum-degree ordering of A^T + A keeps the fill low, and with
+    pivoting off the symmetric ordering is kept on both sides.
+    """
+    import scipy.sparse.linalg
+
+    try:
+        return scipy.sparse.linalg.splu(
+            a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise FactorizationFailedError(str(exc))
+
+
+class _DenseCholesky:
+    """LAPACK Cholesky factor, solved through the same solve(B) as SuperLU."""
+
+    def __init__(self, a: np.ndarray):
+        try:
+            self.cho = scipy.linalg.cho_factor(a)
+        except scipy.linalg.LinAlgError as exc:
+            raise FactorizationFailedError(str(exc))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return scipy.linalg.cho_solve(self.cho, b)
+
+
 @dataclass(frozen=True)
 class LaplacianSystem:
-    """Grounded reduced Laplacian plus its reusable Cholesky factor.
+    """Grounded reduced Laplacian plus a reusable factor of it.
 
-    Immutable after construction; solve calls share the factor read-only and
-    are safe to run concurrently.
+    From build_system, reduced is a scipy CSC matrix and factor a SuperLU
+    sparse LU; from build_dense_system, reduced is a dense array and factor a
+    LAPACK Cholesky.  Either factor solves through factor.solve(B).
+    Immutable after construction; solve calls only read the factor.
     """
 
     graph: Graph
     ground: int
-    reduced: np.ndarray
-    factor: tuple = field(repr=False)
+    reduced: Any
+    factor: Any = field(repr=False)
     keep: np.ndarray = field(repr=False)  # row/col indices with ground removed
 
 
@@ -83,8 +144,7 @@ class PairCurrents:
     currents: tuple[float, ...]
 
 
-def build_system(graph: Graph, ground: int | None = None) -> LaplacianSystem:
-    """Factor the reduced Laplacian once for reuse over many right-hand sides."""
+def _grounded_system(graph, ground, laplacian_of, factorize) -> LaplacianSystem:
     global _factorization_count
     n = graph.n
     if n < 2:
@@ -93,15 +153,21 @@ def build_system(graph: Graph, ground: int | None = None) -> LaplacianSystem:
         ground = n
     if not 1 <= ground <= n:
         raise FactorizationFailedError(f"ground node {ground} outside 1..{n}")
-    L = laplacian(graph)
-    keep = np.array([i for i in range(n) if i != ground - 1])
-    reduced = L[np.ix_(keep, keep)]
-    try:
-        factor = scipy.linalg.cho_factor(reduced)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationFailedError(str(exc))
+    keep = np.delete(np.arange(n), ground - 1)
+    reduced = laplacian_of(graph)[keep][:, keep]
+    factor = factorize(reduced)
     _factorization_count += 1
     return LaplacianSystem(graph, ground, reduced, factor, keep)
+
+
+def build_system(graph: Graph, ground: int | None = None) -> LaplacianSystem:
+    """Sparse LU of the grounded Laplacian, once, for many point queries."""
+    return _grounded_system(graph, ground, _sparse_laplacian, _sparse_lu)
+
+
+def build_dense_system(graph: Graph, ground: int | None = None) -> LaplacianSystem:
+    """Dense Cholesky of the grounded Laplacian, for solve_all_pairs."""
+    return _grounded_system(graph, ground, laplacian, _DenseCholesky)
 
 
 def _injection(n, a, b):
@@ -120,7 +186,7 @@ def solve_pair(system: LaplacianSystem, a: int, b: int) -> VoltageProfile:
     n = system.graph.n
     rhs = _injection(n, a, b)
     v = np.zeros(n)
-    v[system.keep] = scipy.linalg.cho_solve(system.factor, rhs[system.keep])
+    v[system.keep] = system.factor.solve(rhs[system.keep])
     v -= v.mean()
     return VoltageProfile(a, b, v, method="grounded")
 
@@ -139,7 +205,7 @@ def solve_all_pairs(system: LaplacianSystem):
         B[a - 1, k] = 1.0
         B[b - 1, k] = -1.0
     V = np.zeros((n, len(pairs)))
-    V[system.keep, :] = scipy.linalg.cho_solve(system.factor, B[system.keep, :])
+    V[system.keep, :] = system.factor.solve(B[system.keep, :])
     V -= V.mean(axis=0)
     return pairs, V
 
@@ -177,12 +243,7 @@ def solve_pair_universal_sink(
         raise FactorizationFailedError(f"sink_weight must be positive, got {sink_weight}")
     n = graph.n
     rhs = _injection(n, a, b)
-    M = laplacian(graph) + sink_weight * np.eye(n)
-    try:
-        factor = scipy.linalg.cho_factor(M)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationFailedError(str(exc))
-    v = scipy.linalg.cho_solve(factor, rhs)
+    v = _sparse_lu(_sparse_laplacian(graph, sink_weight)).solve(rhs)
     v -= v.mean()
     return VoltageProfile(a, b, v, method="universal-sink", approximate=True)
 
@@ -193,16 +254,14 @@ def pair_currents(graph: Graph, profile: VoltageProfile) -> PairCurrents:
         raise GraphMismatchError(
             f"profile has {profile.v.shape[0]} voltages but graph has {graph.n} nodes"
         )
-    currents = tuple(
-        w * (profile.v[u - 1] - profile.v[v - 1]) for u, v, w in graph.edges
-    )
-    return PairCurrents(profile.a, profile.b, currents)
+    u, v, w = graph.arrays
+    currents = w * (profile.v[u] - profile.v[v])
+    return PairCurrents(profile.a, profile.b, tuple(currents.tolist()))
 
 
 def kcl_residual(graph: Graph, profile: VoltageProfile) -> float:
     """max-norm of L v - (e_a - e_b), with L v summed edge by edge."""
-    u, v, w = np.array(graph.edges).T
-    u, v = u.astype(np.intp) - 1, v.astype(np.intp) - 1
+    u, v, w = graph.arrays
     i = w * (profile.v[u] - profile.v[v])
     lv = np.bincount(u, i, graph.n) - np.bincount(v, i, graph.n)
     return float(np.abs(lv - _injection(graph.n, profile.a, profile.b)).max())

@@ -73,6 +73,17 @@ class TestVoltages:
         validate(err, schema("error"))
         assert err["error"] == "NonFiniteWeight"
 
+    def test_singular_system_exit_3(self, runner, write):
+        # Node 5 hangs on a 1e-17 edge: the grounded solve succeeds, but the
+        # sum-zero gauge shift by ~1e16 leaves a KCL residual near 1.
+        text = "4 6 1\n5 6 1e-17\n2 4 1\n3 6 1\n1 6 1\n"
+        result = runner.invoke(main, ["voltages", write(text), "5", "3", "--format", "json"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == "SingularSystem"
+
     @pytest.mark.parametrize("method", ["grounded", "pseudoinverse", "universal-sink"])
     def test_methods(self, runner, write, method):
         result, doc = run_json(

@@ -1,8 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+import kcanon
 from kcanon import oracle
 from kcanon.errors import SameSourceSinkError
 from kcanon.graph import Graph
@@ -27,15 +33,15 @@ from conftest import complete, cycle, path, star
 class TestBuildSystem:
     def test_p2_reduced(self):
         system = build_system(path(2), ground=2)
-        assert system.reduced.tolist() == [[1.0]]
+        assert system.reduced.toarray().tolist() == [[1.0]]
 
     def test_k3_reduced(self):
         system = build_system(complete(3), ground=3)
-        assert system.reduced.tolist() == [[2, -1], [-1, 2]]
+        assert system.reduced.toarray().tolist() == [[2, -1], [-1, 2]]
 
     def test_c4_reduced(self):
         system = build_system(cycle(4), ground=1)
-        assert system.reduced.tolist() == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+        assert system.reduced.toarray().tolist() == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 
     def test_laplacian_rows_sum_zero(self):
         g = Graph(4, [(1, 2, 0.5), (2, 3, 2.0), (3, 4, 1.0), (1, 4, 3.0)])
@@ -166,6 +172,18 @@ class TestUniversalSink:
         v2 = solve_pair_universal_sink(g, 2, 1, 1.0).v
         assert np.array_equal(v1, -v2)
 
+    def test_matches_dense_solve(self, rng):
+        for _ in range(20):
+            g = oracle.random_connected_graph(rng.randint(2, 30), rng, weight_range=(0.1, 10.0))
+            a, b = rng.sample(range(1, g.n + 1), 2)
+            s = rng.uniform(0.1, 2.0)
+            rhs = np.zeros(g.n)
+            rhs[a - 1], rhs[b - 1] = 1.0, -1.0
+            ref = np.linalg.solve(laplacian(g) + s * np.eye(g.n), rhs)
+            ref -= ref.mean()
+            v = solve_pair_universal_sink(g, a, b, s).v
+            assert np.abs(v - ref).max() <= 1e-12
+
 
 class TestCurrents:
     def test_p2_unit_current(self):
@@ -194,6 +212,14 @@ class TestCurrents:
         expected = np.zeros(6)
         expected[1], expected[4] = 1.0, -1.0
         assert bal == pytest.approx(expected, abs=1e-9)
+
+    def test_equals_per_edge_expression(self, rng):
+        g = oracle.random_connected_graph(40, rng, weight_range=(0.1, 10.0))
+        p = solve_pair(build_system(g), 3, 17)
+        cur = pair_currents(g, p).currents
+        assert len(cur) == g.m
+        for (u, v, w), i in zip(g.edges, cur):
+            assert i == w * (p.v[u - 1] - p.v[v - 1])
 
     def test_graph_mismatch(self):
         from kcanon.errors import GraphMismatchError
@@ -228,3 +254,36 @@ class TestEffectiveResistance:
             assert effective_resistance(system, b, a) == pytest.approx(r[a, b], abs=1e-9)
         for a, b, c in itertools.permutations(range(1, 6), 3):
             assert r[a, c] <= r[a, b] + r[b, c] + 1e-9
+
+
+def torus(rows, cols):
+    """rows x cols grid with wrap-around: 4-regular, n = rows * cols."""
+    node = lambda r, c: (r % rows) * cols + (c % cols) + 1
+    return Graph(rows * cols, [
+        (node(r, c), other, 1.0)
+        for r in range(rows) for c in range(cols)
+        for other in (node(r, c + 1), node(r + 1, c))
+    ])
+
+
+class TestLargeSparse:
+    def test_torus_100x100(self):
+        # n = 10^4: the dense grounded block alone would take 800 MB.
+        g = torus(100, 100)
+        system = build_system(g)
+        assert scipy.sparse.issparse(system.reduced)
+        for a, b in [(1, 5051), (17, 9999), (4242, 4343)]:
+            p = solve_pair(system, a, b)
+            assert kcl_residual(g, p) <= 1e-9
+            assert abs(effective_resistance(system, a, b)
+                       - effective_resistance(system, b, a)) <= 1e-12
+            assert len(pair_currents(g, p).currents) == g.m
+
+
+def test_import_leaves_sparse_solver_unloaded():
+    # The sparse solver loads on the first build_system, not at import time.
+    code = "import sys, kcanon, kcanon.cli; print('scipy.sparse.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(kcanon.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
