@@ -167,8 +167,8 @@ def orbits(graph_file, verify, tol, fmt):
     g = _guard(lambda: load_graph(graph_file))
     analysis = _guard(lambda: sig_mod._Analysis(g, tol))
     classes = []
-    for sig, nodes in analysis.classes.items():
-        payload = json.dumps(sig).encode()
+    for nodes in analysis.classes:
+        payload = json.dumps(analysis.node_rows[nodes[0] - 1].tolist()).encode()
         classes.append(
             {"nodes": nodes, "signature_sha256": hashlib.sha256(payload).hexdigest()}
         )
@@ -180,7 +180,7 @@ def orbits(graph_file, verify, tol, fmt):
     if verify:
         report = _guard(lambda: oracle_mod.brute_force_automorphisms(g))
         oracle_classes = [list(o) for o in report.orbits]
-        candidate_classes = sorted(analysis.classes.values())
+        candidate_classes = sorted(analysis.classes)
         match = sorted(oracle_classes) == candidate_classes
         doc["verify"] = {
             "oracle_orbits": oracle_classes,

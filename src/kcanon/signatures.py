@@ -11,9 +11,11 @@ turn decides isomorphism.
 Only the N(N-1)/2 unordered pairs are solved; the reversed pair contributes
 the exact negation thanks to the sum-zero gauge.
 
-Signature values are integer grid units k (standing for k * tol) from the
-quantizer through to the fingerprint's JSON, and fingerprints compare as
-values, not as serialized text.
+Signature values are integer grid units k (standing for k * tol), held as
+int64 matrices, one sorted row per node or edge, from the quantizer to the
+fingerprint; classes and fingerprint parts follow the rows' lexicographic
+order.  Fingerprint.digest() hashes the parts' int64 bytes, not to_json(), so
+digests changed once while to_json() bytes did not.
 
 Every reader works from one analysis per graph: one factorization, one
 quantizer.  Nodes are solved in exact weighted colour-refinement order, so
@@ -75,11 +77,22 @@ def _refine(nbrs: list[list[tuple[int, float]]], colour: list[int]) -> list[int]
         count = len(rank)
 
 
-def _row(half: np.ndarray) -> tuple[int, ...]:
-    """Sorted values over all ordered pairs: the solved half and its negation."""
-    row = np.concatenate([half, -half])
-    row.sort()
-    return tuple(row.tolist())
+def _lex_sort(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic row order, and which sorted rows differ from the last.
+
+    np.lexsort takes one pass per column, so this sorts by the first k
+    columns, doubling k until rows tied on them are equal in full.
+    """
+    k = 8
+    while True:
+        order = np.lexsort(rows[:, :k].T[::-1])
+        head = rows[order, :k]
+        tied = np.flatnonzero((head[1:] == head[:-1]).all(axis=1))
+        if k >= rows.shape[1] or (rows[order[tied]] == rows[order[tied + 1]]).all():
+            new = np.ones(len(rows), dtype=bool)
+            new[tied + 1] = False
+            return order, new
+        k *= 2
 
 
 @dataclass(frozen=True)
@@ -107,19 +120,36 @@ class OrbitPartition:
     classes: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fingerprint:
     """Label-invariant multiset summary of all node and edge signatures.
 
-    Parts hold integer grid units (multiply by tol for volts and amperes).
-    Instances compare by value; digest() is sha256 of to_json().
+    Parts are read-only int64 matrices of grid units (multiply by tol for
+    volts and amperes), one sorted signature per row, rows in lexicographic
+    order.  Instances compare and hash by value.  digest() is sha256 of a
+    fixed ASCII header (format tag, n, m, tol) and both parts as
+    little-endian int64 bytes; it never calls to_json().
     """
 
     n: int
     m: int
     tol: float
-    node_part: tuple[tuple[int, ...], ...]  # sorted multiset of value vectors
-    edge_part: tuple[tuple[int, ...], ...]
+    node_part: np.ndarray  # n x n(n-1), sorted multiset of value vectors
+    edge_part: np.ndarray  # m x n(n-1)
+
+    def __post_init__(self):
+        self.node_part.flags.writeable = False
+        self.edge_part.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, Fingerprint):
+            return NotImplemented
+        return ((self.n, self.m, self.tol) == (other.n, other.m, other.tol)
+                and np.array_equal(self.node_part, other.node_part)
+                and np.array_equal(self.edge_part, other.edge_part))
+
+    def __hash__(self):
+        return hash(self.digest())
 
     def to_json(self) -> str:
         """Canonical serialization: integer grid units, fixed key order."""
@@ -127,22 +157,26 @@ class Fingerprint:
             "n": self.n,
             "m": self.m,
             "tol": format(self.tol, ".17g"),
-            "edge_part": self.edge_part,
-            "node_part": self.node_part,
+            "edge_part": self.edge_part.tolist(),
+            "node_part": self.node_part.tolist(),
         }
         return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        header = f"kcanon-fingerprint-int64le/1 n={self.n} m={self.m} tol={self.tol:.17g}\n"
+        h = hashlib.sha256(header.encode("ascii"))
+        for part in (self.node_part, self.edge_part):
+            h.update(np.ascontiguousarray(part, dtype="<i8"))
+        return h.hexdigest()
 
 
 class _Analysis:
     """One factorization and one batch of pair solves of one graph.
 
-    The graph is solved relabelled into refinement order; node rows, edge
-    rows and signature classes are keyed by the original ids.  Edge rows are
-    rebuilt on each request rather than kept, so a caller holding several
-    analyses holds only the edge rows it is using.
+    The graph is solved relabelled into refinement order; V and the int64
+    node and edge rows are indexed by the original ids.  Edge rows are rebuilt
+    on each request rather than kept, so a caller holding several analyses
+    holds only the edge rows it is using.
     """
 
     def __init__(self, graph: Graph, tol: float):
@@ -155,44 +189,48 @@ class _Analysis:
         for u, v, w in graph.edges:
             self.nbrs[u - 1].append((v - 1, w))
             self.nbrs[v - 1].append((u - 1, w))
-        colour = _refine(self.nbrs, [0] * graph.n)
-        order = sorted(range(1, graph.n + 1), key=lambda x: (colour[x - 1], x))
-        # original id -> row of V; ties inside a cell break by id
-        self.index = {x: k for k, x in enumerate(order)}
-        ordered = relabel(graph, {x: k + 1 for x, k in self.index.items()})
-        _, self.V = solve_all_pairs(build_dense_system(ordered))
+        # Solve order: by colour, ties inside a cell by id.
+        solve = np.argsort(_refine(self.nbrs, [0] * graph.n), kind="stable")
+        ordered = relabel(graph, dict(zip((solve + 1).tolist(), range(1, graph.n + 1))))
+        _, V = solve_all_pairs(build_dense_system(ordered))
+        self.V = V[np.argsort(solve)]  # row x - 1 holds node x
         G = _grid(self.V, tol)
-        self.node_rows = [_row(G[self.index[x]]) for x in range(1, graph.n + 1)]
-        classes: dict[tuple, list[int]] = {}
-        for x, row in enumerate(self.node_rows, start=1):
-            classes.setdefault(row, []).append(x)
-        # Sorted by signature: the order of orbit classes and canonical positions.
-        self.classes = dict(sorted(classes.items()))
+        self.node_rows = np.concatenate([G, -G], axis=1)
+        self.node_rows.sort(axis=1)
+        # Signature order: the order of orbit classes and canonical positions.
+        self.node_order, new = _lex_sort(self.node_rows)
+        # Colouring by signature class: the root of the canonical search.
+        self.start = (np.cumsum(new) - 1)[np.argsort(self.node_order)].tolist()
+        ids, bounds = (self.node_order + 1).tolist(), np.flatnonzero(new).tolist() + [graph.n]
+        self.classes = [ids[i:j] for i, j in zip(bounds, bounds[1:])]
 
-    def edge_rows(self) -> list[tuple[int, ...]]:
+    def edge_rows(self) -> np.ndarray:
         """One row per stored edge, in graph.edges order."""
-        ix, V = self.index, self.V
-        return [_row(_grid(w * (V[ix[u]] - V[ix[v]]), self.tol)) for u, v, w in self.graph.edges]
+        u, v, w = self.graph.arrays
+        E = _grid(w[:, None] * (self.V[u] - self.V[v]), self.tol)
+        rows = np.concatenate([E, -E], axis=1)
+        rows.sort(axis=1)
+        return rows
 
     def fingerprint(self) -> Fingerprint:
-        g = self.graph
-        return Fingerprint(g.n, g.m, self.tol, tuple(sorted(self.node_rows)),
-                           tuple(sorted(self.edge_rows())))
+        g, edges = self.graph, self.edge_rows()
+        return Fingerprint(g.n, g.m, self.tol, self.node_rows[self.node_order],
+                           edges[_lex_sort(edges)[0]])
 
 
 def all_node_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> list[NodeSignature]:
-    rows = _Analysis(graph, tol).node_rows
-    return [NodeSignature(x, row, tol) for x, row in enumerate(rows, start=1)]
+    rows = _Analysis(graph, tol).node_rows.tolist()
+    return [NodeSignature(x, tuple(row), tol) for x, row in enumerate(rows, start=1)]
 
 
 def all_edge_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> list[EdgeSignature]:
-    rows = _Analysis(graph, tol).edge_rows()
-    return [EdgeSignature((u, v), row, tol) for (u, v, _), row in zip(graph.edges, rows)]
+    rows = _Analysis(graph, tol).edge_rows().tolist()
+    return [EdgeSignature((u, v), tuple(row), tol) for (u, v, _), row in zip(graph.edges, rows)]
 
 
 def orbit_partition(graph: Graph, tol: float = DEFAULT_TOL) -> OrbitPartition:
     """Group nodes by identical signature; classes ordered by signature."""
-    return OrbitPartition(tuple(map(tuple, _Analysis(graph, tol).classes.values())))
+    return OrbitPartition(tuple(map(tuple, _Analysis(graph, tol).classes)))
 
 
 def fingerprint(graph: Graph, tol: float = DEFAULT_TOL) -> Fingerprint:
@@ -241,19 +279,17 @@ def find_isomorphism(
     tol: float = DEFAULT_TOL,
     node_budget: int = DEFAULT_BUDGET,
 ) -> dict[int, int] | None:
-    """Weight-preserving mapping that lines up the two canonical orders.
+    """The verified mapping of iso_screen, or None when it proves the pair distinct.
 
-    Returns None when the canonical forms differ (a proof of
-    non-isomorphism).  Raises BudgetExhaustedError when either canonical
-    labeling runs out of its node_budget IR tree nodes first.
+    One decision path: a fingerprint mismatch rejects before any search, and
+    a mapping is returned only after verify_mapping has passed.  Raises
+    BudgetExhaustedError, carrying the verdict's reason, when the screen
+    leaves the pair possibly isomorphic.
     """
-    if g1.n != g2.n or g1.m != g2.m:
-        return None
-    c1 = _canonical(_Analysis(g1, tol), node_budget)
-    c2 = _canonical(_Analysis(g2, tol), node_budget)
-    if not (c1.certified and c2.certified):
-        raise BudgetExhaustedError(f"canonical labeling exceeded {node_budget} IR tree nodes")
-    return dict(zip(c1.order, c2.order)) if c1.form == c2.form else None
+    verdict = iso_screen(g1, g2, tol, node_budget)
+    if verdict.kind == IsoVerdict.POSSIBLE:
+        raise BudgetExhaustedError(verdict.reason)
+    return verdict.mapping
 
 
 def iso_screen(
@@ -365,14 +401,11 @@ def _canonical(analysis: _Analysis, budget: int) -> CanonicalLabeling:
     branch is finished, so the search resumes at the common ancestor.  At
     every tree node, children in one orbit of the automorphisms found so far
     that fix the node's prefix are equivalent: one per orbit is explored.
-    Node indices are id - 1.
+    The root refines analysis.start, the colouring by signature class.  Node
+    indices are id - 1.
     """
     nbrs, n = analysis.nbrs, analysis.graph.n
     adj = [dict(a) for a in nbrs]
-    start = [0] * n
-    for c, cls in enumerate(analysis.classes.values()):
-        for x in cls:
-            start[x - 1] = c
     autos: list[list[int]] = []
     first = best = None  # leaves: (form, order, path)
     expansions, exhausted = 1, False
@@ -422,6 +455,6 @@ def _canonical(analysis: _Analysis, budget: int) -> CanonicalLabeling:
             done.append(v)
         return len(path) - 1
 
-    search(_refine(nbrs, start), [])
+    search(_refine(nbrs, analysis.start), [])
     form, order, _ = best
     return CanonicalLabeling(tuple(x + 1 for x in order), form, not exhausted, expansions)

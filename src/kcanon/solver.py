@@ -141,7 +141,7 @@ class PairCurrents:
 
     a: int
     b: int
-    currents: tuple[float, ...]
+    currents: np.ndarray  # read-only float64, one per stored edge
 
 
 def _grounded_system(graph, ground, laplacian_of, factorize) -> LaplacianSystem:
@@ -256,7 +256,8 @@ def pair_currents(graph: Graph, profile: VoltageProfile) -> PairCurrents:
         )
     u, v, w = graph.arrays
     currents = w * (profile.v[u] - profile.v[v])
-    return PairCurrents(profile.a, profile.b, tuple(currents.tolist()))
+    currents.flags.writeable = False
+    return PairCurrents(profile.a, profile.b, currents)
 
 
 def kcl_residual(graph: Graph, profile: VoltageProfile) -> float:

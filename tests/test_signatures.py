@@ -1,13 +1,15 @@
+import hashlib
 import json
 import random
 import re
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kcanon import oracle
+from kcanon import oracle, signatures
 from kcanon.errors import BudgetExhaustedError, NonFiniteError
 from kcanon.graph import Graph, relabel
 from kcanon.signatures import (
@@ -24,6 +26,7 @@ from kcanon.signatures import (
     _Analysis,
     _canonical,
     _grid,
+    _lex_sort,
 )
 from kcanon.solver import factorization_count, reset_factorization_count
 
@@ -250,6 +253,55 @@ class TestFingerprint:
         fp = fingerprint(path(4))
         assert fp.to_json() == fingerprint(path(4)).to_json()
 
+    def test_hashable_and_hash_matches_eq(self, rng):
+        g = Graph(6, [(1, 2, 0.5), (2, 3, 1.0), (3, 4, 2.0), (4, 5, 1.0),
+                      (5, 6, 1.0), (6, 1, 1.0), (2, 5, 3.0)])
+        fp, other = fingerprint(g), fingerprint(relabel(g, random_permutation(6, rng)))
+        assert fp == other and hash(fp) == hash(other)
+        assert len({fp, other}) == 1
+        assert len({fp, fingerprint(path(6))}) == 2
+
+    def test_parts_are_read_only_int64(self):
+        fp = fingerprint(cycle(5))
+        for part, rows in ((fp.node_part, 5), (fp.edge_part, 5)):
+            assert part.dtype == np.int64
+            assert part.shape == (rows, 5 * 4)
+            with pytest.raises(ValueError):
+                part[0, 0] = 1
+
+    def test_digest_skips_json(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("digest serialized the fingerprint")
+
+        fp = fingerprint(path(3))
+        monkeypatch.setattr(Fingerprint, "to_json", refuse)
+        assert len(fp.digest()) == 64
+
+    def test_digest_pinned(self):
+        # P3 at tol 1e-8: a fixed ASCII header, then both parts' rows as
+        # little-endian int64, rows in lexicographic order.
+        end = [-ONE, -TWO_THIRDS, -THIRD, THIRD, TWO_THIRDS, ONE]
+        rows = [end, end, [-THIRD, -THIRD, 0, 0, THIRD, THIRD]] + [[-ONE, -ONE, 0, 0, ONE, ONE]] * 2
+        data = b"kcanon-fingerprint-int64le/1 n=3 m=2 tol=1e-08\n"
+        data += b"".join(struct.pack("<q", k) for row in rows for k in row)
+        digest = fingerprint(path(3), 1e-8).digest()
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert digest == "b7db2a6c504979caf253397e959e70a1881dd15ca7cf42f6aa0066bb9868fffc"
+
+
+class TestLexSort:
+    def test_matches_sorted_tuples(self):
+        rng = np.random.default_rng(3)
+        # Rows tied on long prefixes, so the sort must widen past 8 columns.
+        base = rng.integers(-3, 3, size=(6, 40))
+        rows = base[rng.integers(0, 6, size=30)]
+        rows[::4, 25:] = rng.integers(-3, 3, size=(8, 15))
+        order, new = _lex_sort(rows)
+        tuples = [tuple(r) for r in rows.tolist()]
+        assert order.tolist() == sorted(range(30), key=lambda i: (tuples[i], i))
+        assert new.tolist() == [k == 0 or tuples[order[k]] != tuples[order[k - 1]]
+                                for k in range(30)]
+
 
 class TestFindIsomorphism:
     def test_identity(self):
@@ -274,6 +326,17 @@ class TestFindIsomorphism:
         g = cycle(6)
         with pytest.raises(BudgetExhaustedError):
             find_isomorphism(g, g, node_budget=1)
+
+    def test_budget_error_carries_the_verdict_reason(self):
+        with pytest.raises(BudgetExhaustedError, match="search budget exhausted"):
+            find_isomorphism(cycle(6), cycle(6), node_budget=1)
+
+    def test_fingerprint_mismatch_rejects_before_search(self, monkeypatch):
+        def refuse(analysis, budget):
+            raise AssertionError("searched a pair with differing fingerprints")
+
+        monkeypatch.setattr(signatures, "_canonical", refuse)
+        assert find_isomorphism(path(4), star(3)) is None
 
 
 class TestIsoScreen:
@@ -396,7 +459,7 @@ class TestCanonicalLabeling:
         for seed in range(10):
             h = relabel(g, random_permutation(g.n, random.Random(seed)))
             analysis = _Analysis(h, 1e-8)
-            analysis.classes = {(): list(range(1, g.n + 1))}  # no help from signatures
+            analysis.start = [0] * g.n  # no help from signatures
             lab = _canonical(analysis, 10**6)
             assert lab.certified
             forms.add(lab.form)
@@ -446,8 +509,8 @@ class TestLabelInvariance:
         g, h, perm = relabelled_pair
         a, b = _Analysis(g, 1e-8), _Analysis(h, 1e-8)
         for x in range(1, g.n + 1):
-            row_g = np.sort(a.V[a.index[x]])
-            row_h = np.sort(b.V[b.index[perm[x]]])
+            row_g = np.sort(a.V[x - 1])
+            row_h = np.sort(b.V[perm[x] - 1])
             assert row_g.tobytes() == row_h.tobytes()
 
     def test_digest_and_orbit_classes(self, relabelled_pair):

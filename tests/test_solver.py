@@ -221,6 +221,12 @@ class TestCurrents:
         for (u, v, w), i in zip(g.edges, cur):
             assert i == w * (p.v[u - 1] - p.v[v - 1])
 
+    def test_currents_are_read_only_float64(self):
+        cur = pair_currents(cycle(6), solve_pair(build_system(cycle(6)), 2, 5)).currents
+        assert cur.dtype == np.float64 and cur.shape == (6,)
+        with pytest.raises(ValueError):
+            cur[0] = 0.0
+
     def test_graph_mismatch(self):
         from kcanon.errors import GraphMismatchError
 
