@@ -231,9 +231,9 @@ def fingerprint(graph_file, tol, fmt):
     """Emit the canonical fingerprint serialization and its hash."""
     g = _guard(lambda: load_graph(graph_file))
     fp = _guard(lambda: sig_mod.fingerprint(g, tol))
-    doc = {"fingerprint": json.loads(fp.to_json()), "sha256": fp.digest()}
-    lines = [f"sha256: {fp.digest()}", fp.to_json()]
-    _emit(doc, fmt, lines)
+    text, digest = fp.to_json(), fp.digest()
+    click.echo(f'{{"fingerprint":{text},"sha256":"{digest}"}}' if fmt == "json"
+               else f"sha256: {digest}\n{text}")
 
 
 @main.command()

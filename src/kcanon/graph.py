@@ -175,19 +175,23 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def parse_json(text: str) -> Graph:
-    """Parse the JSON form {"n": N, "edges": [[u, v, w], ...]}."""
+    """Parse the JSON form {"n": N, "edges": [[u, v, w], ...]}.
+
+    N and the node ids must be JSON integers, weights JSON numbers (booleans
+    are neither); anything else is a GraphError, never coerced.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedLineError(exc.lineno, f"invalid JSON: {exc.msg}")
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise GraphError('JSON graph must be an object with "n" and "edges"')
-    edges = []
+    if not (isinstance(obj, dict) and type(obj.get("n")) is int
+            and isinstance(obj.get("edges"), list)):
+        raise GraphError('JSON graph must be an object with integer "n" and list "edges"')
     for e in obj["edges"]:
-        if not isinstance(e, list) or len(e) not in (2, 3):
+        if not (isinstance(e, list) and len(e) in (2, 3) and type(e[0]) is type(e[1]) is int
+                and type(e[-1]) in (int, float)):
             raise GraphError(f"bad edge entry: {e!r}")
-        edges.append((e[0], e[1], e[2] if len(e) == 3 else 1.0))
-    return Graph(obj["n"], edges)
+    return Graph(obj["n"], [(e[0], e[1], e[2] if len(e) == 3 else 1.0) for e in obj["edges"]])
 
 
 def parse_graph(text: str) -> Graph:

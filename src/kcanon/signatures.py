@@ -9,13 +9,18 @@ the individualization-refinement search behind canonical labeling, which in
 turn decides isomorphism.
 
 Only the N(N-1)/2 unordered pairs are solved; the reversed pair contributes
-the exact negation thanks to the sum-zero gauge.
+the exact negation thanks to the sum-zero gauge.  So a signature is held as
+its sorted non-positive half h = sort(-|k|) over the N(N-1)/2 unordered-pair
+grid values k; the paper's full row is exactly [h, -h[::-1]].  Halves are
+equal exactly when full rows are, and order lexicographically as they do, so
+classes, canonical positions and fingerprint row order are those of the full
+rows.  Only all_node_signatures and all_edge_signatures expand to full rows.
 
 Signature values are integer grid units k (standing for k * tol), held as
-int64 matrices, one sorted row per node or edge, from the quantizer to the
-fingerprint; classes and fingerprint parts follow the rows' lexicographic
-order.  Fingerprint.digest() hashes the parts' int64 bytes, not to_json(), so
-digests changed once while to_json() bytes did not.
+int64 matrices, one row per node or edge, from the quantizer to the
+fingerprint.  Fingerprint.digest() hashes the parts' int64 bytes under the
+header tag int64le/2; digests, to_json() rows and the CLI orbits
+signature_sha256 changed once when rows became halves.
 
 Every reader works from one analysis per graph: one factorization, one
 quantizer.  Nodes are solved in exact weighted colour-refinement order, so
@@ -52,6 +57,14 @@ def _grid(values: np.ndarray, tol: float) -> np.ndarray:
     if not np.all(np.abs(scaled) < 2.0**63):
         raise NonFiniteError(f"solve result is not finite or overflows the grid at tol {tol}")
     return np.rint(scaled).astype(np.int64)
+
+
+def _rows(values: np.ndarray, tol: float) -> np.ndarray:
+    """Signature rows: the sorted -|k| of each row's grid values k."""
+    rows = _grid(values, tol)
+    np.negative(np.abs(rows, out=rows), out=rows)
+    rows.sort(axis=1)
+    return rows
 
 
 def _refine(nbrs: list[list[tuple[int, float]]], colour: list[int]) -> list[int]:
@@ -125,17 +138,18 @@ class Fingerprint:
     """Label-invariant multiset summary of all node and edge signatures.
 
     Parts are read-only int64 matrices of grid units (multiply by tol for
-    volts and amperes), one sorted signature per row, rows in lexicographic
-    order.  Instances compare and hash by value.  digest() is sha256 of a
-    fixed ASCII header (format tag, n, m, tol) and both parts as
-    little-endian int64 bytes; it never calls to_json().
+    volts and amperes), one signature per row as its sorted non-positive
+    half h (the full row is [h, -h[::-1]]), rows in lexicographic order.
+    Instances compare and hash by value.  digest() is sha256 of a fixed
+    ASCII header (format tag, n, m, tol) and both parts as little-endian
+    int64 bytes; it never calls to_json().
     """
 
     n: int
     m: int
     tol: float
-    node_part: np.ndarray  # n x n(n-1), sorted multiset of value vectors
-    edge_part: np.ndarray  # m x n(n-1)
+    node_part: np.ndarray  # n x n(n-1)/2, sorted multiset of half rows
+    edge_part: np.ndarray  # m x n(n-1)/2
 
     def __post_init__(self):
         self.node_part.flags.writeable = False
@@ -163,7 +177,7 @@ class Fingerprint:
         return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
     def digest(self) -> str:
-        header = f"kcanon-fingerprint-int64le/1 n={self.n} m={self.m} tol={self.tol:.17g}\n"
+        header = f"kcanon-fingerprint-int64le/2 n={self.n} m={self.m} tol={self.tol:.17g}\n"
         h = hashlib.sha256(header.encode("ascii"))
         for part in (self.node_part, self.edge_part):
             h.update(np.ascontiguousarray(part, dtype="<i8"))
@@ -174,9 +188,9 @@ class _Analysis:
     """One factorization and one batch of pair solves of one graph.
 
     The graph is solved relabelled into refinement order; V and the int64
-    node and edge rows are indexed by the original ids.  Edge rows are rebuilt
-    on each request rather than kept, so a caller holding several analyses
-    holds only the edge rows it is using.
+    node and edge half rows are indexed by the original ids.  Edge rows are
+    rebuilt on each request rather than kept, so a caller holding several
+    analyses holds only the edge rows it is using.
     """
 
     def __init__(self, graph: Graph, tol: float):
@@ -194,9 +208,7 @@ class _Analysis:
         ordered = relabel(graph, dict(zip((solve + 1).tolist(), range(1, graph.n + 1))))
         _, V = solve_all_pairs(build_dense_system(ordered))
         self.V = V[np.argsort(solve)]  # row x - 1 holds node x
-        G = _grid(self.V, tol)
-        self.node_rows = np.concatenate([G, -G], axis=1)
-        self.node_rows.sort(axis=1)
+        self.node_rows = _rows(self.V, tol)
         # Signature order: the order of orbit classes and canonical positions.
         self.node_order, new = _lex_sort(self.node_rows)
         # Colouring by signature class: the root of the canonical search.
@@ -205,12 +217,9 @@ class _Analysis:
         self.classes = [ids[i:j] for i, j in zip(bounds, bounds[1:])]
 
     def edge_rows(self) -> np.ndarray:
-        """One row per stored edge, in graph.edges order."""
+        """One half row per stored edge, in graph.edges order."""
         u, v, w = self.graph.arrays
-        E = _grid(w[:, None] * (self.V[u] - self.V[v]), self.tol)
-        rows = np.concatenate([E, -E], axis=1)
-        rows.sort(axis=1)
-        return rows
+        return _rows(w[:, None] * (self.V[u] - self.V[v]), self.tol)
 
     def fingerprint(self) -> Fingerprint:
         g, edges = self.graph, self.edge_rows()
@@ -219,12 +228,14 @@ class _Analysis:
 
 
 def all_node_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> list[NodeSignature]:
-    rows = _Analysis(graph, tol).node_rows.tolist()
+    h = _Analysis(graph, tol).node_rows
+    rows = np.concatenate([h, -h[:, ::-1]], axis=1).tolist()
     return [NodeSignature(x, tuple(row), tol) for x, row in enumerate(rows, start=1)]
 
 
 def all_edge_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> list[EdgeSignature]:
-    rows = _Analysis(graph, tol).edge_rows().tolist()
+    h = _Analysis(graph, tol).edge_rows()
+    rows = np.concatenate([h, -h[:, ::-1]], axis=1).tolist()
     return [EdgeSignature((u, v), tuple(row), tol) for (u, v, _), row in zip(graph.edges, rows)]
 
 
@@ -368,8 +379,6 @@ def canonical_labeling(
     with the least form wins.  Automorphisms found on the way prune
     equivalent branches.  A finished search makes the form label invariant.
     """
-    if graph.n == 1:
-        return CanonicalLabeling((1,), (), True, 0)
     return _canonical(_Analysis(graph, tol), budget)
 
 

@@ -7,6 +7,7 @@ from jsonschema import validate
 
 from kcanon.cli import main
 from kcanon.graph import relabel, to_edge_list, to_json
+from kcanon.signatures import Fingerprint, fingerprint
 
 from conftest import complete, cycle, path, random_permutation, star
 
@@ -173,6 +174,55 @@ class TestFingerprint:
     def test_empty_input_is_parse_error(self, runner, write):
         result = runner.invoke(main, ["fingerprint", write("")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_serializes_once(self, runner, write, monkeypatch, fmt):
+        calls = {"to_json": 0, "digest": 0}
+        for name in calls:
+            method = getattr(Fingerprint, name)
+
+            def counted(self, method=method, name=name):
+                calls[name] += 1
+                return method(self)
+
+            monkeypatch.setattr(Fingerprint, name, counted)
+        result = runner.invoke(main, ["fingerprint", write(cycle(5)), "--format", fmt])
+        assert result.exit_code == 0
+        assert calls == {"to_json": 1, "digest": 1}
+        monkeypatch.undo()
+        fp = fingerprint(cycle(5))
+        text, digest = fp.to_json(), fp.digest()
+        if fmt == "json":
+            expected = json.dumps({"fingerprint": json.loads(text), "sha256": digest},
+                                  separators=(",", ":"), sort_keys=True)
+        else:
+            expected = f"sha256: {digest}\n{text}"
+        assert result.output == expected + "\n"
+
+    @pytest.mark.parametrize("text", [
+        '{"n": "x", "edges": [[1, 2]]}',
+        '{"n": 2, "edges": [[1, 2, "abc"]]}',
+        '{"n": 2, "edges": [[1, null]]}',
+        '{"n": 2, "edges": 5}',
+        '{"n": 2.7, "edges": [[1, 2]]}',
+        '{"n": 2, "edges": [[1.9, 2]]}',
+    ])
+    def test_malformed_json_graph_exit_2(self, runner, write, text):
+        result = runner.invoke(main, ["fingerprint", write(text)])
+        assert result.exit_code == 2
+        validate(json.loads(result.stderr), schema("error"))
+
+
+def test_single_node_graph_rejected_alike(runner, write):
+    f = write('{"n": 1, "edges": []}')
+    errors = set()
+    for args in (["canon", f], ["orbits", f], ["fingerprint", f], ["iso", f, f]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        errors.add((err["error"], err["message"]))
+    assert errors == {("Graph", "need at least 2 nodes and 1 edge")}
 
 
 class TestCanon:

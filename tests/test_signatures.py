@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 import struct
@@ -111,13 +112,14 @@ class TestQuantize:
     def test_zero_is_positive_zero(self):
         assert _grid(np.array([-1e-12, -0.0]), 1e-8).tolist() == [0, 0]
         # P3's middle node sits at 0 under the (1,3) solve; it serializes as
-        # the integer 0, and every value as its exact grid unit.
+        # the integer 0, and every value as its exact grid unit.  Rows hold
+        # the sorted non-positive half of each signature.
         fp = fingerprint(path(3))
         text = fp.to_json()
         doc = json.loads(text)
-        end = [-ONE, -TWO_THIRDS, -THIRD, THIRD, TWO_THIRDS, ONE]
-        assert doc["node_part"] == [end, end, [-THIRD, -THIRD, 0, 0, THIRD, THIRD]]
-        assert doc["edge_part"] == [[-ONE, -ONE, 0, 0, ONE, ONE]] * 2
+        end = [-ONE, -TWO_THIRDS, -THIRD]
+        assert doc["node_part"] == [end, end, [-THIRD, -THIRD, 0]]
+        assert doc["edge_part"] == [[-ONE, -ONE, 0]] * 2
         assert doc["node_part"] == [list(row) for row in fp.node_part]
         assert doc["edge_part"] == [list(row) for row in fp.edge_part]
         assert re.search(r"-0\b", text) is None
@@ -265,7 +267,7 @@ class TestFingerprint:
         fp = fingerprint(cycle(5))
         for part, rows in ((fp.node_part, 5), (fp.edge_part, 5)):
             assert part.dtype == np.int64
-            assert part.shape == (rows, 5 * 4)
+            assert part.shape == (rows, 5 * 4 // 2)
             with pytest.raises(ValueError):
                 part[0, 0] = 1
 
@@ -278,15 +280,15 @@ class TestFingerprint:
         assert len(fp.digest()) == 64
 
     def test_digest_pinned(self):
-        # P3 at tol 1e-8: a fixed ASCII header, then both parts' rows as
+        # P3 at tol 1e-8: a fixed ASCII header, then both parts' half rows as
         # little-endian int64, rows in lexicographic order.
-        end = [-ONE, -TWO_THIRDS, -THIRD, THIRD, TWO_THIRDS, ONE]
-        rows = [end, end, [-THIRD, -THIRD, 0, 0, THIRD, THIRD]] + [[-ONE, -ONE, 0, 0, ONE, ONE]] * 2
-        data = b"kcanon-fingerprint-int64le/1 n=3 m=2 tol=1e-08\n"
+        end = [-ONE, -TWO_THIRDS, -THIRD]
+        rows = [end, end, [-THIRD, -THIRD, 0]] + [[-ONE, -ONE, 0]] * 2
+        data = b"kcanon-fingerprint-int64le/2 n=3 m=2 tol=1e-08\n"
         data += b"".join(struct.pack("<q", k) for row in rows for k in row)
         digest = fingerprint(path(3), 1e-8).digest()
         assert digest == hashlib.sha256(data).hexdigest()
-        assert digest == "b7db2a6c504979caf253397e959e70a1881dd15ca7cf42f6aa0066bb9868fffc"
+        assert digest == "3106661d08a6e23fef75fb665879d322d021eee70f95dfea5349a9351f9bc90a"
 
 
 class TestLexSort:
@@ -301,6 +303,51 @@ class TestLexSort:
         assert order.tolist() == sorted(range(30), key=lambda i: (tuples[i], i))
         assert new.tolist() == [k == 0 or tuples[order[k]] != tuples[order[k - 1]]
                                 for k in range(30)]
+
+
+class TestHalfRows:
+    """Each row holds the sorted non-positive half h; the full row is [h, -h[::-1]]."""
+
+    def test_expanded_rows_match_exact_solves(self):
+        # Every connected graph on 2..5 nodes, against exact Fraction voltages
+        # and currents over all ordered pairs.
+        tol = Fraction(1e-8)
+        for n in range(2, 6):
+            for g in oracle.enumerate_connected_graphs(n):
+                volts = [[] for _ in range(n)]
+                amps = [[] for _ in range(g.m)]
+                for a in range(1, n + 1):
+                    for b in range(1, n + 1):
+                        if a == b:
+                            continue
+                        v = oracle.exact_solve_pair(g, a, b)
+                        for x in range(n):
+                            volts[x].append(v[x] / tol)
+                        for k, (p, q, w) in enumerate(g.edges):
+                            amps[k].append(Fraction(w) * (v[p - 1] - v[q - 1]) / tol)
+                for units in volts + amps:
+                    # No value within 1e-6 grid units of a half-grid point, so
+                    # float noise cannot move any value to another grid unit.
+                    assert all(abs(u - (math.floor(u) + Fraction(1, 2))) > Fraction(1, 10**6)
+                               for u in units)
+                node_rows = [list(s.values) for s in all_node_signatures(g)]
+                edge_rows = [list(s.values) for s in all_edge_signatures(g)]
+                assert node_rows == [sorted(map(round, units)) for units in volts]
+                assert edge_rows == [sorted(map(round, units)) for units in amps]
+
+    def test_lex_sort_of_halves_matches_full_rows(self):
+        rng = random.Random(10)
+        for _ in range(20):
+            n = rng.randint(8, 40)
+            tree = oracle.random_connected_graph(n, rng, extra_edge_prob=1.5 / n)
+            g = Graph(n, [(u, v, rng.choice((1.0, 2.0))) for u, v, _ in tree.edges])
+            analysis = _Analysis(g, 1e-8)
+            for h in (analysis.node_rows, analysis.edge_rows()):
+                assert (h <= 0).all()
+                order, new = _lex_sort(h)
+                full_order, full_new = _lex_sort(np.concatenate([h, -h[:, ::-1]], axis=1))
+                assert order.tolist() == full_order.tolist()
+                assert new.tolist() == full_new.tolist()
 
 
 class TestFindIsomorphism:
