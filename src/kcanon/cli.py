@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 parse/validation failure, 3 solver failure,
 4 orbit verification mismatch, and for `iso` 0/1/5 for isomorphic-certified /
 distinct-certified / possibly-isomorphic.  Validation and solver errors print
 machine-readable JSON on stderr.  All floats in JSON output are serialized
-as 17-significant-digit decimal strings; fingerprint values are JSON integers
-in grid units of tol.
+as 17-significant-digit decimal strings; fingerprint values are JSON integers,
+residues modulo the prime p that the fingerprint carries.
 """
 
 from __future__ import annotations
@@ -22,18 +22,14 @@ from . import solver as solver_mod
 from .errors import (
     BudgetExhaustedError,
     GraphError,
-    InvalidToleranceError,
     KCanonError,
-    NonFiniteError,
     SameSourceSinkError,
     SingularSystemError,
     TooLargeError,
 )
 from .graph import load_graph
 
-VALIDATION_ERRORS = (
-    GraphError, SameSourceSinkError, NonFiniteError, TooLargeError, InvalidToleranceError
-)
+VALIDATION_ERRORS = (GraphError, SameSourceSinkError, TooLargeError)
 # Largest KCL residual an exact (non-approximate) solve may report.
 KCL_LIMIT = 1e-9
 
@@ -72,14 +68,6 @@ def _emit(doc: dict, fmt: str, text_lines):
             click.echo(line)
 
 
-tol_option = click.option(
-    "--tol",
-    type=float,
-    default=sig_mod.DEFAULT_TOL,
-    envvar="KCANON_TOL",
-    show_default=True,
-    help="quantization tolerance (env KCANON_TOL; flag wins)",
-)
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "text"]), default="text"
 )
@@ -105,9 +93,8 @@ def main():
     show_default=True,
 )
 @click.option("--sink-weight", type=float, default=1.0, show_default=True)
-@tol_option
 @format_option
-def voltages(graph_file, a, b, method, sink_weight, tol, fmt):
+def voltages(graph_file, a, b, method, sink_weight, fmt):
     """Solve the unit-current injection (A -> B) and report voltages/currents."""
     g = _guard(lambda: load_graph(graph_file))
 
@@ -160,12 +147,11 @@ def voltages(graph_file, a, b, method, sink_weight, tol, fmt):
 @main.command()
 @click.argument("graph_file", type=click.Path(exists=True))
 @click.option("--verify", is_flag=True, help="cross-check against the brute-force oracle (n <= 10)")
-@tol_option
 @format_option
-def orbits(graph_file, verify, tol, fmt):
+def orbits(graph_file, verify, fmt):
     """Group nodes into orbit-candidate classes by voltage signature."""
     g = _guard(lambda: load_graph(graph_file))
-    analysis = _guard(lambda: sig_mod._Analysis(g, tol))
+    analysis = _guard(lambda: sig_mod._Analysis(g))
     classes = []
     for nodes in analysis.classes:
         payload = json.dumps(analysis.node_rows[nodes[0] - 1].tolist()).encode()
@@ -198,14 +184,13 @@ def orbits(graph_file, verify, tol, fmt):
 @main.command()
 @click.argument("file1", type=click.Path(exists=True))
 @click.argument("file2", type=click.Path(exists=True))
-@tol_option
 @budget_option
 @format_option
-def iso(file1, file2, tol, budget, fmt):
+def iso(file1, file2, budget, fmt):
     """Screen two graphs for isomorphism; exit 0 iso / 1 distinct / 5 unknown."""
     g1 = _guard(lambda: load_graph(file1))
     g2 = _guard(lambda: load_graph(file2))
-    verdict = _guard(lambda: sig_mod.iso_screen(g1, g2, tol, budget))
+    verdict = _guard(lambda: sig_mod.iso_screen(g1, g2, node_budget=budget))
     doc = {"verdict": verdict.kind, "reason": verdict.reason}
     lines = [f"verdict: {verdict.kind} ({verdict.reason})"]
     if verdict.mapping is not None:
@@ -225,12 +210,11 @@ def iso(file1, file2, tol, budget, fmt):
 
 @main.command()
 @click.argument("graph_file", type=click.Path(exists=True))
-@tol_option
 @format_option
-def fingerprint(graph_file, tol, fmt):
+def fingerprint(graph_file, fmt):
     """Emit the canonical fingerprint serialization and its hash."""
     g = _guard(lambda: load_graph(graph_file))
-    fp = _guard(lambda: sig_mod.fingerprint(g, tol))
+    fp = _guard(lambda: sig_mod.fingerprint(g))
     text, digest = fp.to_json(), fp.digest()
     click.echo(f'{{"fingerprint":{text},"sha256":"{digest}"}}' if fmt == "json"
                else f"sha256: {digest}\n{text}")
@@ -238,13 +222,12 @@ def fingerprint(graph_file, tol, fmt):
 
 @main.command()
 @click.argument("graph_file", type=click.Path(exists=True))
-@tol_option
 @budget_option
 @format_option
-def canon(graph_file, tol, budget, fmt):
+def canon(graph_file, budget, fmt):
     """Compute a canonical node ordering and canonical form."""
     g = _guard(lambda: load_graph(graph_file))
-    lab = _guard(lambda: sig_mod.canonical_labeling(g, tol, budget))
+    lab = _guard(lambda: sig_mod.canonical_labeling(g, budget=budget))
     doc = {
         "order": list(lab.order),
         "form": [_f(x) for x in lab.form],

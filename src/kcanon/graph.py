@@ -35,9 +35,11 @@ class Graph:
 
     def __init__(self, n, edges):
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v), float(w)) for u, v, w in edges)
-        )
+        try:
+            edges = tuple((int(u), int(v), float(w)) for u, v, w in edges)
+        except OverflowError:
+            raise NonFiniteWeightError("an edge weight is too large for a float")
+        object.__setattr__(self, "edges", edges)
         self._validate()
 
     def _validate(self):

@@ -2,32 +2,33 @@
 
 For every ordered pair (a,b) the network is solved with unit current from a
 to b.  Each node collects its voltage across all N(N-1) ordered pairs; each
-edge collects its current.  Sorted and quantized, these vectors are label
-independent, so equal vectors group nodes into orbit candidates, the multiset
-of all vectors fingerprints the whole graph, and the signature classes seed
-the individualization-refinement search behind canonical labeling, which in
-turn decides isomorphism.
+edge collects its current.  Sorted, these vectors are label independent, so
+equal vectors group nodes into orbit candidates, the multiset of all vectors
+fingerprints the whole graph, and the signature classes seed the
+individualization-refinement search behind canonical labeling, which in turn
+decides isomorphism.
 
-Only the N(N-1)/2 unordered pairs are solved; the reversed pair contributes
-the exact negation thanks to the sum-zero gauge.  So a signature is held as
-its sorted non-positive half h = sort(-|k|) over the N(N-1)/2 unordered-pair
-grid values k; the paper's full row is exactly [h, -h[::-1]].  Halves are
-equal exactly when full rows are, and order lexicographically as they do, so
-classes, canonical positions and fingerprint row order are those of the full
-rows.  Only all_node_signatures and all_edge_signatures expand to full rows.
+Every voltage is a difference of two entries of one row of the Laplacian
+pseudoinverse: v_ab[x] = L+[x,a] - L+[x,b].  Every float weight is a dyadic
+rational, so L+ is exact rational, and the analysis computes it exactly
+modulo a prime p (solver._pinv_mod), once per graph, with no tolerance.  The
+signatures it reads are compact rows of those residues:
 
-Signature values are integer grid units k (standing for k * tol), held as
-int64 matrices, one row per node or edge, from the quantizer to the
-fingerprint.  Fingerprint.digest() hashes the parts' int64 bytes under the
-header tag int64le/2; digests, to_json() rows and the CLI orbits
-signature_sha256 changed once when rows became halves.
+* node x: [L+[x,x], sorted L+[x,:]], N + 1 values;
+* edge (u,v) of weight w: the lexicographically smaller of sorted(D) and
+  sorted(-D) mod p, with D = w (L+[u,:] - L+[v,:]), N values.
 
-Every reader works from one analysis per graph: one factorization, one
-quantizer.  Nodes are solved in exact weighted colour-refinement order, so
-relabelled copies with a discrete refinement run bit-identical float
-operations and snap even near-half-grid values alike.  Ties inside a cell
-refinement cannot split (vertex-transitive graphs) still break by node id in
-the solve order; the canonical labeling resolves them by search instead.
+The paper's node and edge vectors are functions of these rows, so classes
+are equal or finer, and still contain every automorphism orbit.  Isomorphic
+graphs get identical residues by construction; differing residues prove the
+exact values differ, and a residue collision can only merge classes.  Rows
+are int64 matrices from L+ to the fingerprint.  Fingerprint.digest() hashes
+the parts' int64 bytes under the header tag gfp/1; digests, to_json(), the
+CLI orbits signature_sha256 and canonical digests changed once when
+signatures became residues.
+
+The paper's float vectors, quantized to a grid of step tol, survive only in
+all_node_signatures and all_edge_signatures, as the referee.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, GraphError, InvalidToleranceError, NonFiniteError
 from .graph import Graph, relabel
-from .solver import build_dense_system, solve_all_pairs
+from .solver import _pinv_mod, _residues, build_dense_system, solve_all_pairs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_BUDGET = 10**6
@@ -57,14 +58,6 @@ def _grid(values: np.ndarray, tol: float) -> np.ndarray:
     if not np.all(np.abs(scaled) < 2.0**63):
         raise NonFiniteError(f"solve result is not finite or overflows the grid at tol {tol}")
     return np.rint(scaled).astype(np.int64)
-
-
-def _rows(values: np.ndarray, tol: float) -> np.ndarray:
-    """Signature rows: the sorted -|k| of each row's grid values k."""
-    rows = _grid(values, tol)
-    np.negative(np.abs(rows, out=rows), out=rows)
-    rows.sort(axis=1)
-    return rows
 
 
 def _refine(nbrs: list[list[tuple[int, float]]], colour: list[int]) -> list[int]:
@@ -137,19 +130,19 @@ class OrbitPartition:
 class Fingerprint:
     """Label-invariant multiset summary of all node and edge signatures.
 
-    Parts are read-only int64 matrices of grid units (multiply by tol for
-    volts and amperes), one signature per row as its sorted non-positive
-    half h (the full row is [h, -h[::-1]]), rows in lexicographic order.
-    Instances compare and hash by value.  digest() is sha256 of a fixed
-    ASCII header (format tag, n, m, tol) and both parts as little-endian
-    int64 bytes; it never calls to_json().
+    Parts are read-only int64 matrices of residues mod p in [0, p), one
+    signature per row, rows in lexicographic order: node rows [L+[x,x],
+    sorted L+[x,:]] and edge rows, the lesser of sorted(D) and sorted(-D)
+    with D = w (L+[u,:] - L+[v,:]).  Instances compare and hash by value.
+    digest() is sha256 of a fixed ASCII header (format tag, n, m, p) and
+    both parts as little-endian int64 bytes; it never calls to_json().
     """
 
     n: int
     m: int
-    tol: float
-    node_part: np.ndarray  # n x n(n-1)/2, sorted multiset of half rows
-    edge_part: np.ndarray  # m x n(n-1)/2
+    p: int
+    node_part: np.ndarray  # n x (n + 1), sorted multiset of node rows
+    edge_part: np.ndarray  # m x n
 
     def __post_init__(self):
         self.node_part.flags.writeable = False
@@ -158,7 +151,7 @@ class Fingerprint:
     def __eq__(self, other):
         if not isinstance(other, Fingerprint):
             return NotImplemented
-        return ((self.n, self.m, self.tol) == (other.n, other.m, other.tol)
+        return ((self.n, self.m, self.p) == (other.n, other.m, other.p)
                 and np.array_equal(self.node_part, other.node_part)
                 and np.array_equal(self.edge_part, other.edge_part))
 
@@ -166,49 +159,49 @@ class Fingerprint:
         return hash(self.digest())
 
     def to_json(self) -> str:
-        """Canonical serialization: integer grid units, fixed key order."""
+        """Canonical serialization: integer residues, fixed key order."""
         obj = {
             "n": self.n,
             "m": self.m,
-            "tol": format(self.tol, ".17g"),
+            "p": self.p,
             "edge_part": self.edge_part.tolist(),
             "node_part": self.node_part.tolist(),
         }
         return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
     def digest(self) -> str:
-        header = f"kcanon-fingerprint-int64le/2 n={self.n} m={self.m} tol={self.tol:.17g}\n"
+        header = f"kcanon-fingerprint-gfp/1 n={self.n} m={self.m} p={self.p}\n"
         h = hashlib.sha256(header.encode("ascii"))
         for part in (self.node_part, self.edge_part):
             h.update(np.ascontiguousarray(part, dtype="<i8"))
         return h.hexdigest()
 
 
-class _Analysis:
-    """One factorization and one batch of pair solves of one graph.
+def _neighbours(graph: Graph) -> list[list[tuple[int, float]]]:
+    """(neighbour, weight) pairs of each node, indexed by node id - 1."""
+    nbrs = [[] for _ in range(graph.n)]
+    for u, v, w in graph.edges:
+        nbrs[u - 1].append((v - 1, w))
+        nbrs[v - 1].append((u - 1, w))
+    return nbrs
 
-    The graph is solved relabelled into refinement order; V and the int64
-    node and edge half rows are indexed by the original ids.  Edge rows are
-    rebuilt on each request rather than kept, so a caller holding several
-    analyses holds only the edge rows it is using.
+
+class _Analysis:
+    """L+ of one graph modulo a prime, and the signature rows read from it.
+
+    P[x - 1] is the residue row of L+ for node x.  Edge rows are rebuilt on
+    each request rather than kept, so a caller holding several analyses
+    holds only the edge rows it is using.
     """
 
-    def __init__(self, graph: Graph, tol: float):
-        if not 0 < tol < float("inf"):
-            raise InvalidToleranceError(f"tol must be finite and above 0, got {tol}")
+    def __init__(self, graph: Graph):
         if graph.n < 2:
             raise GraphError("need at least 2 nodes and 1 edge")
-        self.graph, self.tol = graph, tol
-        self.nbrs = [[] for _ in range(graph.n)]
-        for u, v, w in graph.edges:
-            self.nbrs[u - 1].append((v - 1, w))
-            self.nbrs[v - 1].append((u - 1, w))
-        # Solve order: by colour, ties inside a cell by id.
-        solve = np.argsort(_refine(self.nbrs, [0] * graph.n), kind="stable")
-        ordered = relabel(graph, dict(zip((solve + 1).tolist(), range(1, graph.n + 1))))
-        _, V = solve_all_pairs(build_dense_system(ordered))
-        self.V = V[np.argsort(solve)]  # row x - 1 holds node x
-        self.node_rows = _rows(self.V, tol)
+        self.graph = graph
+        self.nbrs = _neighbours(graph)
+        self.P, self.p = _pinv_mod(graph)
+        self.node_rows = np.concatenate([self.P.diagonal()[:, None], np.sort(self.P, axis=1)],
+                                        axis=1)
         # Signature order: the order of orbit classes and canonical positions.
         self.node_order, new = _lex_sort(self.node_rows)
         # Colouring by signature class: the root of the canonical search.
@@ -217,39 +210,63 @@ class _Analysis:
         self.classes = [ids[i:j] for i, j in zip(bounds, bounds[1:])]
 
     def edge_rows(self) -> np.ndarray:
-        """One half row per stored edge, in graph.edges order."""
+        """One row per stored edge, in graph.edges order; orientation-free."""
         u, v, w = self.graph.arrays
-        return _rows(w[:, None] * (self.V[u] - self.V[v]), self.tol)
+        d = _residues(w, self.p)[:, None] * (self.P[u] - self.P[v]) % self.p
+        rows, negated = np.sort(d, axis=1), np.sort(-d % self.p, axis=1)
+        first = (rows != negated).argmax(axis=1)
+        pick = np.arange(len(rows))
+        smaller = negated[pick, first] < rows[pick, first]
+        rows[smaller] = negated[smaller]
+        return rows
 
     def fingerprint(self) -> Fingerprint:
         g, edges = self.graph, self.edge_rows()
-        return Fingerprint(g.n, g.m, self.tol, self.node_rows[self.node_order],
+        return Fingerprint(g.n, g.m, self.p, self.node_rows[self.node_order],
                            edges[_lex_sort(edges)[0]])
 
 
+def _paper_rows(graph: Graph, tol: float, values_of) -> list[list[int]]:
+    """The paper's sorted grid-unit rows over all ordered pairs, from float solves.
+
+    Nodes are solved in exact weighted colour-refinement order, so relabelled
+    copies with a discrete refinement run bit-identical float operations and
+    snap even near-half-grid values alike; ties inside a cell that refinement
+    cannot split break by node id.  values_of reads V indexed by node id - 1.
+    """
+    if not 0 < tol < float("inf"):
+        raise InvalidToleranceError(f"tol must be finite and above 0, got {tol}")
+    if graph.n < 2:
+        raise GraphError("need at least 2 nodes and 1 edge")
+    solve = np.argsort(_refine(_neighbours(graph), [0] * graph.n), kind="stable")
+    ordered = relabel(graph, dict(zip((solve + 1).tolist(), range(1, graph.n + 1))))
+    _, V = solve_all_pairs(build_dense_system(ordered))
+    k = _grid(values_of(V[np.argsort(solve)]), tol)
+    return np.sort(np.concatenate([k, -k], axis=1), axis=1).tolist()
+
+
 def all_node_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> list[NodeSignature]:
-    h = _Analysis(graph, tol).node_rows
-    rows = np.concatenate([h, -h[:, ::-1]], axis=1).tolist()
+    rows = _paper_rows(graph, tol, lambda V: V)
     return [NodeSignature(x, tuple(row), tol) for x, row in enumerate(rows, start=1)]
 
 
 def all_edge_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> list[EdgeSignature]:
-    h = _Analysis(graph, tol).edge_rows()
-    rows = np.concatenate([h, -h[:, ::-1]], axis=1).tolist()
-    return [EdgeSignature((u, v), tuple(row), tol) for (u, v, _), row in zip(graph.edges, rows)]
+    u, v, w = graph.arrays
+    rows = _paper_rows(graph, tol, lambda V: w[:, None] * (V[u] - V[v]))
+    return [EdgeSignature(edge[:2], tuple(row), tol) for edge, row in zip(graph.edges, rows)]
 
 
-def orbit_partition(graph: Graph, tol: float = DEFAULT_TOL) -> OrbitPartition:
+def orbit_partition(graph: Graph) -> OrbitPartition:
     """Group nodes by identical signature; classes ordered by signature."""
-    return OrbitPartition(tuple(map(tuple, _Analysis(graph, tol).classes)))
+    return OrbitPartition(tuple(map(tuple, _Analysis(graph).classes)))
 
 
-def fingerprint(graph: Graph, tol: float = DEFAULT_TOL) -> Fingerprint:
+def fingerprint(graph: Graph) -> Fingerprint:
     """Canonical summary; permuting node labels leaves it byte-identical.
 
-    One factorization and one batch of pair solves feed both parts.
+    One modular pseudoinverse feeds both parts.
     """
-    return _Analysis(graph, tol).fingerprint()
+    return _Analysis(graph).fingerprint()
 
 
 @dataclass(frozen=True)
@@ -287,7 +304,7 @@ def verify_mapping(g1: Graph, g2: Graph, mapping: dict[int, int]) -> bool:
 def find_isomorphism(
     g1: Graph,
     g2: Graph,
-    tol: float = DEFAULT_TOL,
+    *,
     node_budget: int = DEFAULT_BUDGET,
 ) -> dict[int, int] | None:
     """The verified mapping of iso_screen, or None when it proves the pair distinct.
@@ -297,7 +314,7 @@ def find_isomorphism(
     BudgetExhaustedError, carrying the verdict's reason, when the screen
     leaves the pair possibly isomorphic.
     """
-    verdict = iso_screen(g1, g2, tol, node_budget)
+    verdict = iso_screen(g1, g2, node_budget=node_budget)
     if verdict.kind == IsoVerdict.POSSIBLE:
         raise BudgetExhaustedError(verdict.reason)
     return verdict.mapping
@@ -306,7 +323,7 @@ def find_isomorphism(
 def iso_screen(
     g1: Graph,
     g2: Graph,
-    tol: float = DEFAULT_TOL,
+    *,
     node_budget: int = DEFAULT_BUDGET,
 ) -> IsoVerdict:
     """Fingerprint screen, then canonical forms; never certifies without proof.
@@ -318,7 +335,7 @@ def iso_screen(
         return IsoVerdict(IsoVerdict.DISTINCT, reason="node counts differ")
     if g1.m != g2.m:
         return IsoVerdict(IsoVerdict.DISTINCT, reason="edge counts differ")
-    a1, a2 = _Analysis(g1, tol), _Analysis(g2, tol)
+    a1, a2 = _Analysis(g1), _Analysis(g2)
     if a1.fingerprint() != a2.fingerprint():
         return IsoVerdict(IsoVerdict.DISTINCT, reason="fingerprints differ")
     c1, c2 = _canonical(a1, node_budget), _canonical(a2, node_budget)
@@ -367,7 +384,7 @@ class CanonicalLabeling:
 
 def canonical_labeling(
     graph: Graph,
-    tol: float = DEFAULT_TOL,
+    *,
     budget: int = DEFAULT_BUDGET,
 ) -> CanonicalLabeling:
     """Signature classes in signature order, ties broken by an IR search.
@@ -379,7 +396,7 @@ def canonical_labeling(
     with the least form wins.  Automorphisms found on the way prune
     equivalent branches.  A finished search makes the form label invariant.
     """
-    return _canonical(_Analysis(graph, tol), budget)
+    return _canonical(_Analysis(graph), budget)
 
 
 def _orbits(n: int, generators: list[list[int]]) -> list[int]:

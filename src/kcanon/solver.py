@@ -9,8 +9,7 @@ Three strategies for the singular system L v = e_a - e_b:
                   system nonsingular but changes the physical network; the
                   result is approximate and flagged as such.
 
-A grounded system holds one of two factor kinds, both solved through
-factor.solve(B):
+The grounded block is factored in one of three ways:
 
 * build_system:       sparse LU (SuperLU) of the grounded block, held as a CSC
                       matrix built from the edge arrays, with a fill-reducing
@@ -18,9 +17,17 @@ factor.solve(B):
                       symmetric positive definite).  Memory and per-query work
                       grow with the fill and m, not with N^2, so point queries
                       run at N >= 10^4.
-* build_dense_system: dense LAPACK Cholesky of the dense grounded block, for the
-                      signature analysis, whose right-hand side is the dense
-                      N x N(N-1)/2 block of all pairs.
+* build_dense_system: dense LAPACK Cholesky of the dense grounded block, for
+                      solve_all_pairs, whose right-hand side is the dense
+                      N x N(N-1)/2 block of all pairs; only the paper's float
+                      signature lists use it.
+* _pinv_mod:          exact inverse of the grounded block modulo a prime
+                      p < 2^21, by pivoted Gauss-Jordan elimination on int64
+                      residues, double-centred into the pseudoinverse L+ mod
+                      p; the signature analysis reads it.
+
+The first two hold their factor in a LaplacianSystem and solve through
+factor.solve(B).
 
 All voltage vectors are gauge-fixed to sum to zero, which makes the (b,a)
 solution the exact elementwise negation of the (a,b) solution.
@@ -28,6 +35,8 @@ solution the exact elementwise negation of the (a,b) solution.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,8 +52,8 @@ from .errors import (
 )
 from .graph import Graph, adjacency
 
-# Incremented by build_system and build_dense_system; lets callers assert the
-# factor-once contract.
+# Incremented by build_system, build_dense_system and each prime _pinv_mod
+# tries; lets callers assert the factor-once contract.
 _factorization_count = 0
 
 
@@ -179,6 +188,98 @@ def _injection(n, a, b):
     rhs[a - 1] = 1.0
     rhs[b - 1] -= 1.0
     return rhs
+
+
+# Primes below 2**21: a product of two residues stays below 2**42, so int64
+# elimination adds up to 2**21 such products exactly.
+_PRIME_BOUND = 2**21
+
+
+@functools.cache
+def _is_odd_prime(q: int) -> bool:
+    return all(q % d for d in range(3, math.isqrt(q) + 1, 2))
+
+
+def _primes():
+    """The odd primes below 2**21, largest first, by trial division."""
+    return (q for q in range(_PRIME_BOUND - 1, 2, -2) if _is_odd_prime(q))
+
+
+def _residues(w: np.ndarray, p: int) -> np.ndarray:
+    """Each finite float weight M * 2**E (M integer) as M * 2**E mod p, int64."""
+    mantissa, exponent = np.frexp(w)
+    exponents, which = np.unique(exponent, return_inverse=True)
+    power = np.array([pow(2, int(e) - 53, p) for e in exponents], dtype=np.int64)
+    return np.ldexp(mantissa, 53).astype(np.int64) % p * power[which] % p
+
+
+def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p, in [0, p), by Gauss-Jordan elimination with row pivoting.
+
+    Entries are int64 in (-p, p).  Each step reduces only the pivot row and
+    column, so other entries grow by less than p**2 a step and stay exact in
+    int64 for any k below 2**21; the whole matrix is reduced once, at the
+    end.  Raises FactorizationFailedError when a is singular mod p.
+    """
+    a = a.copy()
+    swaps = []
+    for j in range(len(a)):
+        col = a[:, j] % p
+        if col[j] == 0:
+            nonzero = np.flatnonzero(col[j + 1:])
+            if not nonzero.size:
+                raise FactorizationFailedError(f"matrix is singular modulo {p}")
+            r = j + 1 + nonzero[0]
+            a[[j, r]], col[[j, r]] = a[[r, j]], col[[r, j]]
+            swaps.append((j, r))
+        row = a[j] % p
+        row[j] = 1
+        row *= pow(int(col[j]), -1, p)
+        row %= p
+        col[j] = 0
+        a[:, j] = 0
+        a[j] = row
+        a -= np.outer(col, row)
+    for j, r in reversed(swaps):
+        a[:, [j, r]] = a[:, [r, j]]
+    a %= p
+    return a
+
+
+def _pinv_mod(graph: Graph) -> tuple[np.ndarray, int]:
+    """The Laplacian pseudoinverse L+ modulo a prime p, and p.
+
+    Every float weight is a dyadic rational, so L+ is a matrix of rationals
+    whose image mod p is exact: the grounded block is inverted mod p, padded
+    and double-centred with n^-1 mod p.  p is the largest odd prime below
+    2**21 that divides neither n nor the weighted spanning-tree count (the
+    grounded determinant); neither depends on labels, and a valid graph's
+    count is a nonzero rational, so the walk ends.  Each prime tried counts
+    as one factorization.  Entries are int64 in [0, p).
+    """
+    global _factorization_count
+    n = graph.n
+    u, v, w = graph.arrays
+    diagonal = np.arange(n)
+    for p in _primes():
+        if n % p == 0:
+            continue
+        _factorization_count += 1
+        r = _residues(w, p)
+        lap = np.zeros((n, n), dtype=np.int64)
+        lap[u, v] = lap[v, u] = -r
+        lap[diagonal, diagonal] = (np.bincount(u, r, n) + np.bincount(v, r, n)).astype(np.int64) % p
+        try:
+            grounded = _inverse_mod(lap[:-1, :-1], p)
+        except FactorizationFailedError:
+            continue
+        g = np.zeros((n, n), dtype=np.int64)
+        g[:-1, :-1] = grounded
+        n_inv = pow(n, -1, p)
+        mean = g.sum(axis=1) % p * n_inv % p
+        total = mean.sum() % p * n_inv % p
+        return (g - mean[:, None] - mean[None, :] + total) % p, p
+    raise FactorizationFailedError("every prime tried divides n or the weighted spanning-tree count")
 
 
 def solve_pair(system: LaplacianSystem, a: int, b: int) -> VoltageProfile:

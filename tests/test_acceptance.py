@@ -216,7 +216,7 @@ def test_criterion_7_performance_n100():
     elapsed = time.perf_counter() - start
     assert factorization_count() == 1
     assert len(fp.node_part) == 100
-    assert len(fp.node_part[0]) == 100 * 99 // 2
+    assert len(fp.node_part[0]) == 100 + 1
     assert elapsed < 10
     print(f"\nACCEPTANCE 7 (N=100 fingerprint in {elapsed:.2f}s, 1 factorization): PASS")
 

@@ -1,15 +1,17 @@
 import json
+import random
 from importlib import resources
 
 import pytest
 from click.testing import CliRunner
 from jsonschema import validate
 
+from kcanon import solver
 from kcanon.cli import main
 from kcanon.graph import relabel, to_edge_list, to_json
 from kcanon.signatures import Fingerprint, fingerprint
 
-from conftest import complete, cycle, path, random_permutation, star
+from conftest import complete, cycle, path, random_cubic, random_permutation, shuffled_copy, star
 
 
 def schema(name):
@@ -104,7 +106,7 @@ class TestOrbits:
         result, doc = run_json(runner, ["orbits", write(path(3))])
         assert result.exit_code == 0
         validate(doc, schema("orbits"))
-        assert [c["nodes"] for c in doc["classes"]] == [[1, 3], [2]]
+        assert [c["nodes"] for c in doc["classes"]] == [[2], [1, 3]]
 
     def test_star(self, runner, write):
         _, doc = run_json(runner, ["orbits", write(star(3))])
@@ -136,6 +138,15 @@ class TestIso:
         assert result.exit_code == 1
         assert doc["verdict"] == "distinct-certified"
 
+    def test_relabelled_cubic_exit_0(self, runner, write):
+        # A regular unweighted graph whose float signatures, snapped to a
+        # grid, gave this relabelling a different digest.
+        g = random_cubic(96, random.Random(33))
+        h, _ = shuffled_copy(g, random.Random(96))
+        result, doc = run_json(runner, ["iso", write(g), write(h)])
+        assert result.exit_code == 0
+        assert doc["verdict"] == "isomorphic-certified"
+
     def test_budget_one_exit_5(self, runner, write, rng):
         g = cycle(6)
         h = relabel(g, random_permutation(6, rng))
@@ -163,13 +174,44 @@ class TestFingerprint:
         _, doc2 = run_json(runner, ["fingerprint", write(cycle(4), as_json=True)])
         assert doc1["sha256"] == doc2["sha256"]
 
-    def test_grid_overflow_exit_2(self, runner, write):
-        # A 1e-300 S bridge puts voltages near 1e300, beyond the int64 grid.
-        result = runner.invoke(main, ["fingerprint", write("1 2\n2 3 1e-300")])
+    def test_tiny_weight_bridge_is_exact(self, runner, write):
+        # A 1e-300 S bridge puts voltages near 1e300, but residues are exact.
+        _, doc1 = run_json(runner, ["fingerprint", write("1 2\n2 3 1e-300")])
+        _, doc2 = run_json(runner, ["fingerprint", write("3 2\n2 1 1e-300")])
+        validate(doc1, schema("fingerprint"))
+        assert doc1 == doc2
+
+    def test_weight_overflowing_float_exit_2(self, runner, write):
+        huge = "1" + "0" * 400
+        result = runner.invoke(main, ["fingerprint", write(f'{{"n": 2, "edges": [[1, 2, {huge}]]}}')])
         assert result.exit_code == 2
         err = json.loads(result.stderr)
         validate(err, schema("error"))
-        assert err["error"] == "NonFinite"
+        assert err["error"] == "NonFiniteWeight"
+
+    def test_all_primes_singular_exit_3(self, runner, write, monkeypatch):
+        # The 6-node wheel has 121 = 11^2 spanning trees.
+        wheel = "".join(f"1 {k}\n{k} {k % 5 + 2}\n" for k in range(2, 7))
+        monkeypatch.setattr(solver, "_primes", lambda: (11,))
+        result = runner.invoke(main, ["fingerprint", write(wheel)])
+        assert result.exit_code == 3
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == "FactorizationFailed"
+        monkeypatch.setattr(solver, "_primes", lambda: (11, 13))
+        _, doc = run_json(runner, ["fingerprint", write(wheel)])
+        assert doc["fingerprint"]["p"] == 13
+
+    def test_tree_count_divisible_by_the_largest_primes_exit_0(self, runner, write):
+        # 4397987791019 = 2097143 * 2097133, so the spanning-tree count
+        # 4397987791019 * 2097131 is divisible by the three largest primes
+        # below 2**21; the walk moves on to the fourth.
+        path = write("1 2 4397987791019\n2 3 2097131")
+        _, doc = run_json(runner, ["fingerprint", path])
+        validate(doc, schema("fingerprint"))
+        assert doc["fingerprint"]["p"] == 2097097
+        for args in (["orbits", path], ["canon", path], ["iso", path, path]):
+            assert runner.invoke(main, args).exit_code == 0
 
     def test_empty_input_is_parse_error(self, runner, write):
         result = runner.invoke(main, ["fingerprint", write("")])
@@ -270,33 +312,18 @@ class TestConfig:
         out2 = runner.invoke(main, ["fingerprint", f, "--format", "json"]).output
         assert out1 == out2
 
-    def test_env_var_tol(self, runner, write):
-        f = write(path(3))
-        coarse = runner.invoke(
-            main, ["fingerprint", f, "--format", "json"], env={"KCANON_TOL": "0.5"}
-        )
-        doc = json.loads(coarse.output)
-        assert doc["fingerprint"]["tol"] == "0.5"
-
-    def test_flag_beats_env(self, runner, write):
-        f = write(path(3))
-        result = runner.invoke(
-            main,
-            ["fingerprint", f, "--tol", "1e-6", "--format", "json"],
-            env={"KCANON_TOL": "0.5"},
-        )
-        assert json.loads(result.output)["fingerprint"]["tol"] == "9.9999999999999995e-07"
-
     @pytest.mark.parametrize("args, env", [
         (["--tol=-1e-8"], {}),
         (["--tol=0"], {}),
         (["--tol=nan"], {}),
         (["--tol=inf"], {}),
-        ([], {"KCANON_TOL": "-1"}),
+        (["--tol", "1e-8"], {"KCANON_TOL": "-1"}),
     ])
     def test_invalid_tol_exit_2(self, runner, write, args, env):
-        result = runner.invoke(main, ["fingerprint", write(path(3))] + args, env=env)
-        assert result.exit_code == 2
-        err = json.loads(result.stderr)
-        validate(err, schema("error"))
-        assert err["error"] == "InvalidTolerance"
+        # No command quantizes any more, so --tol is gone: a usage error.
+        f = write(path(3))
+        for command in (["voltages", f, "1", "2"], ["orbits", f], ["iso", f, f],
+                        ["fingerprint", f], ["canon", f]):
+            result = runner.invoke(main, command + args, env=env)
+            assert result.exit_code == 2
+            assert "No such option" in result.output and "--tol" in result.output

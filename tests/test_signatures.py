@@ -10,8 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kcanon import oracle, signatures
-from kcanon.errors import BudgetExhaustedError, NonFiniteError
+from kcanon import oracle, signatures, solver
+from kcanon.errors import (
+    BudgetExhaustedError,
+    FactorizationFailedError,
+    InvalidToleranceError,
+    NonFiniteError,
+)
 from kcanon.graph import Graph, relabel
 from kcanon.signatures import (
     Fingerprint,
@@ -31,12 +36,37 @@ from kcanon.signatures import (
 )
 from kcanon.solver import factorization_count, reset_factorization_count
 
-from conftest import complete, cycle, path, random_permutation, star
+from conftest import complete, cycle, path, random_cubic, random_permutation, shuffled_copy, star
 
 
 def grid(frac, tol=1e-8):
     """Expected grid units of an exact rational value."""
     return round(Fraction(frac) / Fraction(tol))
+
+
+def residue(frac, p):
+    """An exact rational value mod p."""
+    frac = Fraction(frac)
+    return frac.numerator * pow(frac.denominator, -1, p) % p
+
+
+def exact_pinv(g):
+    """L+ in exact rationals: column a is the mean over b of the (a, b) solves."""
+    columns = [[sum(col) / g.n for col in zip(*(oracle.exact_solve_pair(g, a, b)
+                                                 for b in range(1, g.n + 1) if b != a))]
+               for a in range(1, g.n + 1)]
+    return [list(row) for row in zip(*columns)]
+
+
+def expected_rows(g, p):
+    """Node and edge rows, in lexicographic order, from exact rationals."""
+    pinv = [[residue(x, p) for x in row] for row in exact_pinv(g)]
+    nodes = sorted([row[x]] + sorted(row) for x, row in enumerate(pinv))
+    edges = []
+    for u, v, w in g.edges:
+        d = [residue(Fraction(w) * (a - b), p) for a, b in zip(pinv[u - 1], pinv[v - 1])]
+        edges.append(min(sorted(d), sorted(-x % p for x in d)))
+    return nodes, sorted(edges)
 
 
 def unit_graph(n, pairs):
@@ -111,15 +141,14 @@ class TestQuantize:
 
     def test_zero_is_positive_zero(self):
         assert _grid(np.array([-1e-12, -0.0]), 1e-8).tolist() == [0, 0]
-        # P3's middle node sits at 0 under the (1,3) solve; it serializes as
-        # the integer 0, and every value as its exact grid unit.  Rows hold
-        # the sorted non-positive half of each signature.
+        # P3's fingerprint serializes every value as its exact residue mod p,
+        # a JSON integer in [0, p).
         fp = fingerprint(path(3))
+        assert fp.p == next(iter(solver._primes()))
         text = fp.to_json()
         doc = json.loads(text)
-        end = [-ONE, -TWO_THIRDS, -THIRD]
-        assert doc["node_part"] == [end, end, [-THIRD, -THIRD, 0]]
-        assert doc["edge_part"] == [[-ONE, -ONE, 0]] * 2
+        assert doc["p"] == fp.p
+        assert (doc["node_part"], doc["edge_part"]) == expected_rows(path(3), fp.p)
         assert doc["node_part"] == [list(row) for row in fp.node_part]
         assert doc["edge_part"] == [list(row) for row in fp.edge_part]
         assert re.search(r"-0\b", text) is None
@@ -133,9 +162,12 @@ class TestQuantize:
         assert _grid(np.array([-9.2e10]), 1e-8)[0] == -9_200_000_000_000_000_000
         with pytest.raises(NonFiniteError):
             _grid(np.array([9.3e10]), 1e-8)
-        # A 1e-300 S bridge puts voltages near 1e300.
+        # A 1e-300 S bridge puts the paper's float voltages near 1e300, on
+        # either side of the path.
         with pytest.raises(NonFiniteError):
-            fingerprint(Graph(3, [(1, 2, 1.0), (2, 3, 1e-300)]))
+            all_node_signatures(Graph(3, [(1, 2, 1.0), (2, 3, 1e-300)]))
+        with pytest.raises(NonFiniteError):
+            all_node_signatures(Graph(3, [(1, 2, 1e-300), (2, 3, 1.0)]))
 
     def test_symmetric_solves_quantize_identically(self):
         # K3 is vertex-transitive: node 1 under (1,2) and node 2 under (2,3)
@@ -155,6 +187,13 @@ ONE = grid(1)
 
 
 class TestNodeSignatures:
+    @pytest.mark.parametrize("tol", [-1e-8, 0.0, float("nan"), float("inf")])
+    def test_invalid_tol(self, tol):
+        with pytest.raises(InvalidToleranceError):
+            all_node_signatures(path(3), tol)
+        with pytest.raises(InvalidToleranceError):
+            all_edge_signatures(path(3), tol)
+
     def test_lengths_and_sorted(self):
         for g in (path(3), cycle(4), star(3)):
             for sig in all_node_signatures(g):
@@ -207,7 +246,9 @@ class TestEdgeSignatures:
 
 class TestOrbitPartition:
     def test_p3(self):
-        assert orbit_partition(path(3)).classes == ((1, 3), (2,))
+        # Classes in signature order: node 2's L+[x,x] residue, 2/9 mod p,
+        # is below 5/9 mod p.
+        assert orbit_partition(path(3)).classes == ((2,), (1, 3))
 
     def test_k3(self):
         assert orbit_partition(complete(3)).classes == ((1, 2, 3),)
@@ -265,9 +306,9 @@ class TestFingerprint:
 
     def test_parts_are_read_only_int64(self):
         fp = fingerprint(cycle(5))
-        for part, rows in ((fp.node_part, 5), (fp.edge_part, 5)):
+        for part, shape in ((fp.node_part, (5, 6)), (fp.edge_part, (5, 5))):
             assert part.dtype == np.int64
-            assert part.shape == (rows, 5 * 4 // 2)
+            assert part.shape == shape
             with pytest.raises(ValueError):
                 part[0, 0] = 1
 
@@ -280,15 +321,14 @@ class TestFingerprint:
         assert len(fp.digest()) == 64
 
     def test_digest_pinned(self):
-        # P3 at tol 1e-8: a fixed ASCII header, then both parts' half rows as
-        # little-endian int64, rows in lexicographic order.
-        end = [-ONE, -TWO_THIRDS, -THIRD]
-        rows = [end, end, [-THIRD, -THIRD, 0]] + [[-ONE, -ONE, 0]] * 2
-        data = b"kcanon-fingerprint-int64le/2 n=3 m=2 tol=1e-08\n"
-        data += b"".join(struct.pack("<q", k) for row in rows for k in row)
-        digest = fingerprint(path(3), 1e-8).digest()
-        assert digest == hashlib.sha256(data).hexdigest()
-        assert digest == "3106661d08a6e23fef75fb665879d322d021eee70f95dfea5349a9351f9bc90a"
+        # A fixed ASCII header, then both parts' rows as little-endian int64,
+        # rows in lexicographic order, all from exact rational L+.
+        p = next(iter(solver._primes()))
+        for g in (path(3), Graph(4, [(1, 2, 0.5), (2, 3, 1.0), (3, 1, 3.0), (3, 4, 2.0)])):
+            nodes, edges = expected_rows(g, p)
+            data = f"kcanon-fingerprint-gfp/1 n={g.n} m={g.m} p={p}\n".encode()
+            data += b"".join(struct.pack("<q", k) for row in nodes + edges for k in row)
+            assert fingerprint(g).digest() == hashlib.sha256(data).hexdigest()
 
 
 class TestLexSort:
@@ -306,7 +346,7 @@ class TestLexSort:
 
 
 class TestHalfRows:
-    """Each row holds the sorted non-positive half h; the full row is [h, -h[::-1]]."""
+    """The paper's float rows: each is a sorted non-positive half h followed by -h[::-1]."""
 
     def test_expanded_rows_match_exact_solves(self):
         # Every connected graph on 2..5 nodes, against exact Fraction voltages
@@ -341,13 +381,93 @@ class TestHalfRows:
             n = rng.randint(8, 40)
             tree = oracle.random_connected_graph(n, rng, extra_edge_prob=1.5 / n)
             g = Graph(n, [(u, v, rng.choice((1.0, 2.0))) for u, v, _ in tree.edges])
-            analysis = _Analysis(g, 1e-8)
-            for h in (analysis.node_rows, analysis.edge_rows()):
+            for sigs in (all_node_signatures(g), all_edge_signatures(g)):
+                full = np.array([s.values for s in sigs])
+                h = full[:, :n * (n - 1) // 2]
                 assert (h <= 0).all()
+                assert (full == np.concatenate([h, -h[:, ::-1]], axis=1)).all()
                 order, new = _lex_sort(h)
-                full_order, full_new = _lex_sort(np.concatenate([h, -h[:, ::-1]], axis=1))
+                full_order, full_new = _lex_sort(full)
                 assert order.tolist() == full_order.tolist()
                 assert new.tolist() == full_new.tolist()
+
+
+class TestExactResidues:
+    """The residue L+ against the exact Fraction oracle and the paper's float rows."""
+
+    def test_pinv_matches_exact_solves(self):
+        for n in range(2, 6):
+            for g in oracle.enumerate_connected_graphs(n):
+                analysis = _Analysis(g)
+                P, p = analysis.P, analysis.p
+                for a in range(1, n + 1):
+                    for b in range(1, n + 1):
+                        if a == b:
+                            continue
+                        v = oracle.exact_solve_pair(g, a, b)
+                        for x in range(n):
+                            assert (P[x, a - 1] - P[x, b - 1]) % p == residue(v[x], p)
+
+    def test_classes_refine_paper_classes_and_hold_orbits(self):
+        for n in range(2, 8):
+            for g in oracle.enumerate_connected_graphs(n):
+                classes = orbit_partition(g).classes
+                paper = {s.node: s.values for s in all_node_signatures(g)}
+                for cls in classes:
+                    assert len({paper[x] for x in cls}) == 1
+                class_of = {x: k for k, cls in enumerate(classes) for x in cls}
+                for orbit in oracle.brute_force_automorphisms(g).orbits:
+                    assert len({class_of[x] for x in orbit}) == 1
+
+    def test_prime_fallback(self, monkeypatch):
+        # The 6-node wheel has 121 = 11^2 spanning trees, so it is singular
+        # mod 11 and moves on to 13; labels cannot change that.
+        wheel = Graph(6, [(1, k, 1.0) for k in range(2, 7)]
+                      + [(k, k % 5 + 2, 1.0) for k in range(2, 7)])
+        monkeypatch.setattr(solver, "_primes", lambda: (11, 13))
+        reset_factorization_count()
+        fp = fingerprint(wheel)
+        assert fp.p == 13
+        assert factorization_count() == 2
+        nodes, edges = expected_rows(wheel, 13)
+        assert fp.node_part.tolist() == nodes and fp.edge_part.tolist() == edges
+        assert fingerprint(relabel(wheel, random_permutation(6, random.Random(1)))) == fp
+        monkeypatch.setattr(solver, "_primes", lambda: (11,))
+        with pytest.raises(FactorizationFailedError):
+            fingerprint(wheel)
+
+
+# Graph seeds per n for which float signatures snapped to a grid gave some of
+# the relabellings below a different digest.
+CUBIC_SEEDS = {48: 232, 64: 117, 80: 147, 96: 33}
+
+
+@pytest.fixture(params=sorted(CUBIC_SEEDS), ids=lambda n: f"n{n}")
+def cubic(request):
+    return random_cubic(request.param, random.Random(CUBIC_SEEDS[request.param]))
+
+
+class TestRegularRelabelling:
+    """Colour refinement cannot split a regular unweighted graph, yet exact
+    residues make every answer label-invariant."""
+
+    def test_relabellings_agree(self, cubic):
+        g = cubic
+        digest = fingerprint(g).digest()
+        classes = orbit_partition(g).classes
+        ref = canonical_labeling(g)
+        assert ref.certified
+        rng = random.Random(g.n)
+        for _ in range(3):
+            h, perm = shuffled_copy(g, rng)
+            assert fingerprint(h).digest() == digest
+            mapped = sorted(sorted(perm[x] for x in cls) for cls in classes)
+            assert mapped == sorted(list(cls) for cls in orbit_partition(h).classes)
+            lab = canonical_labeling(h)
+            assert lab.certified and lab.digest() == ref.digest()
+            verdict = iso_screen(g, h)
+            assert verdict.kind == IsoVerdict.ISOMORPHIC
+            assert verify_mapping(g, h, verdict.mapping)
 
 
 class TestFindIsomorphism:
@@ -505,7 +625,7 @@ class TestCanonicalLabeling:
         forms = set()
         for seed in range(10):
             h = relabel(g, random_permutation(g.n, random.Random(seed)))
-            analysis = _Analysis(h, 1e-8)
+            analysis = _Analysis(h)
             analysis.start = [0] * g.n  # no help from signatures
             lab = _canonical(analysis, 10**6)
             assert lab.certified
@@ -532,15 +652,6 @@ def weighted_graph(n, seed):
     return Graph(n, [(u, v, round(rng.uniform(0.5, 4.0), 3)) for u, v in sorted(pairs)])
 
 
-def shuffled_copy(g, rng):
-    """g with nodes permuted, edge order shuffled and orientations flipped."""
-    perm = random_permutation(g.n, rng)
-    edges = [(perm[v], perm[u], w) if rng.random() < 0.5 else (perm[u], perm[v], w)
-             for u, v, w in g.edges]
-    rng.shuffle(edges)
-    return Graph(g.n, edges), perm
-
-
 @pytest.fixture(params=range(4), ids=lambda seed: f"seed{seed}")
 def relabelled_pair(request):
     seed = request.param
@@ -550,15 +661,18 @@ def relabelled_pair(request):
 
 
 class TestLabelInvariance:
-    """Relabelled copies run bit-identical float operations."""
+    """Relabelled copies get the same residues, relabelled; with a discrete
+    refinement the paper's float rows run bit-identical solves."""
 
     def test_float_voltage_rows_bit_equal(self, relabelled_pair):
         g, h, perm = relabelled_pair
-        a, b = _Analysis(g, 1e-8), _Analysis(h, 1e-8)
+        a, b = _Analysis(g), _Analysis(h)
+        assert a.p == b.p
+        to_h = np.array([perm[x] - 1 for x in range(1, g.n + 1)])
+        assert (b.P[np.ix_(to_h, to_h)] == a.P).all()
+        paper_g, paper_h = all_node_signatures(g), all_node_signatures(h)
         for x in range(1, g.n + 1):
-            row_g = np.sort(a.V[x - 1])
-            row_h = np.sort(b.V[perm[x] - 1])
-            assert row_g.tobytes() == row_h.tobytes()
+            assert paper_h[perm[x] - 1].values == paper_g[x - 1].values
 
     def test_digest_and_orbit_classes(self, relabelled_pair):
         g, h, perm = relabelled_pair

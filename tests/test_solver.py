@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 import scipy.sparse
 
 import kcanon
-from kcanon import oracle
-from kcanon.errors import SameSourceSinkError
+from kcanon import oracle, solver
+from kcanon.errors import FactorizationFailedError, SameSourceSinkError
 from kcanon.graph import Graph
 from kcanon.solver import (
     VoltageProfile,
@@ -260,6 +261,57 @@ class TestEffectiveResistance:
             assert effective_resistance(system, b, a) == pytest.approx(r[a, b], abs=1e-9)
         for a, b, c in itertools.permutations(range(1, 6), 3):
             assert r[a, c] <= r[a, b] + r[b, c] + 1e-9
+
+
+P = next(iter(solver._primes()))
+
+
+def is_inverse_mod(a, x, p=P):
+    """A X == I mod p, exactly: k p^2 < 2^53 for these sizes."""
+    return ((a.astype(float) @ x.astype(float)) % p == np.eye(len(a))).all()
+
+
+class TestModularInverse:
+    @pytest.mark.parametrize("k", [1, 2, 7, 63, 65, 300])
+    def test_random_residue_matrices(self, k):
+        a = np.random.default_rng(k).integers(0, P, size=(k, k))
+        x = solver._inverse_mod(a, P)
+        assert x.dtype == np.int64 and ((0 <= x) & (x < P)).all()
+        assert is_inverse_mod(a, x)
+
+    @pytest.mark.parametrize("k", [65, 130])
+    def test_singular_leading_block_keeps_the_prime(self, k):
+        a = np.random.default_rng(k).integers(0, P, size=(k, k))
+        a[0, :k // 2] = 0  # the leading half has a zero row
+        with pytest.raises(FactorizationFailedError):
+            solver._inverse_mod(a[:k // 2, :k // 2], P)
+        assert is_inverse_mod(a, solver._inverse_mod(a, P))
+
+    def test_singular_mod_p_only(self):
+        a = np.array([[1, 2], [3, 6 + 11]])  # determinant 11
+        with pytest.raises(FactorizationFailedError):
+            solver._inverse_mod(a, 11)
+        assert is_inverse_mod(a, solver._inverse_mod(a, 13), 13)
+
+    def test_primes_walk_down_without_gaps(self):
+        primes = list(itertools.islice(solver._primes(), 20))
+        assert primes[0] == P < 2**21
+        is_prime = lambda q: all(q % d for d in range(2, int(q**0.5) + 1))
+        assert all(map(is_prime, primes))
+        assert not any(map(is_prime, set(range(primes[-1], 2**21)) - set(primes)))
+
+    def test_primes_dividing_n_are_skipped(self, monkeypatch):
+        monkeypatch.setattr(solver, "_primes", lambda: (3, 7))
+        reset_factorization_count()
+        assert solver._pinv_mod(path(3))[1] == 7
+        assert factorization_count() == 1
+
+    def test_weight_residues_are_exact(self):
+        w = np.array([0.5, 3.0, 0.1, 1e-300, 1e300, 5e-324, 2.0**-1074 * 3])
+        r = solver._residues(w, P)
+        for x, got in zip(w.tolist(), r.tolist()):
+            exact = Fraction(x)
+            assert got == exact.numerator * pow(exact.denominator, -1, P) % P
 
 
 def torus(rows, cols):
