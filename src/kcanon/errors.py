@@ -46,7 +46,7 @@ class SameSourceSinkError(KCanonError):
 
 
 class FactorizationFailedError(KCanonError):
-    """Reduced system is not positive definite (disconnected or corrupted graph)."""
+    """Grounded block is singular, or every prime tried failed (disconnected or corrupted graph)."""
 
 
 class EigendecompositionFailedError(KCanonError):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, GraphError, InvalidToleranceError, NonFiniteError
 from .graph import Graph, relabel
-from .solver import _pinv_mod, _residues, build_dense_system, solve_all_pairs
+from .solver import _pinv_mod, _residues, build_system, solve_all_pairs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_BUDGET = 10**6
@@ -240,7 +240,7 @@ def _paper_rows(graph: Graph, tol: float, values_of) -> list[list[int]]:
         raise GraphError("need at least 2 nodes and 1 edge")
     solve = np.argsort(_refine(_neighbours(graph), [0] * graph.n), kind="stable")
     ordered = relabel(graph, dict(zip((solve + 1).tolist(), range(1, graph.n + 1))))
-    _, V = solve_all_pairs(build_dense_system(ordered))
+    _, V = solve_all_pairs(build_system(ordered))
     k = _grid(values_of(V[np.argsort(solve)]), tol)
     return np.sort(np.concatenate([k, -k], axis=1), axis=1).tolist()
 

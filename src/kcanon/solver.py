@@ -9,28 +9,23 @@ Three strategies for the singular system L v = e_a - e_b:
                   system nonsingular but changes the physical network; the
                   result is approximate and flagged as such.
 
-The grounded block is factored in one of three ways:
+Two kinds of factor serve them:
 
-* build_system:       sparse LU (SuperLU) of the grounded block, held as a CSC
-                      matrix built from the edge arrays, with a fill-reducing
-                      minimum-degree ordering and no pivoting (the block is
-                      symmetric positive definite).  Memory and per-query work
-                      grow with the fill and m, not with N^2, so point queries
-                      run at N >= 10^4.
-* build_dense_system: dense LAPACK Cholesky of the dense grounded block, for
-                      solve_all_pairs, whose right-hand side is the dense
-                      N x N(N-1)/2 block of all pairs; only the paper's float
-                      signature lists use it.
-* _pinv_mod:          exact inverse of the grounded block modulo a prime
-                      p < 2^21, by pivoted Gauss-Jordan elimination on int64
-                      residues, double-centred into the pseudoinverse L+ mod
-                      p; the signature analysis reads it.
+* build_system: sparse LU (SuperLU) of the grounded block, held as a CSC
+                matrix built from the edge arrays, with a fill-reducing
+                minimum-degree ordering and no pivoting (the block is
+                symmetric positive definite).  Memory and per-query work grow
+                with the fill and m, not with N^2, so point queries run at
+                N >= 10^4.  Every float solve uses it: solve_pair, and
+                solve_all_pairs behind the paper's float signature lists.
+* _pinv_mod:    exact inverse of the grounded block modulo a prime p < 2^21,
+                by pivoted Gauss-Jordan elimination on int64 residues,
+                double-centred into the pseudoinverse L+ mod p; the signature
+                analysis reads it.
 
-The first two hold their factor in a LaplacianSystem and solve through
-factor.solve(B).
-
-All voltage vectors are gauge-fixed to sum to zero, which makes the (b,a)
-solution the exact elementwise negation of the (a,b) solution.
+SciPy loads only when a sparse factor is built, so the signature analysis
+never loads it.  All voltage vectors are gauge-fixed to sum to zero, which
+makes the (b,a) solution the exact elementwise negation of the (a,b) solution.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     EigendecompositionFailedError,
@@ -52,8 +46,8 @@ from .errors import (
 )
 from .graph import Graph, adjacency
 
-# Incremented by build_system, build_dense_system and each prime _pinv_mod
-# tries; lets callers assert the factor-once contract.
+# Incremented by build_system and each prime _pinv_mod tries; lets callers
+# assert the factor-once contract.
 _factorization_count = 0
 
 
@@ -103,27 +97,13 @@ def _sparse_lu(a):
         raise FactorizationFailedError(str(exc))
 
 
-class _DenseCholesky:
-    """LAPACK Cholesky factor, solved through the same solve(B) as SuperLU."""
-
-    def __init__(self, a: np.ndarray):
-        try:
-            self.cho = scipy.linalg.cho_factor(a)
-        except scipy.linalg.LinAlgError as exc:
-            raise FactorizationFailedError(str(exc))
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(self.cho, b)
-
-
 @dataclass(frozen=True)
 class LaplacianSystem:
     """Grounded reduced Laplacian plus a reusable factor of it.
 
-    From build_system, reduced is a scipy CSC matrix and factor a SuperLU
-    sparse LU; from build_dense_system, reduced is a dense array and factor a
-    LAPACK Cholesky.  Either factor solves through factor.solve(B).
-    Immutable after construction; solve calls only read the factor.
+    reduced is a scipy CSC matrix and factor its SuperLU sparse LU, which
+    solves through factor.solve(B).  Immutable after construction; solve
+    calls only read the factor.
     """
 
     graph: Graph
@@ -153,7 +133,8 @@ class PairCurrents:
     currents: np.ndarray  # read-only float64, one per stored edge
 
 
-def _grounded_system(graph, ground, laplacian_of, factorize) -> LaplacianSystem:
+def build_system(graph: Graph, ground: int | None = None) -> LaplacianSystem:
+    """Sparse LU of the grounded Laplacian, once, for many queries."""
     global _factorization_count
     n = graph.n
     if n < 2:
@@ -163,20 +144,10 @@ def _grounded_system(graph, ground, laplacian_of, factorize) -> LaplacianSystem:
     if not 1 <= ground <= n:
         raise FactorizationFailedError(f"ground node {ground} outside 1..{n}")
     keep = np.delete(np.arange(n), ground - 1)
-    reduced = laplacian_of(graph)[keep][:, keep]
-    factor = factorize(reduced)
+    reduced = _sparse_laplacian(graph)[keep][:, keep]
+    factor = _sparse_lu(reduced)
     _factorization_count += 1
     return LaplacianSystem(graph, ground, reduced, factor, keep)
-
-
-def build_system(graph: Graph, ground: int | None = None) -> LaplacianSystem:
-    """Sparse LU of the grounded Laplacian, once, for many point queries."""
-    return _grounded_system(graph, ground, _sparse_laplacian, _sparse_lu)
-
-
-def build_dense_system(graph: Graph, ground: int | None = None) -> LaplacianSystem:
-    """Dense Cholesky of the grounded Laplacian, for solve_all_pairs."""
-    return _grounded_system(graph, ground, laplacian, _DenseCholesky)
 
 
 def _injection(n, a, b):
@@ -349,22 +320,27 @@ def solve_pair_universal_sink(
     return VoltageProfile(a, b, v, method="universal-sink", approximate=True)
 
 
-def pair_currents(graph: Graph, profile: VoltageProfile) -> PairCurrents:
-    """Edge currents from a voltage profile solved on the same graph."""
+def _currents(graph: Graph, profile: VoltageProfile) -> np.ndarray:
+    """i_uv = w_uv (v_u - v_v) per stored edge, for a profile of this graph."""
     if profile.v.shape != (graph.n,):
         raise GraphMismatchError(
             f"profile has {profile.v.shape[0]} voltages but graph has {graph.n} nodes"
         )
     u, v, w = graph.arrays
-    currents = w * (profile.v[u] - profile.v[v])
+    return w * (profile.v[u] - profile.v[v])
+
+
+def pair_currents(graph: Graph, profile: VoltageProfile) -> PairCurrents:
+    """Edge currents from a voltage profile solved on the same graph."""
+    currents = _currents(graph, profile)
     currents.flags.writeable = False
     return PairCurrents(profile.a, profile.b, currents)
 
 
 def kcl_residual(graph: Graph, profile: VoltageProfile) -> float:
     """max-norm of L v - (e_a - e_b), with L v summed edge by edge."""
-    u, v, w = graph.arrays
-    i = w * (profile.v[u] - profile.v[v])
+    u, v, _ = graph.arrays
+    i = _currents(graph, profile)
     lv = np.bincount(u, i, graph.n) - np.bincount(v, i, graph.n)
     return float(np.abs(lv - _injection(graph.n, profile.a, profile.b)).max())
 

@@ -228,12 +228,14 @@ class TestCurrents:
         with pytest.raises(ValueError):
             cur[0] = 0.0
 
-    def test_graph_mismatch(self):
+    @pytest.mark.parametrize("read", [pair_currents, kcl_residual])
+    @pytest.mark.parametrize("solved_n, graph_n", [(3, 4), (4, 3)])
+    def test_graph_mismatch(self, read, solved_n, graph_n):
         from kcanon.errors import GraphMismatchError
 
-        p = solve_pair(build_system(path(3)), 1, 2)
+        p = solve_pair(build_system(path(solved_n)), 1, 2)
         with pytest.raises(GraphMismatchError):
-            pair_currents(path(4), p)
+            read(path(graph_n), p)
 
 
 class TestEffectiveResistance:
@@ -338,10 +340,25 @@ class TestLargeSparse:
             assert len(pair_currents(g, p).currents) == g.m
 
 
-def test_import_leaves_sparse_solver_unloaded():
-    # The sparse solver loads on the first build_system, not at import time.
-    code = "import sys, kcanon, kcanon.cli; print('scipy.sparse.linalg' in sys.modules)"
+def _loaded_modules(code):
     env = {**os.environ, "PYTHONPATH": str(Path(kcanon.__file__).parents[1])}
+    code += "; print(' '.join(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_import_leaves_sparse_solver_unloaded():
+    # The sparse solver loads on the first build_system, not at import time.
+    loaded = _loaded_modules("import sys, kcanon, kcanon.cli")
+    assert "scipy.sparse.linalg" not in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    # Nor do the signature analysis and the pseudoinverse solve load dense SciPy.
+    loaded = _loaded_modules(
+        "import sys, kcanon; "
+        "g = kcanon.Graph(4, [(1, 2, 0.5), (2, 3, 2.0), (3, 4, 1.0), (4, 1, 0.25), (1, 3, 3.0)]); "
+        "kcanon.fingerprint(g).digest(); kcanon.orbit_partition(g); "
+        "kcanon.canonical_labeling(g); kcanon.iso_screen(g, g); "
+        "kcanon.solve_pair_pseudoinverse(g, 1, 3)"
+    )
+    assert "scipy.linalg" not in loaded
