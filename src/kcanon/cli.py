@@ -20,7 +20,6 @@ from . import oracle as oracle_mod
 from . import signatures as sig_mod
 from . import solver as solver_mod
 from .errors import (
-    BudgetExhaustedError,
     GraphError,
     KCanonError,
     SameSourceSinkError,
@@ -49,15 +48,16 @@ def _fail(exc: Exception, code: int):
     sys.exit(code)
 
 
-def _guard(fn):
-    try:
-        return fn()
-    except BudgetExhaustedError:
-        raise
-    except VALIDATION_ERRORS as exc:
-        _fail(exc, 2)
-    except KCanonError as exc:
-        _fail(exc, 3)
+class _ErrorBoundary(click.Group):
+    """Every command's typed errors: exit 2 for validation, 3 for the rest."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except VALIDATION_ERRORS as exc:
+            _fail(exc, 2)
+        except KCanonError as exc:
+            _fail(exc, 3)
 
 
 def _emit(doc: dict, fmt: str, text_lines):
@@ -77,7 +77,7 @@ budget_option = click.option(
 )
 
 
-@click.group()
+@click.group(cls=_ErrorBoundary)
 def main():
     """Resistor-network signatures for graph symmetry and isomorphism."""
 
@@ -96,23 +96,20 @@ def main():
 @format_option
 def voltages(graph_file, a, b, method, sink_weight, fmt):
     """Solve the unit-current injection (A -> B) and report voltages/currents."""
-    g = _guard(lambda: load_graph(graph_file))
-
-    def solve():
-        if method == "grounded":
-            return solver_mod.solve_pair(solver_mod.build_system(g), a, b)
-        if method == "pseudoinverse":
-            return solver_mod.solve_pair_pseudoinverse(g, a, b)
-        return solver_mod.solve_pair_universal_sink(g, a, b, sink_weight)
-
-    profile = _guard(solve)
-    currents = _guard(lambda: solver_mod.pair_currents(g, profile))
+    g = load_graph(graph_file)
+    if method == "grounded":
+        profile = solver_mod.solve_pair(solver_mod.build_system(g), a, b)
+    elif method == "pseudoinverse":
+        profile = solver_mod.solve_pair_pseudoinverse(g, a, b)
+    else:
+        profile = solver_mod.solve_pair_universal_sink(g, a, b, sink_weight)
+    currents = solver_mod.pair_currents(g, profile)
     residual = solver_mod.kcl_residual(g, profile)
     if not (profile.approximate or residual <= KCL_LIMIT):
-        _fail(SingularSystemError(
+        raise SingularSystemError(
             f"KCL residual {_f(residual)} exceeds {KCL_LIMIT:g}: the system is "
             "numerically singular at this weight range"
-        ), 3)
+        )
     resistance = float(profile.v[a - 1] - profile.v[b - 1])
     doc = {
         "n": g.n,
@@ -150,8 +147,8 @@ def voltages(graph_file, a, b, method, sink_weight, fmt):
 @format_option
 def orbits(graph_file, verify, fmt):
     """Group nodes into orbit-candidate classes by voltage signature."""
-    g = _guard(lambda: load_graph(graph_file))
-    analysis = _guard(lambda: sig_mod._Analysis(g))
+    g = load_graph(graph_file)
+    analysis = sig_mod._Analysis(g)
     classes = []
     for nodes in analysis.classes:
         payload = json.dumps(analysis.node_rows[nodes[0] - 1].tolist()).encode()
@@ -164,7 +161,7 @@ def orbits(graph_file, verify, fmt):
         f"  {c['nodes']} sig {c['signature_sha256'][:16]}" for c in classes
     ]
     if verify:
-        report = _guard(lambda: oracle_mod.brute_force_automorphisms(g))
+        report = oracle_mod.brute_force_automorphisms(g)
         oracle_classes = [list(o) for o in report.orbits]
         candidate_classes = sorted(analysis.classes)
         match = sorted(oracle_classes) == candidate_classes
@@ -188,9 +185,9 @@ def orbits(graph_file, verify, fmt):
 @format_option
 def iso(file1, file2, budget, fmt):
     """Screen two graphs for isomorphism; exit 0 iso / 1 distinct / 5 unknown."""
-    g1 = _guard(lambda: load_graph(file1))
-    g2 = _guard(lambda: load_graph(file2))
-    verdict = _guard(lambda: sig_mod.iso_screen(g1, g2, node_budget=budget))
+    g1 = load_graph(file1)
+    g2 = load_graph(file2)
+    verdict = sig_mod.iso_screen(g1, g2, node_budget=budget)
     doc = {"verdict": verdict.kind, "reason": verdict.reason}
     lines = [f"verdict: {verdict.kind} ({verdict.reason})"]
     if verdict.mapping is not None:
@@ -213,8 +210,8 @@ def iso(file1, file2, budget, fmt):
 @format_option
 def fingerprint(graph_file, fmt):
     """Emit the canonical fingerprint serialization and its hash."""
-    g = _guard(lambda: load_graph(graph_file))
-    fp = _guard(lambda: sig_mod.fingerprint(g))
+    g = load_graph(graph_file)
+    fp = sig_mod.fingerprint(g)
     text, digest = fp.to_json(), fp.digest()
     click.echo(f'{{"fingerprint":{text},"sha256":"{digest}"}}' if fmt == "json"
                else f"sha256: {digest}\n{text}")
@@ -226,8 +223,8 @@ def fingerprint(graph_file, fmt):
 @format_option
 def canon(graph_file, budget, fmt):
     """Compute a canonical node ordering and canonical form."""
-    g = _guard(lambda: load_graph(graph_file))
-    lab = _guard(lambda: sig_mod.canonical_labeling(g, budget=budget))
+    g = load_graph(graph_file)
+    lab = sig_mod.canonical_labeling(g, budget=budget)
     doc = {
         "order": list(lab.order),
         "form": [_f(x) for x in lab.form],
@@ -255,8 +252,8 @@ def oracle():
 @format_option
 def oracle_solve(graph_file, a, b, fmt):
     """Exact rational voltages for unit current A -> B."""
-    g = _guard(lambda: load_graph(graph_file))
-    v = _guard(lambda: oracle_mod.exact_solve_pair(g, a, b))
+    g = load_graph(graph_file)
+    v = oracle_mod.exact_solve_pair(g, a, b)
     doc = {
         "source": a,
         "sink": b,
@@ -272,8 +269,8 @@ def oracle_solve(graph_file, a, b, fmt):
 @format_option
 def oracle_autos(graph_file, fmt):
     """Exhaustive automorphism group order and orbits."""
-    g = _guard(lambda: load_graph(graph_file))
-    report = _guard(lambda: oracle_mod.brute_force_automorphisms(g))
+    g = load_graph(graph_file)
+    report = oracle_mod.brute_force_automorphisms(g)
     doc = {
         "group_order": report.order,
         "orbits": [list(o) for o in report.orbits],
@@ -291,9 +288,9 @@ def oracle_autos(graph_file, fmt):
 @format_option
 def oracle_iso(file1, file2, fmt):
     """Exhaustive isomorphism check; exit 0 isomorphic / 1 proven distinct."""
-    g1 = _guard(lambda: load_graph(file1))
-    g2 = _guard(lambda: load_graph(file2))
-    mapping = _guard(lambda: oracle_mod.brute_force_isomorphic(g1, g2))
+    g1 = load_graph(file1)
+    g2 = load_graph(file2)
+    mapping = oracle_mod.brute_force_isomorphic(g1, g2)
     if mapping is None:
         _emit({"verdict": "proven-distinct"}, fmt, ["verdict: proven-distinct"])
         sys.exit(1)

@@ -28,7 +28,10 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected connected weighted graph. Immutable and safe to share."""
+    """Undirected connected weighted graph. Immutable and safe to share.
+
+    The cached views arrays and adj are shared: read-only by convention.
+    """
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
@@ -72,11 +75,6 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def weights(self) -> dict[tuple[int, int], float]:
-        """Weight lookup keyed by sorted node pair."""
-        return {(min(u, v), max(u, v)): w for u, v, w in self.edges}
-
-    @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (u, v, w) edge arrays in stored edge order; ids 0-based."""
         e = np.array(self.edges, dtype=float).reshape(-1, 3)
@@ -86,20 +84,19 @@ class Graph:
         return arrays
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """neighbors[k] lists nodes adjacent to node k+1, ascending."""
-        adj = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            adj[u - 1].append(v)
-            adj[v - 1].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+    def adj(self) -> tuple[dict[int, float], ...]:
+        """adj[x - 1] maps each neighbour y - 1 of node x to the weight of {x, y}."""
+        adj = tuple({} for _ in range(self.n))
+        for u, v, w in self.edges:
+            adj[u - 1][v - 1] = adj[v - 1][u - 1] = w
+        return adj
 
     def weight(self, u: int, v: int) -> float | None:
-        """Weight of edge {u,v}, or None if absent."""
-        return self.weights.get((min(u, v), max(u, v)))
+        """Weight of edge {u,v}, or None if absent or an id is outside 1..n."""
+        return self.adj[u - 1].get(v - 1) if 1 <= u <= self.n else None
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(a) for a in self.neighbors))
+        return tuple(sorted(len(a) for a in self.adj))
 
 
 def _components(n, edges):
@@ -136,9 +133,8 @@ def is_connected(n: int, edges) -> bool:
 def adjacency(graph: Graph) -> np.ndarray:
     """Symmetric N x N conductance matrix with zero diagonal."""
     a = np.zeros((graph.n, graph.n))
-    for u, v, w in graph.edges:
-        a[u - 1, v - 1] = w
-        a[v - 1, u - 1] = w
+    u, v, w = graph.arrays
+    a[u, v] = a[v, u] = w
     return a
 
 

@@ -90,8 +90,8 @@ class AutomorphismReport:
 def _mapping_search(g1: Graph, g2: Graph, find_all: bool):
     """Exhaustive prefix-pruned search for weight-preserving bijections."""
     n = g1.n
-    deg1 = [len(a) for a in g1.neighbors]
-    deg2 = [len(a) for a in g2.neighbors]
+    deg1 = [len(a) for a in g1.adj]
+    deg2 = [len(a) for a in g2.adj]
     results = []
     image = [0] * n  # image[i] = mapped node (1-based), 0 = unassigned
 

@@ -60,15 +60,16 @@ def _grid(values: np.ndarray, tol: float) -> np.ndarray:
     return np.rint(scaled).astype(np.int64)
 
 
-def _refine(nbrs: list[list[tuple[int, float]]], colour: list[int]) -> list[int]:
+def _refine(nbrs, colour: list[int]) -> list[int]:
     """Exact weighted colour refinement of colour, to the coarsest stable one.
 
     A node's next colour is the rank of its key, (colour, sorted (neighbour
     colour, weight) pairs), among all keys; keys hold exact weights, never
     float sums, so colours depend on structure and weights alone.  Ranks keep
     the order of the colours they split, so a cell of the input colouring
-    stays one interval of the order by colour.  nbrs and colour are indexed
-    by node id - 1.
+    stays one interval of the order by colour.  nbrs[x] holds the
+    (neighbour, weight) pairs of Graph.adj[x], such as adj[x].items(); nbrs
+    and colour are indexed by node id - 1.
     """
     count = len(set(colour))
     while True:
@@ -177,15 +178,6 @@ class Fingerprint:
         return h.hexdigest()
 
 
-def _neighbours(graph: Graph) -> list[list[tuple[int, float]]]:
-    """(neighbour, weight) pairs of each node, indexed by node id - 1."""
-    nbrs = [[] for _ in range(graph.n)]
-    for u, v, w in graph.edges:
-        nbrs[u - 1].append((v - 1, w))
-        nbrs[v - 1].append((u - 1, w))
-    return nbrs
-
-
 class _Analysis:
     """L+ of one graph modulo a prime, and the signature rows read from it.
 
@@ -198,7 +190,6 @@ class _Analysis:
         if graph.n < 2:
             raise GraphError("need at least 2 nodes and 1 edge")
         self.graph = graph
-        self.nbrs = _neighbours(graph)
         self.P, self.p = _pinv_mod(graph)
         self.node_rows = np.concatenate([self.P.diagonal()[:, None], np.sort(self.P, axis=1)],
                                         axis=1)
@@ -238,7 +229,7 @@ def _paper_rows(graph: Graph, tol: float, values_of) -> list[list[int]]:
         raise InvalidToleranceError(f"tol must be finite and above 0, got {tol}")
     if graph.n < 2:
         raise GraphError("need at least 2 nodes and 1 edge")
-    solve = np.argsort(_refine(_neighbours(graph), [0] * graph.n), kind="stable")
+    solve = np.argsort(_refine([a.items() for a in graph.adj], [0] * graph.n), kind="stable")
     ordered = relabel(graph, dict(zip((solve + 1).tolist(), range(1, graph.n + 1))))
     _, V = solve_all_pairs(build_system(ordered))
     k = _grid(values_of(V[np.argsort(solve)]), tol)
@@ -430,8 +421,9 @@ def _canonical(analysis: _Analysis, budget: int) -> CanonicalLabeling:
     The root refines analysis.start, the colouring by signature class.  Node
     indices are id - 1.
     """
-    nbrs, n = analysis.nbrs, analysis.graph.n
-    adj = [dict(a) for a in nbrs]
+    adj, n = analysis.graph.adj, analysis.graph.n
+    # _refine's hot loop iterates tuples faster than dict views.
+    nbrs = [tuple(a.items()) for a in adj]
     autos: list[list[int]] = []
     first = best = None  # leaves: (form, order, path)
     expansions, exhausted = 1, False

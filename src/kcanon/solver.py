@@ -18,9 +18,9 @@ Two kinds of factor serve them:
                 with the fill and m, not with N^2, so point queries run at
                 N >= 10^4.  Every float solve uses it: solve_pair, and
                 solve_all_pairs behind the paper's float signature lists.
-* _pinv_mod:    exact inverse of the grounded block modulo a prime p < 2^21,
-                by pivoted Gauss-Jordan elimination on int64 residues,
-                double-centred into the pseudoinverse L+ mod p; the signature
+* _pinv_mod:    the pseudoinverse L+ = (L + J/n)^-1 - J/n modulo a prime
+                p < 2^21, J the all-ones matrix, inverted by pivoted
+                Gauss-Jordan elimination on int64 residues; the signature
                 analysis reads it.
 
 SciPy loads only when a sparse factor is built, so the signature analysis
@@ -221,12 +221,12 @@ def _pinv_mod(graph: Graph) -> tuple[np.ndarray, int]:
     """The Laplacian pseudoinverse L+ modulo a prime p, and p.
 
     Every float weight is a dyadic rational, so L+ is a matrix of rationals
-    whose image mod p is exact: the grounded block is inverted mod p, padded
-    and double-centred with n^-1 mod p.  p is the largest odd prime below
-    2**21 that divides neither n nor the weighted spanning-tree count (the
-    grounded determinant); neither depends on labels, and a valid graph's
-    count is a nonzero rational, so the walk ends.  Each prime tried counts
-    as one factorization.  Entries are int64 in [0, p).
+    whose image mod p is exact: L+ = (L + J/n)^-1 - J/n, with J the all-ones
+    matrix and 1/n read as n^-1 mod p.  det(L + J/n) = n * tau, tau the
+    weighted spanning-tree count, so p is the largest odd prime below 2**21
+    that divides neither n nor tau; neither depends on labels, and a valid
+    graph's tau is a nonzero rational, so the walk ends.  Each prime tried
+    counts as one factorization.  Entries are int64 in [0, p).
     """
     global _factorization_count
     n = graph.n
@@ -236,20 +236,14 @@ def _pinv_mod(graph: Graph) -> tuple[np.ndarray, int]:
         if n % p == 0:
             continue
         _factorization_count += 1
-        r = _residues(w, p)
-        lap = np.zeros((n, n), dtype=np.int64)
-        lap[u, v] = lap[v, u] = -r
-        lap[diagonal, diagonal] = (np.bincount(u, r, n) + np.bincount(v, r, n)).astype(np.int64) % p
+        r, n_inv = _residues(w, p), pow(n, -1, p)
+        a = np.full((n, n), n_inv, dtype=np.int64)
+        a[u, v] = a[v, u] = n_inv - r
+        a[diagonal, diagonal] = (np.bincount(u, r, n) + np.bincount(v, r, n) + n_inv).astype(np.int64) % p
         try:
-            grounded = _inverse_mod(lap[:-1, :-1], p)
+            return (_inverse_mod(a, p) - n_inv) % p, p
         except FactorizationFailedError:
             continue
-        g = np.zeros((n, n), dtype=np.int64)
-        g[:-1, :-1] = grounded
-        n_inv = pow(n, -1, p)
-        mean = g.sum(axis=1) % p * n_inv % p
-        total = mean.sum() % p * n_inv % p
-        return (g - mean[:, None] - mean[None, :] + total) % p, p
     raise FactorizationFailedError("every prime tried divides n or the weighted spanning-tree count")
 
 

@@ -305,6 +305,30 @@ class TestOracleCommands:
         assert runner.invoke(main, ["oracle", "iso", write(path(4)), write(star(3))]).exit_code == 1
 
 
+class TestErrorBoundary:
+    """Typed errors from any command, nested oracle ones too, exit with JSON on stderr."""
+
+    @pytest.mark.parametrize("command", [
+        ["orbits", "FILE", "--verify"], ["oracle", "autos", "FILE"], ["oracle", "iso", "FILE", "FILE"],
+    ])
+    def test_brute_force_too_large_exit_2(self, runner, write, command):
+        f = write(path(11))
+        result = runner.invoke(main, [f if arg == "FILE" else arg for arg in command])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == "TooLarge"
+
+    def test_oracle_solve_same_source_sink_exit_2(self, runner, write):
+        result = runner.invoke(main, ["oracle", "solve", write(path(3)), "2", "2"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == "SameSourceSink"
+
+
 class TestConfig:
     def test_deterministic_output(self, runner, write):
         f = write(cycle(5))

@@ -11,6 +11,7 @@ from kcanon.errors import (
     NonPositiveWeightError,
     SelfLoopError,
 )
+from kcanon import oracle
 from kcanon.graph import (
     Graph,
     adjacency,
@@ -23,7 +24,7 @@ from kcanon.graph import (
     to_json,
 )
 
-from conftest import complete, path, random_permutation
+from conftest import complete, cycle, path, random_permutation, shuffled_copy
 
 
 class TestParseEdgeList:
@@ -110,6 +111,21 @@ class TestAdjacency:
         a = adjacency(Graph(2, [(1, 2, 0.5)]))
         assert a.tolist() == [[0, 0.5], [0.5, 0]]
 
+
+def test_adj_and_weight(rng):
+    graphs = [cycle(4)] + [
+        oracle.random_connected_graph(rng.randint(2, 12), rng, weight_range=(0.1, 10))
+        for _ in range(20)
+    ]
+    for g0 in graphs:
+        g, _ = shuffled_copy(g0, rng)
+        assert sum(len(a) for a in g.adj) == 2 * g.m
+        for u, v, w in g.edges:
+            assert g.adj[u - 1][v - 1] == g.adj[v - 1][u - 1] == w
+            assert g.weight(u, v) == g.weight(v, u) == w
+        # Ids outside 1..n name no node, even where an index would wrap.
+        for u, v in [(0, 1), (1, 0), (g.n + 1, 1), (1, g.n + 1), (-1, g.n)]:
+            assert g.weight(u, v) is None
 
 
 class TestIsConnected:

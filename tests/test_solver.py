@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,7 +29,7 @@ from kcanon.solver import (
     solve_pair_universal_sink,
 )
 
-from conftest import complete, cycle, path, star
+from conftest import complete, cycle, path, random_cubic, star
 
 
 class TestBuildSystem:
@@ -307,6 +308,31 @@ class TestModularInverse:
         reset_factorization_count()
         assert solver._pinv_mod(path(3))[1] == 7
         assert factorization_count() == 1
+
+    @pytest.mark.parametrize("family, n", [
+        ("weighted", 20), ("weighted", 57), ("weighted", 96),
+        ("cubic", 20), ("cubic", 48), ("cubic", 96),
+    ])
+    def test_pinv_identities(self, family, n):
+        rng = random.Random(n)
+        if family == "cubic":
+            g = random_cubic(n, rng)
+        else:
+            g = oracle.random_connected_graph(n, rng, extra_edge_prob=4 / n, weight_range=(0.1, 10))
+        pinv, p = solver._pinv_mod(g)
+        lap = np.zeros((n, n), dtype=object)
+        for u, v, w in g.edges:
+            f = Fraction(w)
+            r = f.numerator * pow(f.denominator, -1, p)
+            lap[u - 1, v - 1] -= r
+            lap[v - 1, u - 1] -= r
+            lap[u - 1, u - 1] += r
+            lap[v - 1, v - 1] += r
+        assert pinv.dtype == np.int64 and ((0 <= pinv) & (pinv < p)).all()
+        assert (pinv == pinv.T).all()
+        assert (pinv.astype(object).sum(axis=1) % p == 0).all()
+        centring = np.eye(n, dtype=np.int64) - pow(n, -1, p)
+        assert ((lap @ pinv.astype(object) - centring) % p == 0).all()
 
     def test_weight_residues_are_exact(self):
         w = np.array([0.5, 3.0, 0.1, 1e-300, 1e300, 5e-324, 2.0**-1074 * 3])
