@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,28 +61,81 @@ def _grid(values: np.ndarray, tol: float) -> np.ndarray:
     return np.rint(scaled).astype(np.int64)
 
 
-def _refine(nbrs, colour: list[int]) -> list[int]:
-    """Exact weighted colour refinement of colour, to the coarsest stable one.
+def _refine(nbrs, colour: list[int], splitters: list[int] | None = None) -> list[int]:
+    """Exact weighted colour refinement of colour, to the coarsest equitable one.
 
-    A node's next colour is the rank of its key, (colour, sorted (neighbour
-    colour, weight) pairs), among all keys; keys hold exact weights, never
-    float sums, so colours depend on structure and weights alone.  Ranks keep
-    the order of the colours they split, so a cell of the input colouring
-    stays one interval of the order by colour.  nbrs[x] holds the
+    Splitter-queue refinement (Paige & Tarjan, "Three partition refinement
+    algorithms", SIAM J. Comput. 16, 1987; McKay & Piperno, "Practical graph
+    isomorphism, II", 2014).  Cells are intervals of the order by colour, and
+    a node's colour is the last position of its cell, so a cell splits in
+    place and every input cell stays one interval of the order.  Popping a
+    splitter cell S keys each node x of a non-singleton cell by the sorted
+    multiset of the weights of x's edges into S: exact weights, never a float
+    sum, whose rounding could depend on the labels.  Each touched cell splits
+    by key, in sorted key order, and its untouched nodes come last and keep
+    their colour, so a split costs time in the touched nodes alone.  The new
+    fragments join the queue, except the first largest when the parent cell
+    was not queued: equitability to the parent and to the others implies it
+    to that one.  The queue starts with splitters, given as output colours,
+    or with every cell; splitters=[s] suffices when colour is equitable but
+    for a node moved to the first position s of its cell.  nbrs[x] holds the
     (neighbour, weight) pairs of Graph.adj[x], such as adj[x].items(); nbrs
     and colour are indexed by node id - 1.
     """
-    count = len(set(colour))
-    while True:
-        keys = [
-            (colour[x], tuple(sorted((colour[y], w) for y, w in nbrs[x])))
-            for x in range(len(nbrs))
-        ]
-        rank = {key: c for c, key in enumerate(sorted(set(keys)))}
-        colour = [rank[key] for key in keys]
-        if len(rank) == count:
-            return colour
-        count = len(rank)
+    n = len(colour)
+    order = sorted(range(n), key=colour.__getitem__)
+    pos, cell, first = [0] * n, [0] * n, [0] * n  # first[c]: first position of cell c
+    last = n - 1
+    for i in range(n - 1, -1, -1):
+        x = order[i]
+        if i < last and colour[x] != colour[order[i + 1]]:
+            last = i
+        pos[x], cell[x], first[last] = i, last, i
+    queue = deque(sorted(set(cell)) if splitters is None else splitters)
+    queued, cells = set(queue), len(set(cell))
+    while queue and cells < n:
+        s = queue.popleft()
+        queued.remove(s)
+        into: dict[int, list] = {}
+        for y in order[first[s]:s + 1]:
+            for x, w in nbrs[y]:
+                if first[cell[x]] < cell[x]:
+                    if x in into:
+                        into[x].append(w)
+                    else:
+                        into[x] = [w]
+        touched: dict[int, list[int]] = {}
+        for x in into:
+            touched.setdefault(cell[x], []).append(x)
+        for c in sorted(touched):
+            xs, a = touched[c], first[c]
+            groups: dict[tuple, list[int]] = {}
+            for x in xs:
+                groups.setdefault(tuple(sorted(into[x])), []).append(x)
+            t = a + len(xs)  # touched nodes move to order[a:t]
+            if t > c and len(groups) == 1:
+                continue
+            holes = [pos[x] for x in xs if pos[x] >= t]
+            for i, y in zip(holes, [y for y in order[a:t] if y not in into]):
+                order[i], pos[y] = y, i
+            lasts, i = [], a
+            for key in sorted(groups):
+                lasts.append(i + len(groups[key]) - 1)
+                for x in groups[key]:
+                    order[i], pos[x], cell[x] = x, i, lasts[-1]
+                    i += 1
+            if t <= c:
+                lasts.append(c)
+            bounds = list(zip([a] + [b + 1 for b in lasts[:-1]], lasts))
+            sizes = [b - f for f, b in bounds]
+            skip = len(bounds) - 1 if c in queued else sizes.index(max(sizes))
+            for j, (f, b) in enumerate(bounds):
+                first[b] = f
+                if j != skip:
+                    queue.append(b)
+                    queued.add(b)
+            cells += len(bounds) - 1
+    return cell
 
 
 def _lex_sort(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,36 +444,30 @@ def canonical_labeling(
     return _canonical(_Analysis(graph), budget)
 
 
-def _orbits(n: int, generators: list[list[int]]) -> list[int]:
-    """Orbit representative of each node under the group the generators make."""
-    rep = list(range(n))
-
-    def root(x: int) -> int:
-        while rep[x] != x:
-            x = rep[x]
-        return x
-
-    for gamma in generators:
-        for x, y in enumerate(gamma):
-            a, b = root(x), root(y)
-            rep[max(a, b)] = min(a, b)
-    return [root(x) for x in range(n)]
+def _find(rep: list[int], x: int) -> int:
+    """Root of x in the union-find forest rep, halving the path on the way."""
+    while rep[x] != x:
+        rep[x] = x = rep[rep[x]]
+    return x
 
 
 def _canonical(analysis: _Analysis, budget: int) -> CanonicalLabeling:
     """Depth-first IR search for the leaf with the least form.
 
     A child individualizes one node v of its parent's first smallest
-    non-singleton cell, placing v first in that cell, and refines.  Refinement keeps colour order, so a
-    node that is a singleton cell keeps one position in every leaf below it.
-    Hence when two leaves have equal forms, the map between their orders is
-    an automorphism that fixes their common prefix and carries the earlier
-    leaf's branch at the common ancestor onto the later leaf's.  The earlier
-    branch is finished, so the search resumes at the common ancestor.  At
-    every tree node, children in one orbit of the automorphisms found so far
-    that fix the node's prefix are equivalent: one per orbit is explored.
-    The root refines analysis.start, the colouring by signature class.  Node
-    indices are id - 1.
+    non-singleton cell, placing v first in that cell, and refines with only
+    the new singleton {v} as splitter: the parent's colouring is already
+    equitable.  Refinement keeps colour order, so a node that is a singleton
+    cell keeps one position in every leaf below it.  Hence when two leaves
+    have equal forms, the map between their orders is an automorphism that
+    fixes their common prefix and carries the earlier leaf's branch at the
+    common ancestor onto the later leaf's.  The earlier branch is finished,
+    so the search resumes at the common ancestor.  At every tree node,
+    children in one orbit of the automorphisms found so far that fix the
+    node's prefix are equivalent: one per orbit is explored.  Each tree node
+    keeps those orbits in one union-find and adds each automorphism once, as
+    it arrives.  The root refines analysis.start, the colouring by signature
+    class.  Node indices are id - 1.
     """
     adj, n = analysis.graph.adj, analysis.graph.n
     # _refine's hot loop iterates tuples faster than dict views.
@@ -431,11 +479,8 @@ def _canonical(analysis: _Analysis, budget: int) -> CanonicalLabeling:
     def search(colour: list[int], path: list[int]) -> int:
         """Explore the subtree at path; return the depth to resume at."""
         nonlocal first, best, expansions, exhausted
-        cells: dict[int, list[int]] = {}
-        for x, c in enumerate(colour):
-            cells.setdefault(c, []).append(x)
-        cell = min((xs for _, xs in sorted(cells.items()) if len(xs) > 1), key=len, default=None)
-        if cell is None:
+        cells = sorted(set(colour))
+        if len(cells) == n:
             order = sorted(range(n), key=colour.__getitem__)
             form = tuple(adj[order[k]].get(order[i], 0.0) for k in range(1, n) for i in range(k))
             if first is None:
@@ -454,20 +499,26 @@ def _canonical(analysis: _Analysis, budget: int) -> CanonicalLabeling:
             if form < best[0]:
                 best = (form, order, path)
             return len(path) - 1
-        done: list[int] = []
-        known = -1
-        for v in cell:
-            if known != len(autos):
-                known = len(autos)
-                orbit = _orbits(n, [g for g in autos if all(g[x] == x for x in path)])
-            if orbit[v] in {orbit[u] for u in done}:
+        size = {b: b - a for a, b in zip([-1] + cells, cells) if b - a > 1}
+        target = min(size, key=size.__getitem__)
+        rep, known, done = list(range(n)), 0, []
+        for v in (x for x in range(n) if colour[x] == target):
+            for gamma in autos[known:]:
+                if all(gamma[x] == x for x in path):
+                    for x, y in enumerate(gamma):
+                        if x != y:
+                            a, b = _find(rep, x), _find(rep, y)
+                            rep[max(a, b)] = min(a, b)
+            known = len(autos)
+            if _find(rep, v) in {_find(rep, u) for u in done}:
                 continue
             if first is not None and expansions >= budget:
                 exhausted = True
                 return -1
             expansions += 1
-            individualized = [2 * c + (x != v) for x, c in enumerate(colour)]
-            resume = search(_refine(nbrs, individualized), path + [v])
+            child = colour.copy()
+            child[v] = target - size[target] + 1
+            resume = search(_refine(nbrs, child, [child[v]]), path + [v])
             if resume < len(path):
                 return resume
             done.append(v)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kcanon import oracle, signatures, solver
 from kcanon.errors import (
@@ -19,6 +19,7 @@ from kcanon.errors import (
 )
 from kcanon.graph import Graph, relabel
 from kcanon.signatures import (
+    DEFAULT_BUDGET,
     Fingerprint,
     all_edge_signatures,
     all_node_signatures,
@@ -33,6 +34,7 @@ from kcanon.signatures import (
     _canonical,
     _grid,
     _lex_sort,
+    _refine,
 )
 from kcanon.solver import factorization_count, reset_factorization_count
 
@@ -632,6 +634,17 @@ class TestCanonicalLabeling:
             forms.add(lab.form)
         assert len(forms) == 1
 
+    @pytest.mark.parametrize("name", ["K8,8", "Q5"])
+    def test_orbit_pruning_certifies_in_few_tree_nodes(self, name):
+        g = SYMMETRIC[name]
+        rng = random.Random(5)
+        digests = set()
+        for _ in range(5):
+            lab = canonical_labeling(relabel(g, random_permutation(g.n, rng)), budget=400)
+            assert lab.certified
+            digests.add(lab.digest())
+        assert len(digests) == 1
+
     def test_budget_exhaustion_flags_uncertified(self):
         lab = canonical_labeling(cycle(6), budget=1)
         assert not lab.certified
@@ -642,11 +655,106 @@ class TestCanonicalLabeling:
         assert sorted(lab.order) == [1, 2, 3, 4, 5]
 
 
-def weighted_graph(n, seed):
-    """Connected graph on n nodes with 2n edges, 3-decimal weights in [0.5, 4]."""
+def reference_refine(nbrs, colour):
+    """Whole-graph re-keying, the refinement the splitter queue replaced.
+
+    Each round ranks every node's key (colour, sorted (neighbour colour,
+    weight) pairs) until the number of colours stops growing.
+    """
+    count = len(set(colour))
+    while True:
+        keys = [
+            (colour[x], tuple(sorted((colour[y], w) for y, w in nbrs[x])))
+            for x in range(len(nbrs))
+        ]
+        rank = {key: c for c, key in enumerate(sorted(set(keys)))}
+        colour = [rank[key] for key in keys]
+        if len(rank) == count:
+            return colour
+        count = len(rank)
+
+
+def cells_of(colour):
+    cells = {}
+    for x, c in enumerate(colour):
+        cells.setdefault(c, set()).add(x)
+    return {frozenset(cell) for cell in cells.values()}
+
+
+def check_refine(g, colour, rng, splitters=None):
+    """_refine against the referee, the input order, and a relabelled copy."""
+    nbrs = [tuple(a.items()) for a in g.adj]
+    out = _refine(nbrs, colour, splitters)
+    assert cells_of(out) == cells_of(reference_refine(nbrs, colour))
+    # Every input cell stays one interval, in input order.
+    by_output = [colour[x] for x in sorted(range(g.n), key=out.__getitem__)]
+    assert by_output == sorted(by_output)
+    perm = random_permutation(g.n, rng)
+    h = relabel(g, perm)
+    moved = [0] * g.n
+    for x in range(g.n):
+        moved[perm[x + 1] - 1] = colour[x]
+    out_h = _refine([tuple(a.items()) for a in h.adj], moved, splitters)
+    assert [out_h[perm[x + 1] - 1] for x in range(g.n)] == out
+    return out
+
+
+def check_individualized(g, colour, rng):
+    """Refine, move one node of a non-singleton cell to its front, refine from it."""
+    equitable = check_refine(g, colour, rng)
+    big = [x for x in range(g.n) if equitable.count(equitable[x]) > 1]
+    if big:
+        v = rng.choice(big)
+        child = equitable.copy()
+        child[v] = sum(c < equitable[v] for c in equitable)
+        check_refine(g, child, rng, [child[v]])
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(2, 40))
+    parents = [draw(st.integers(1, k - 1)) for k in range(2, n + 1)]
+    pairs = {(p, k) for p, k in zip(parents, range(2, n + 1))}
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    pairs |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    weights = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+    return Graph(n, [(u, v, draw(weights)) for u, v in sorted(pairs)])
+
+
+class TestRefine:
+    """Splitter-queue refinement gives the referee's partition, keeps input
+    cells as intervals in order, and commutes with relabelling."""
+
+    def test_small_graphs(self):
+        rng = random.Random(3)
+        for n in range(2, 7):
+            for g in oracle.enumerate_connected_graphs(n):
+                weighted = Graph(n, [(u, v, rng.choice((1.0, 2.0))) for u, v, _ in g.edges])
+                for h in (g, weighted):
+                    check_individualized(h, [0] * n, rng)
+                    for _ in range(2):
+                        check_individualized(h, [rng.randrange(3) for _ in range(n)], rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_graphs(), st.randoms(use_true_random=False))
+    def test_weighted_graphs(self, g, rng):
+        check_individualized(g, [0] * g.n, rng)
+        check_individualized(g, [rng.randrange(2) for _ in range(g.n)], rng)
+
+    def test_equal_weight_sums_split_by_multiset(self):
+        # Nodes 1-4 carry weights {1, 3, 5}, nodes 5-8 {2, 2, 5}: equal sums.
+        g = Graph(8, [(1, 2, 1.0), (2, 3, 3.0), (3, 4, 1.0), (4, 1, 3.0),
+                      (5, 6, 2.0), (6, 7, 2.0), (7, 8, 2.0), (8, 5, 2.0)]
+                  + [(k, k + 4, 5.0) for k in range(1, 5)])
+        out = check_refine(g, [0] * 8, random.Random(1))
+        assert cells_of(out) == {frozenset(range(4)), frozenset(range(4, 8))}
+
+
+def weighted_graph(n, seed, m=None):
+    """Connected graph on n nodes with m (default 2n) edges, 3-decimal weights in [0.5, 4]."""
     rng = random.Random(seed)
     pairs = {(rng.randint(1, k - 1), k) for k in range(2, n + 1)}
-    while len(pairs) < 2 * n:
+    while len(pairs) < (m or 2 * n):
         u, v = sorted(rng.sample(range(1, n + 1), 2))
         pairs.add((u, v))
     return Graph(n, [(u, v, round(rng.uniform(0.5, 4.0), 3)) for u, v in sorted(pairs)])
@@ -706,3 +814,20 @@ class TestFactorizations:
         reset_factorization_count()
         assert iso_screen(g, h).kind == IsoVerdict.ISOMORPHIC
         assert factorization_count() == 2
+
+
+class TestScale:
+    """Fingerprint and canonical search at n = 1000, from one analysis per copy."""
+
+    @pytest.mark.parametrize("g", [weighted_graph(1000, 0, m=3000), torus(10, 100)],
+                             ids=["random-n1000-m3000", "torus-10x100"])
+    def test_relabelled_copies_agree(self, g):
+        rng = random.Random(g.m)
+        digests = set()
+        for copy in range(3):
+            h = g if copy == 0 else shuffled_copy(g, rng)[0]
+            analysis = _Analysis(h)
+            lab = _canonical(analysis, DEFAULT_BUDGET)
+            assert lab.certified
+            digests.add((analysis.fingerprint().digest(), lab.digest()))
+        assert len(digests) == 1
