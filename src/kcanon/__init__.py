@@ -15,10 +15,8 @@ from .solver import (
 )
 from .signatures import (
     CanonicalLabeling,
-    EdgeSignature,
     Fingerprint,
     IsoVerdict,
-    NodeSignature,
     OrbitPartition,
     all_edge_signatures,
     all_node_signatures,
@@ -46,10 +44,8 @@ __all__ = [
     "solve_pair_pseudoinverse",
     "solve_pair_universal_sink",
     "CanonicalLabeling",
-    "EdgeSignature",
     "Fingerprint",
     "IsoVerdict",
-    "NodeSignature",
     "OrbitPartition",
     "all_edge_signatures",
     "all_node_signatures",

@@ -23,12 +23,11 @@ are equal or finer, and still contain every automorphism orbit.  Isomorphic
 graphs get identical residues by construction; differing residues prove the
 exact values differ, and a residue collision can only merge classes.  Rows
 are int64 matrices from L+ to the fingerprint.  Fingerprint.digest() hashes
-the parts' int64 bytes under the header tag gfp/1; digests, to_json(), the
-CLI orbits signature_sha256 and canonical digests changed once when
-signatures became residues.
+the parts' int64 bytes under the header tag gfp/1.
 
 The paper's float vectors, quantized to a grid of step tol, survive only in
-all_node_signatures and all_edge_signatures, as the referee.
+all_node_signatures and all_edge_signatures, as the referee; they too are
+read-only int64 matrices, one row per node or edge.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, GraphError, InvalidToleranceError, NonFiniteError
 from .graph import Graph, relabel
-from .solver import _pinv_mod, _residues, build_system, solve_all_pairs
+from .solver import _pinv_mod, build_system, solve_all_pairs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_BUDGET = 10**6
@@ -157,24 +156,6 @@ def _lex_sort(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class NodeSignature:
-    """Sorted grid-unit voltages of one node over all N(N-1) ordered pairs."""
-
-    node: int
-    values: tuple[int, ...]
-    tol: float
-
-
-@dataclass(frozen=True)
-class EdgeSignature:
-    """Sorted grid-unit currents of one edge over all N(N-1) ordered pairs."""
-
-    edge: tuple[int, int]
-    values: tuple[int, ...]
-    tol: float
-
-
-@dataclass(frozen=True)
 class OrbitPartition:
     """Disjoint node classes sharing identical signatures; orbit candidates."""
 
@@ -235,16 +216,17 @@ class Fingerprint:
 class _Analysis:
     """L+ of one graph modulo a prime, and the signature rows read from it.
 
-    P[x - 1] is the residue row of L+ for node x.  Edge rows are rebuilt on
-    each request rather than kept, so a caller holding several analyses
-    holds only the edge rows it is using.
+    P[x - 1] is the residue row of L+ for node x, and r[k] the weight of
+    graph.edges[k] mod p.  Edge rows are rebuilt on each request rather than
+    kept, so a caller holding several analyses holds only the edge rows it is
+    using.
     """
 
     def __init__(self, graph: Graph):
         if graph.n < 2:
             raise GraphError("need at least 2 nodes and 1 edge")
         self.graph = graph
-        self.P, self.p = _pinv_mod(graph)
+        self.P, self.p, self.r = _pinv_mod(graph)
         self.node_rows = np.concatenate([self.P.diagonal()[:, None], np.sort(self.P, axis=1)],
                                         axis=1)
         # Signature order: the order of orbit classes and canonical positions.
@@ -256,8 +238,8 @@ class _Analysis:
 
     def edge_rows(self) -> np.ndarray:
         """One row per stored edge, in graph.edges order; orientation-free."""
-        u, v, w = self.graph.arrays
-        d = _residues(w, self.p)[:, None] * (self.P[u] - self.P[v]) % self.p
+        u, v, _ = self.graph.arrays
+        d = self.r[:, None] * (self.P[u] - self.P[v]) % self.p
         rows, negated = np.sort(d, axis=1), np.sort(-d % self.p, axis=1)
         first = (rows != negated).argmax(axis=1)
         pick = np.arange(len(rows))
@@ -271,13 +253,14 @@ class _Analysis:
                            edges[_lex_sort(edges)[0]])
 
 
-def _paper_rows(graph: Graph, tol: float, values_of) -> list[list[int]]:
+def _paper_rows(graph: Graph, tol: float, values_of) -> np.ndarray:
     """The paper's sorted grid-unit rows over all ordered pairs, from float solves.
 
-    Nodes are solved in exact weighted colour-refinement order, so relabelled
-    copies with a discrete refinement run bit-identical float operations and
-    snap even near-half-grid values alike; ties inside a cell that refinement
-    cannot split break by node id.  values_of reads V indexed by node id - 1.
+    One read-only int64 row per row of values_of, which reads V indexed by
+    node id - 1.  Nodes are solved in exact weighted colour-refinement order,
+    so relabelled copies with a discrete refinement run bit-identical float
+    operations and snap even near-half-grid values alike; ties inside a cell
+    that refinement cannot split break by node id.
     """
     if not 0 < tol < float("inf"):
         raise InvalidToleranceError(f"tol must be finite and above 0, got {tol}")
@@ -287,18 +270,20 @@ def _paper_rows(graph: Graph, tol: float, values_of) -> list[list[int]]:
     ordered = relabel(graph, dict(zip((solve + 1).tolist(), range(1, graph.n + 1))))
     _, V = solve_all_pairs(build_system(ordered))
     k = _grid(values_of(V[np.argsort(solve)]), tol)
-    return np.sort(np.concatenate([k, -k], axis=1), axis=1).tolist()
+    rows = np.sort(np.concatenate([k, -k], axis=1), axis=1)
+    rows.flags.writeable = False
+    return rows
 
 
-def all_node_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> list[NodeSignature]:
-    rows = _paper_rows(graph, tol, lambda V: V)
-    return [NodeSignature(x, tuple(row), tol) for x, row in enumerate(rows, start=1)]
+def all_node_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Row x - 1: node x's sorted grid-unit voltages; n x n(n-1), int64."""
+    return _paper_rows(graph, tol, lambda V: V)
 
 
-def all_edge_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> list[EdgeSignature]:
+def all_edge_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Row k: the sorted grid-unit currents of graph.edges[k]; m x n(n-1), int64."""
     u, v, w = graph.arrays
-    rows = _paper_rows(graph, tol, lambda V: w[:, None] * (V[u] - V[v]))
-    return [EdgeSignature(edge[:2], tuple(row), tol) for edge, row in zip(graph.edges, rows)]
+    return _paper_rows(graph, tol, lambda V: w[:, None] * (V[u] - V[v]))
 
 
 def orbit_partition(graph: Graph) -> OrbitPartition:

@@ -17,7 +17,7 @@ Two kinds of factor serve them:
                 symmetric positive definite).  Memory and per-query work grow
                 with the fill and m, not with N^2, so point queries run at
                 N >= 10^4.  Every float solve uses it: solve_pair, and
-                solve_all_pairs behind the paper's float signature lists.
+                solve_all_pairs behind the paper's float signature rows.
 * _pinv_mod:    the pseudoinverse L+ = (L + J/n)^-1 - J/n modulo a prime
                 p < 2^21, J the all-ones matrix, inverted by pivoted
                 Gauss-Jordan elimination on int64 residues; the signature
@@ -41,6 +41,8 @@ from .errors import (
     EigendecompositionFailedError,
     FactorizationFailedError,
     GraphMismatchError,
+    NonFiniteWeightError,
+    NonPositiveWeightError,
     SameSourceSinkError,
     SecondEigenvalueNearZeroError,
 )
@@ -217,8 +219,8 @@ def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
-def _pinv_mod(graph: Graph) -> tuple[np.ndarray, int]:
-    """The Laplacian pseudoinverse L+ modulo a prime p, and p.
+def _pinv_mod(graph: Graph) -> tuple[np.ndarray, int, np.ndarray]:
+    """The Laplacian pseudoinverse L+ modulo a prime p, p, and the weights mod p.
 
     Every float weight is a dyadic rational, so L+ is a matrix of rationals
     whose image mod p is exact: L+ = (L + J/n)^-1 - J/n, with J the all-ones
@@ -241,20 +243,23 @@ def _pinv_mod(graph: Graph) -> tuple[np.ndarray, int]:
         a[u, v] = a[v, u] = n_inv - r
         a[diagonal, diagonal] = (np.bincount(u, r, n) + np.bincount(v, r, n) + n_inv).astype(np.int64) % p
         try:
-            return (_inverse_mod(a, p) - n_inv) % p, p
+            return (_inverse_mod(a, p) - n_inv) % p, p, r
         except FactorizationFailedError:
             continue
     raise FactorizationFailedError("every prime tried divides n or the weighted spanning-tree count")
 
 
+def _solve(system: LaplacianSystem, B: np.ndarray) -> np.ndarray:
+    """Grounded solve of L X = B, zero at the ground, each column shifted to sum zero."""
+    X = np.zeros(B.shape)
+    X[system.keep] = system.factor.solve(B[system.keep])
+    X -= X.mean(axis=0)
+    return X
+
+
 def solve_pair(system: LaplacianSystem, a: int, b: int) -> VoltageProfile:
     """Solve via the grounded reduced factor, then shift to the sum-zero gauge."""
-    n = system.graph.n
-    rhs = _injection(n, a, b)
-    v = np.zeros(n)
-    v[system.keep] = system.factor.solve(rhs[system.keep])
-    v -= v.mean()
-    return VoltageProfile(a, b, v, method="grounded")
+    return VoltageProfile(a, b, _solve(system, _injection(system.graph.n, a, b)), method="grounded")
 
 
 def solve_all_pairs(system: LaplacianSystem):
@@ -265,15 +270,10 @@ def solve_all_pairs(system: LaplacianSystem):
     deterministic.
     """
     n = system.graph.n
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    B = np.zeros((n, len(pairs)))
-    for k, (a, b) in enumerate(pairs):
-        B[a - 1, k] = 1.0
-        B[b - 1, k] = -1.0
-    V = np.zeros((n, len(pairs)))
-    V[system.keep, :] = system.factor.solve(B[system.keep, :])
-    V -= V.mean(axis=0)
-    return pairs, V
+    a, b = np.triu_indices(n, 1)
+    nodes = np.arange(n)[:, None]
+    B = (nodes == a).astype(float) - (nodes == b)
+    return list(zip((a + 1).tolist(), (b + 1).tolist())), _solve(system, B)
 
 
 def solve_pair_pseudoinverse(graph: Graph, a: int, b: int) -> VoltageProfile:
@@ -302,11 +302,15 @@ def solve_pair_universal_sink(
 ) -> VoltageProfile:
     """Solve the sink-augmented system; approximate by construction.
 
-    With the sink grounded, deleting its row/column leaves L + sink_weight * I,
-    which is positive definite without removing any original node.
+    sink_weight weighs every node's edge to the sink, so like any edge weight
+    it must be positive and finite.  With the sink grounded, deleting its
+    row/column leaves L + sink_weight * I, which is positive definite without
+    removing any original node.
     """
-    if not sink_weight > 0:
-        raise FactorizationFailedError(f"sink_weight must be positive, got {sink_weight}")
+    if not sink_weight > 0:  # catches zero, negative, and NaN, as Graph does
+        raise NonPositiveWeightError(f"sink edges have non-positive weight {sink_weight}")
+    if sink_weight == float("inf"):
+        raise NonFiniteWeightError("sink edges have infinite weight")
     n = graph.n
     rhs = _injection(n, a, b)
     v = _sparse_lu(_sparse_laplacian(graph, sink_weight)).solve(rhs)

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 from jsonschema import validate
 
-from kcanon import solver
+from kcanon import oracle, solver
 from kcanon.cli import main
 from kcanon.graph import relabel, to_edge_list, to_json
 from kcanon.signatures import Fingerprint, fingerprint
@@ -63,6 +63,27 @@ class TestVoltages:
         err = json.loads(result.stderr)
         validate(err, schema("error"))
         assert err["error"] == "SameSourceSink"
+
+    def test_node_outside_exit_2(self, runner, write):
+        result = runner.invoke(main, ["voltages", write(path(2)), "0", "2"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == "SameSourceSink"
+
+    @pytest.mark.parametrize("weight, error", [
+        ("inf", "NonFiniteWeight"), ("0", "NonPositiveWeight"), ("nan", "NonPositiveWeight"),
+    ])
+    def test_invalid_sink_weight_exit_2(self, runner, write, weight, error):
+        args = ["voltages", write(complete(3)), "1", "2", "--method", "universal-sink",
+                "--sink-weight", weight, "--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == error
 
     def test_parse_failure_exit_2(self, runner, write):
         result = runner.invoke(main, ["voltages", write("1 2\n3 4"), "1", "2"])
@@ -121,6 +142,14 @@ class TestOrbits:
         assert result.exit_code == 0
         assert doc["verify"]["match"] is True
         assert doc["verify"]["group_order"] == 10
+
+    def test_verify_mismatch_exit_4(self, runner, write, monkeypatch):
+        # An oracle that reports each node of C5 as its own orbit.
+        report = oracle.AutomorphismReport(1, tuple((x,) for x in range(1, 6)), ((1, 2, 3, 4, 5),))
+        monkeypatch.setattr(oracle, "brute_force_automorphisms", lambda g: report)
+        result = runner.invoke(main, ["orbits", write(cycle(5)), "--verify"])
+        assert result.exit_code == 4
+        assert "verify: MISMATCH" in result.stdout
 
 
 class TestIso:

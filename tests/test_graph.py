@@ -63,6 +63,8 @@ class TestParseEdgeList:
             ("1 2 inf", NonFiniteWeightError),
             ("1 2 1e400", NonFiniteWeightError),
             ("1 2 3 4", MalformedLineError),
+            ("1 x", MalformedLineError),
+            ("1 2 abc", MalformedLineError),
             ("0 2", MalformedLineError),
             ("", GraphError),
         ],
@@ -70,6 +72,17 @@ class TestParseEdgeList:
     def test_rejects(self, text, err):
         with pytest.raises(err):
             parse_edge_list(text)
+
+    @pytest.mark.parametrize("bad", ["1 x", "2 3 abc"])
+    def test_malformed_field_reports_line(self, bad):
+        with pytest.raises(MalformedLineError) as exc:
+            parse_edge_list(f"1 2\n{bad}")
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("n, edges", [(0, []), (2, [(1, 3, 1.0)])])
+    def test_graph_rejects_bad_nodes(self, n, edges):
+        with pytest.raises(GraphError):
+            Graph(n, edges)
 
     def test_graph_rejects_infinite_weight(self):
         with pytest.raises(NonFiniteWeightError):
@@ -94,6 +107,10 @@ class TestJsonFormat:
             parse_json('{"n": 3, "edges": [[1, 2]]}')
         with pytest.raises(GraphError):
             parse_json('{"edges": []}')
+
+    def test_invalid_json(self):
+        with pytest.raises(MalformedLineError):
+            parse_json("{")
 
     def test_sniffing(self):
         assert parse_graph('{"n":2,"edges":[[1,2,1.0]]}') == parse_graph("1 2")
@@ -138,6 +155,10 @@ class TestIsConnected:
     def test_two_components(self):
         assert not is_connected(4, [(1, 2), (3, 4)])
 
+    def test_no_nodes(self):
+        with pytest.raises(GraphError):
+            is_connected(0, [])
+
 
 def test_edge_list_round_trip_exact():
     g = parse_edge_list("1 2 0.1\n2 3 0.30000000000000004\n1 3 7")
@@ -167,6 +188,11 @@ def test_relabel_weighted_permutes_adjacency(rng):
     for i in range(4):
         for j in range(4):
             assert b[perm[i + 1] - 1, perm[j + 1] - 1] == a[i, j]
+
+
+def test_relabel_rejects_non_bijection():
+    with pytest.raises(GraphError):
+        relabel(path(2), {1: 1, 2: 1})
 
 
 def test_graph_is_immutable():

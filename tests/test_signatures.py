@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -14,6 +15,7 @@ from kcanon import oracle, signatures, solver
 from kcanon.errors import (
     BudgetExhaustedError,
     FactorizationFailedError,
+    GraphError,
     InvalidToleranceError,
     NonFiniteError,
 )
@@ -109,6 +111,19 @@ def cayley_z4z4(steps):
 SHRIKHANDE = cayley_z4z4([(0, 1), (1, 0), (1, 1)])
 ROOK_4X4 = cayley_z4z4([(0, 1), (0, 2), (1, 0), (2, 0)])
 
+
+def chang_graph():
+    """The second Chang graph, SRG(28, 12, 6, 4): the triangular graph T(8),
+    where two 2-subsets of {0..7} are adjacent when they meet, Seidel-switched
+    on the 8 subsets {i, i+1 mod 8}.  Node k + 1 is the k-th 2-subset in
+    combinations order."""
+    subsets = list(itertools.combinations(range(8), 2))
+    switch = {tuple(sorted((i, (i + 1) % 8))) for i in range(8)}
+    pairs = itertools.combinations(enumerate(subsets), 2)
+    return unit_graph(28, [(i, j) for (i, a), (j, b) in pairs
+                           if bool(set(a) & set(b)) != ((a in switch) != (b in switch))])
+
+
 # Cubic graphs that are not vertex-transitive, where the search alone, started
 # from a single cell, must find automorphisms to prune and resume correctly.
 CUBIC = [
@@ -180,7 +195,7 @@ class TestQuantize:
         v12 = solve_pair(system, 1, 2).v
         v23 = solve_pair(system, 2, 3).v
         assert _grid(np.array([v12[0]]), 1e-8) == _grid(np.array([v23[1]]), 1e-8)
-        assert len({s.values for s in all_node_signatures(complete(3))}) == 1
+        assert len({tuple(row) for row in all_node_signatures(complete(3)).tolist()}) == 1
 
 
 THIRD = grid(Fraction(1, 3))
@@ -198,52 +213,68 @@ class TestNodeSignatures:
 
     def test_lengths_and_sorted(self):
         for g in (path(3), cycle(4), star(3)):
-            for sig in all_node_signatures(g):
-                assert len(sig.values) == g.n * (g.n - 1)
-                assert list(sig.values) == sorted(sig.values)
+            rows = all_node_signatures(g)
+            assert rows.shape == (g.n, g.n * (g.n - 1))
+            for row in rows.tolist():
+                assert row == sorted(row)
 
     def test_negation_symmetric(self):
-        for sig in all_node_signatures(cycle(5)):
-            assert sorted(-x for x in sig.values) == list(sig.values)
+        for row in all_node_signatures(cycle(5)).tolist():
+            assert sorted(-x for x in row) == row
 
     def test_k3_all_identical(self):
-        sigs = all_node_signatures(complete(3))
-        assert sigs[0].values == sigs[1].values == sigs[2].values
+        rows = all_node_signatures(complete(3)).tolist()
+        assert rows[0] == rows[1] == rows[2]
 
     def test_p3_frozen(self):
-        # From the exact solves of all three pairs of the path 1-2-3.
-        sigs = {s.node: s.values for s in all_node_signatures(path(3))}
-        assert sigs[2] == (-THIRD, -THIRD, 0, 0, THIRD, THIRD)
-        expected_end = (-ONE, -TWO_THIRDS, -THIRD, THIRD, TWO_THIRDS, ONE)
-        assert sigs[1] == expected_end
-        assert sigs[3] == expected_end
+        # From the exact solves of all three pairs of the path 1-2-3; row
+        # x - 1 is node x.
+        rows = all_node_signatures(path(3)).tolist()
+        assert rows[1] == [-THIRD, -THIRD, 0, 0, THIRD, THIRD]
+        expected_end = [-ONE, -TWO_THIRDS, -THIRD, THIRD, TWO_THIRDS, ONE]
+        assert rows[0] == expected_end
+        assert rows[2] == expected_end
 
     def test_star_two_classes(self):
-        sigs = all_node_signatures(star(3))
-        center, leaves = sigs[0].values, {s.values for s in sigs[1:]}
+        rows = all_node_signatures(star(3)).tolist()
+        center, leaves = tuple(rows[0]), {tuple(row) for row in rows[1:]}
         assert len(leaves) == 1
         assert center not in leaves
+
+    @pytest.mark.parametrize("signatures_of", [all_node_signatures, all_edge_signatures])
+    def test_read_only_int64_matrix(self, signatures_of):
+        g = Graph(4, [(1, 2, 1.0), (2, 3, 2.0), (3, 4, 0.5), (4, 1, 1.0), (1, 3, 3.0)])
+        rows = signatures_of(g)
+        count = g.n if signatures_of is all_node_signatures else g.m
+        assert isinstance(rows, np.ndarray)
+        assert rows.dtype == np.int64
+        assert rows.shape == (count, g.n * (g.n - 1))
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+
+    def test_too_few_nodes(self):
+        with pytest.raises(GraphError):
+            all_node_signatures(Graph(1, []))
 
 
 class TestEdgeSignatures:
     def test_p2_single_edge(self):
-        (sig,) = all_edge_signatures(path(2))
-        assert sig.values == (-ONE, ONE)
+        rows = all_edge_signatures(path(2))
+        assert rows.tolist() == [[-ONE, ONE]]
 
     def test_k3_edge_transitive(self):
-        sigs = all_edge_signatures(complete(3))
-        assert len({s.values for s in sigs}) == 1
+        rows = all_edge_signatures(complete(3))
+        assert len({tuple(row) for row in rows.tolist()}) == 1
 
     def test_p3_edges_share_signature(self):
-        sigs = all_edge_signatures(path(3))
-        assert sigs[0].values == sigs[1].values
+        rows = all_edge_signatures(path(3)).tolist()
+        assert rows[0] == rows[1]
 
     def test_orientation_independent(self):
         g1 = Graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
         g2 = Graph(3, [(2, 1, 1.0), (3, 2, 1.0)])
-        assert [s.values for s in all_edge_signatures(g1)] == [
-            s.values for s in all_edge_signatures(g2)
-        ]
+        assert all_edge_signatures(g1).tolist() == all_edge_signatures(g2).tolist()
 
 
 class TestOrbitPartition:
@@ -305,6 +336,11 @@ class TestFingerprint:
         assert fp == other and hash(fp) == hash(other)
         assert len({fp, other}) == 1
         assert len({fp, fingerprint(path(6))}) == 2
+
+    def test_not_equal_to_other_types(self):
+        fp = fingerprint(path(3))
+        assert not fp == "x"
+        assert fp != "x"
 
     def test_parts_are_read_only_int64(self):
         fp = fingerprint(cycle(5))
@@ -372,8 +408,8 @@ class TestHalfRows:
                     # float noise cannot move any value to another grid unit.
                     assert all(abs(u - (math.floor(u) + Fraction(1, 2))) > Fraction(1, 10**6)
                                for u in units)
-                node_rows = [list(s.values) for s in all_node_signatures(g)]
-                edge_rows = [list(s.values) for s in all_edge_signatures(g)]
+                node_rows = all_node_signatures(g).tolist()
+                edge_rows = all_edge_signatures(g).tolist()
                 assert node_rows == [sorted(map(round, units)) for units in volts]
                 assert edge_rows == [sorted(map(round, units)) for units in amps]
 
@@ -383,8 +419,7 @@ class TestHalfRows:
             n = rng.randint(8, 40)
             tree = oracle.random_connected_graph(n, rng, extra_edge_prob=1.5 / n)
             g = Graph(n, [(u, v, rng.choice((1.0, 2.0))) for u, v, _ in tree.edges])
-            for sigs in (all_node_signatures(g), all_edge_signatures(g)):
-                full = np.array([s.values for s in sigs])
+            for full in (all_node_signatures(g), all_edge_signatures(g)):
                 h = full[:, :n * (n - 1) // 2]
                 assert (h <= 0).all()
                 assert (full == np.concatenate([h, -h[:, ::-1]], axis=1)).all()
@@ -414,9 +449,9 @@ class TestExactResidues:
         for n in range(2, 8):
             for g in oracle.enumerate_connected_graphs(n):
                 classes = orbit_partition(g).classes
-                paper = {s.node: s.values for s in all_node_signatures(g)}
+                paper = all_node_signatures(g)
                 for cls in classes:
-                    assert len({paper[x] for x in cls}) == 1
+                    assert len({tuple(paper[x - 1].tolist()) for x in cls}) == 1
                 class_of = {x: k for k, cls in enumerate(classes) for x in cls}
                 for orbit in oracle.brute_force_automorphisms(g).orbits:
                     assert len({class_of[x] for x in orbit}) == 1
@@ -508,7 +543,31 @@ class TestFindIsomorphism:
         assert find_isomorphism(path(4), star(3)) is None
 
 
+class TestVerifyMapping:
+    @pytest.mark.parametrize("g2, mapping", [
+        (path(3), {1: 1, 2: 2}),
+        (path(3), {1: 1, 2: 2, 3: 4}),
+        (complete(3), {1: 1, 2: 2, 3: 3}),
+        (path(3, 2.0), {1: 1, 2: 2, 3: 3}),
+    ], ids=["domain", "image", "edge-count", "weight"])
+    def test_rejects(self, g2, mapping):
+        assert verify_mapping(path(3), path(3), {1: 3, 2: 2, 3: 1})
+        assert not verify_mapping(path(3), g2, mapping)
+
+
 class TestIsoScreen:
+    def test_node_counts_differ(self):
+        verdict = iso_screen(path(3), path(4))
+        assert (verdict.kind, verdict.reason) == (IsoVerdict.DISTINCT, "node counts differ")
+
+    def test_unverified_mapping_is_not_certified(self, rng, monkeypatch):
+        monkeypatch.setattr(signatures, "verify_mapping", lambda g1, g2, mapping: False)
+        g = cycle(5)
+        verdict = iso_screen(g, relabel(g, random_permutation(5, rng)))
+        assert verdict.kind == IsoVerdict.POSSIBLE
+        assert verdict.reason == "mapping failed verification"
+        assert verdict.mapping is None
+
     def test_relabeled_c4(self, rng):
         g = cycle(4)
         h = relabel(g, random_permutation(4, rng))
@@ -641,6 +700,19 @@ class TestCanonicalLabeling:
         digests = set()
         for _ in range(5):
             lab = canonical_labeling(relabel(g, random_permutation(g.n, rng)), budget=400)
+            assert lab.certified
+            digests.add(lab.digest())
+        assert len(digests) == 1
+
+    def test_orbit_pruning_uses_path_stabilizer_only(self):
+        # Merging a tree node's children under automorphisms that move its
+        # path, not only those that fix it, gives these relabellings of the
+        # second Chang graph two other, different, digests.
+        g = chang_graph()
+        assert g.m == 168
+        digests = set()
+        for seed in (0, 79, 92, 94, 115):
+            lab = canonical_labeling(relabel(g, random_permutation(28, random.Random(seed))))
             assert lab.certified
             digests.add(lab.digest())
         assert len(digests) == 1
@@ -780,7 +852,7 @@ class TestLabelInvariance:
         assert (b.P[np.ix_(to_h, to_h)] == a.P).all()
         paper_g, paper_h = all_node_signatures(g), all_node_signatures(h)
         for x in range(1, g.n + 1):
-            assert paper_h[perm[x] - 1].values == paper_g[x - 1].values
+            assert paper_h[perm[x] - 1].tolist() == paper_g[x - 1].tolist()
 
     def test_digest_and_orbit_classes(self, relabelled_pair):
         g, h, perm = relabelled_pair

@@ -12,7 +12,12 @@ import scipy.sparse
 
 import kcanon
 from kcanon import oracle, solver
-from kcanon.errors import FactorizationFailedError, SameSourceSinkError
+from kcanon.errors import (
+    FactorizationFailedError,
+    NonFiniteWeightError,
+    NonPositiveWeightError,
+    SameSourceSinkError,
+)
 from kcanon.graph import Graph
 from kcanon.solver import (
     VoltageProfile,
@@ -51,6 +56,11 @@ class TestBuildSystem:
         assert np.allclose(L, L.T)
         assert np.allclose(L.sum(axis=1), 0.0)
 
+    @pytest.mark.parametrize("g, ground", [(Graph(1, []), None), (path(3), 0), (path(3), 4)])
+    def test_rejects(self, g, ground):
+        with pytest.raises(FactorizationFailedError):
+            build_system(g, ground)
+
     def test_factorization_counter(self):
         reset_factorization_count()
         build_system(path(3))
@@ -78,6 +88,11 @@ class TestSolvePair:
     def test_same_source_sink(self):
         with pytest.raises(SameSourceSinkError):
             solve_pair(build_system(path(3)), 2, 2)
+
+    @pytest.mark.parametrize("a, b", [(0, 2), (1, 4)])
+    def test_node_outside(self, a, b):
+        with pytest.raises(SameSourceSinkError):
+            solve_pair(build_system(path(3)), a, b)
 
     def test_gauge_and_residual(self):
         g = cycle(5)
@@ -167,6 +182,14 @@ class TestUniversalSink:
         assert p.v == pytest.approx([0.25, -0.25, 0.0], abs=1e-12)
         exact = solve_pair(build_system(complete(3)), 1, 2).v
         assert abs(p.v[0] - exact[0]) == pytest.approx(1 / 12, abs=1e-12)
+
+    @pytest.mark.parametrize("weight, error", [
+        (0.0, NonPositiveWeightError), (-1.0, NonPositiveWeightError),
+        (float("nan"), NonPositiveWeightError), (float("inf"), NonFiniteWeightError),
+    ])
+    def test_rejects_sink_weight(self, weight, error):
+        with pytest.raises(error):
+            solve_pair_universal_sink(complete(3), 1, 2, weight)
 
     def test_swap_negates(self):
         g = complete(3)
@@ -319,11 +342,12 @@ class TestModularInverse:
             g = random_cubic(n, rng)
         else:
             g = oracle.random_connected_graph(n, rng, extra_edge_prob=4 / n, weight_range=(0.1, 10))
-        pinv, p = solver._pinv_mod(g)
+        pinv, p, residues = solver._pinv_mod(g)
         lap = np.zeros((n, n), dtype=object)
-        for u, v, w in g.edges:
+        for (u, v, w), got in zip(g.edges, residues.tolist()):
             f = Fraction(w)
             r = f.numerator * pow(f.denominator, -1, p)
+            assert got == r % p
             lap[u - 1, v - 1] -= r
             lap[v - 1, u - 1] -= r
             lap[u - 1, u - 1] += r
