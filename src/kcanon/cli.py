@@ -38,13 +38,8 @@ def _f(x: float) -> str:
 
 
 def _fail(exc: Exception, code: int):
-    name = type(exc).__name__
-    if name.endswith("Error"):
-        name = name[: -len("Error")]
-    click.echo(
-        json.dumps({"error": name, "message": str(exc)}, separators=(",", ":")),
-        err=True,
-    )
+    name = type(exc).__name__.removesuffix("Error")
+    click.echo(json.dumps({"error": name, "message": str(exc)}, separators=(",", ":")), err=True)
     sys.exit(code)
 
 
@@ -68,6 +63,7 @@ def _emit(doc: dict, fmt: str, text_lines):
             click.echo(line)
 
 
+graph_path = click.Path(exists=True, dir_okay=False)
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "text"]), default="text"
 )
@@ -83,7 +79,7 @@ def main():
 
 
 @main.command()
-@click.argument("graph_file", type=click.Path(exists=True))
+@click.argument("graph_file", type=graph_path)
 @click.argument("a", type=int)
 @click.argument("b", type=int)
 @click.option(
@@ -142,13 +138,13 @@ def voltages(graph_file, a, b, method, sink_weight, fmt):
 
 
 @main.command()
-@click.argument("graph_file", type=click.Path(exists=True))
+@click.argument("graph_file", type=graph_path)
 @click.option("--verify", is_flag=True, help="cross-check against the brute-force oracle (n <= 10)")
 @format_option
 def orbits(graph_file, verify, fmt):
     """Group nodes into orbit-candidate classes by voltage signature."""
     g = load_graph(graph_file)
-    analysis = sig_mod._Analysis(g)
+    analysis = g._analysis
     classes = []
     for nodes in analysis.classes:
         payload = json.dumps(analysis.node_rows[nodes[0] - 1].tolist()).encode()
@@ -179,8 +175,8 @@ def orbits(graph_file, verify, fmt):
 
 
 @main.command()
-@click.argument("file1", type=click.Path(exists=True))
-@click.argument("file2", type=click.Path(exists=True))
+@click.argument("file1", type=graph_path)
+@click.argument("file2", type=graph_path)
 @budget_option
 @format_option
 def iso(file1, file2, budget, fmt):
@@ -206,7 +202,7 @@ def iso(file1, file2, budget, fmt):
 
 
 @main.command()
-@click.argument("graph_file", type=click.Path(exists=True))
+@click.argument("graph_file", type=graph_path)
 @format_option
 def fingerprint(graph_file, fmt):
     """Emit the canonical fingerprint serialization and its hash."""
@@ -218,7 +214,7 @@ def fingerprint(graph_file, fmt):
 
 
 @main.command()
-@click.argument("graph_file", type=click.Path(exists=True))
+@click.argument("graph_file", type=graph_path)
 @budget_option
 @format_option
 def canon(graph_file, budget, fmt):
@@ -246,7 +242,7 @@ def oracle():
 
 
 @oracle.command("solve")
-@click.argument("graph_file", type=click.Path(exists=True))
+@click.argument("graph_file", type=graph_path)
 @click.argument("a", type=int)
 @click.argument("b", type=int)
 @format_option
@@ -265,7 +261,7 @@ def oracle_solve(graph_file, a, b, fmt):
 
 
 @oracle.command("autos")
-@click.argument("graph_file", type=click.Path(exists=True))
+@click.argument("graph_file", type=graph_path)
 @format_option
 def oracle_autos(graph_file, fmt):
     """Exhaustive automorphism group order and orbits."""
@@ -283,8 +279,8 @@ def oracle_autos(graph_file, fmt):
 
 
 @oracle.command("iso")
-@click.argument("file1", type=click.Path(exists=True))
-@click.argument("file2", type=click.Path(exists=True))
+@click.argument("file1", type=graph_path)
+@click.argument("file2", type=graph_path)
 @format_option
 def oracle_iso(file1, file2, fmt):
     """Exhaustive isomorphism check; exit 0 isomorphic / 1 proven distinct."""

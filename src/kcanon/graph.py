@@ -30,7 +30,8 @@ from .errors import (
 class Graph:
     """Undirected connected weighted graph. Immutable and safe to share.
 
-    The cached views arrays and adj are shared: read-only by convention.
+    The cached views arrays, adj and _analysis (the signature analysis, built
+    at most once) are shared: read-only by convention.
     """
 
     n: int
@@ -90,6 +91,11 @@ class Graph:
         for u, v, w in self.edges:
             adj[u - 1][v - 1] = adj[v - 1][u - 1] = w
         return adj
+
+    @cached_property
+    def _analysis(self):
+        from .signatures import _Analysis  # signatures imports graph
+        return _Analysis(self)
 
     def weight(self, u: int, v: int) -> float | None:
         """Weight of edge {u,v}, or None if absent or an id is outside 1..n."""
@@ -200,8 +206,15 @@ def parse_graph(text: str) -> Graph:
 
 
 def load_graph(path: str) -> Graph:
-    with open(path) as fh:
-        return parse_graph(fh.read())
+    """Read a graph file as UTF-8; a byte that is not UTF-8 is a MalformedLineError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedLineError(line_no, f"byte {data[exc.start]:#04x} is not UTF-8")
+    return parse_graph(text)
 
 
 def to_edge_list(graph: Graph) -> str:
@@ -218,8 +231,7 @@ def to_json(graph: Graph) -> str:
 
 def relabel(graph: Graph, perm: dict[int, int]) -> Graph:
     """Apply a node relabeling; perm maps old id -> new id, a bijection on 1..N."""
-    if sorted(perm) != list(range(1, graph.n + 1)) or sorted(
-        perm.values()
-    ) != list(range(1, graph.n + 1)):
+    ids = list(range(1, graph.n + 1))
+    if sorted(perm) != ids or sorted(perm.values()) != ids:
         raise GraphError("perm must be a bijection on 1..N")
     return Graph(graph.n, [(perm[u], perm[v], w) for u, v, w in graph.edges])

@@ -11,8 +11,9 @@ decides isomorphism.
 Every voltage is a difference of two entries of one row of the Laplacian
 pseudoinverse: v_ab[x] = L+[x,a] - L+[x,b].  Every float weight is a dyadic
 rational, so L+ is exact rational, and the analysis computes it exactly
-modulo a prime p (solver._pinv_mod), once per graph, with no tolerance.  The
-signatures it reads are compact rows of those residues:
+modulo a prime p (solver._pinv_mod), with no tolerance, at most once per
+graph: every call here reads the cached Graph._analysis.  The signatures it
+reads are compact rows of those residues:
 
 * node x: [L+[x,x], sorted L+[x,:]], N + 1 values;
 * edge (u,v) of weight w: the lexicographically smaller of sorted(D) and
@@ -214,18 +215,17 @@ class Fingerprint:
 
 
 class _Analysis:
-    """L+ of one graph modulo a prime, and the signature rows read from it.
+    """L+ of one graph modulo a prime, and the node signature rows read from it.
 
-    P[x - 1] is the residue row of L+ for node x, and r[k] the weight of
-    graph.edges[k] mod p.  Edge rows are rebuilt on each request rather than
-    kept, so a caller holding several analyses holds only the edge rows it is
-    using.
+    Built once per graph, as the cached view Graph._analysis; it keeps no
+    reference to the graph, so the cache makes no reference cycle.  P[x - 1]
+    is the residue row of L+ for node x, and r[k] the weight of
+    graph.edges[k] mod p.
     """
 
     def __init__(self, graph: Graph):
         if graph.n < 2:
             raise GraphError("need at least 2 nodes and 1 edge")
-        self.graph = graph
         self.P, self.p, self.r = _pinv_mod(graph)
         self.node_rows = np.concatenate([self.P.diagonal()[:, None], np.sort(self.P, axis=1)],
                                         axis=1)
@@ -235,22 +235,6 @@ class _Analysis:
         self.start = (np.cumsum(new) - 1)[np.argsort(self.node_order)].tolist()
         ids, bounds = (self.node_order + 1).tolist(), np.flatnonzero(new).tolist() + [graph.n]
         self.classes = [ids[i:j] for i, j in zip(bounds, bounds[1:])]
-
-    def edge_rows(self) -> np.ndarray:
-        """One row per stored edge, in graph.edges order; orientation-free."""
-        u, v, _ = self.graph.arrays
-        d = self.r[:, None] * (self.P[u] - self.P[v]) % self.p
-        rows, negated = np.sort(d, axis=1), np.sort(-d % self.p, axis=1)
-        first = (rows != negated).argmax(axis=1)
-        pick = np.arange(len(rows))
-        smaller = negated[pick, first] < rows[pick, first]
-        rows[smaller] = negated[smaller]
-        return rows
-
-    def fingerprint(self) -> Fingerprint:
-        g, edges = self.graph, self.edge_rows()
-        return Fingerprint(g.n, g.m, self.p, self.node_rows[self.node_order],
-                           edges[_lex_sort(edges)[0]])
 
 
 def _paper_rows(graph: Graph, tol: float, values_of) -> np.ndarray:
@@ -288,15 +272,23 @@ def all_edge_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def orbit_partition(graph: Graph) -> OrbitPartition:
     """Group nodes by identical signature; classes ordered by signature."""
-    return OrbitPartition(tuple(map(tuple, _Analysis(graph).classes)))
+    return OrbitPartition(tuple(map(tuple, graph._analysis.classes)))
 
 
 def fingerprint(graph: Graph) -> Fingerprint:
     """Canonical summary; permuting node labels leaves it byte-identical.
 
-    One modular pseudoinverse feeds both parts.
+    The graph's one analysis feeds both parts.  Edge rows, one per stored
+    edge and orientation-free, are rebuilt on each call rather than kept.
     """
-    return _Analysis(graph).fingerprint()
+    a, (u, v, _) = graph._analysis, graph.arrays
+    d = a.r[:, None] * (a.P[u] - a.P[v]) % a.p
+    rows, negated = np.sort(d, axis=1), np.sort(-d % a.p, axis=1)
+    first = (rows != negated).argmax(axis=1)
+    pick = np.arange(len(rows))
+    smaller = negated[pick, first] < rows[pick, first]
+    rows[smaller] = negated[smaller]
+    return Fingerprint(graph.n, graph.m, a.p, a.node_rows[a.node_order], rows[_lex_sort(rows)[0]])
 
 
 @dataclass(frozen=True)
@@ -365,10 +357,9 @@ def iso_screen(
         return IsoVerdict(IsoVerdict.DISTINCT, reason="node counts differ")
     if g1.m != g2.m:
         return IsoVerdict(IsoVerdict.DISTINCT, reason="edge counts differ")
-    a1, a2 = _Analysis(g1), _Analysis(g2)
-    if a1.fingerprint() != a2.fingerprint():
+    if fingerprint(g1) != fingerprint(g2):
         return IsoVerdict(IsoVerdict.DISTINCT, reason="fingerprints differ")
-    c1, c2 = _canonical(a1, node_budget), _canonical(a2, node_budget)
+    c1, c2 = (canonical_labeling(g, budget=node_budget) for g in (g1, g2))
     if not (c1.certified and c2.certified):
         return IsoVerdict(IsoVerdict.POSSIBLE, reason="search budget exhausted")
     if c1.form != c2.form:
@@ -426,7 +417,7 @@ def canonical_labeling(
     with the least form wins.  Automorphisms found on the way prune
     equivalent branches.  A finished search makes the form label invariant.
     """
-    return _canonical(_Analysis(graph), budget)
+    return _canonical(graph.adj, graph._analysis.start, budget)
 
 
 def _find(rep: list[int], x: int) -> int:
@@ -436,7 +427,7 @@ def _find(rep: list[int], x: int) -> int:
     return x
 
 
-def _canonical(analysis: _Analysis, budget: int) -> CanonicalLabeling:
+def _canonical(adj, start: list[int], budget: int) -> CanonicalLabeling:
     """Depth-first IR search for the leaf with the least form.
 
     A child individualizes one node v of its parent's first smallest
@@ -451,10 +442,10 @@ def _canonical(analysis: _Analysis, budget: int) -> CanonicalLabeling:
     children in one orbit of the automorphisms found so far that fix the
     node's prefix are equivalent: one per orbit is explored.  Each tree node
     keeps those orbits in one union-find and adds each automorphism once, as
-    it arrives.  The root refines analysis.start, the colouring by signature
-    class.  Node indices are id - 1.
+    it arrives.  The root refines start, the colouring by signature class of
+    the graph whose Graph.adj is adj.  Node indices are id - 1.
     """
-    adj, n = analysis.graph.adj, analysis.graph.n
+    n = len(adj)
     # _refine's hot loop iterates tuples faster than dict views.
     nbrs = [tuple(a.items()) for a in adj]
     autos: list[list[int]] = []
@@ -509,6 +500,6 @@ def _canonical(analysis: _Analysis, budget: int) -> CanonicalLabeling:
             done.append(v)
         return len(path) - 1
 
-    search(_refine(nbrs, analysis.start), [])
+    search(_refine(nbrs, start), [])
     form, order, _ = best
     return CanonicalLabeling(tuple(x + 1 for x in order), form, not exhausted, expansions)

@@ -349,6 +349,25 @@ class TestErrorBoundary:
         validate(err, schema("error"))
         assert err["error"] == "TooLarge"
 
+    @pytest.mark.parametrize("command", [
+        ["voltages", "FILE", "1", "2"], ["orbits", "FILE"], ["iso", "FILE", "FILE"],
+        ["fingerprint", "FILE"], ["canon", "FILE"], ["oracle", "solve", "FILE", "1", "2"],
+        ["oracle", "autos", "FILE"], ["oracle", "iso", "FILE", "FILE"],
+    ])
+    def test_unreadable_graph_file_exit_2(self, runner, tmp_path, command):
+        undecodable = tmp_path / "g.txt"
+        undecodable.write_bytes(b"1 2\n2 3\xff\n")
+        result = runner.invoke(main, [str(undecodable) if arg == "FILE" else arg for arg in command])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == "MalformedLine" and err["message"].startswith("line 2:")
+        result = runner.invoke(main, [str(tmp_path) if arg == "FILE" else arg for arg in command])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "is a directory" in result.stderr
+
     def test_oracle_solve_same_source_sink_exit_2(self, runner, write):
         result = runner.invoke(main, ["oracle", "solve", write(path(3)), "2", "2"])
         assert result.exit_code == 2

@@ -16,6 +16,7 @@ from kcanon.graph import (
     Graph,
     adjacency,
     is_connected,
+    load_graph,
     parse_edge_list,
     parse_graph,
     parse_json,
@@ -114,6 +115,23 @@ class TestJsonFormat:
 
     def test_sniffing(self):
         assert parse_graph('{"n":2,"edges":[[1,2,1.0]]}') == parse_graph("1 2")
+
+
+class TestLoadGraph:
+    def test_reads_non_ascii_utf8(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_bytes("# r\u00e9seau \u03a9\n1 2 0.5\n".encode("utf-8"))
+        assert load_graph(str(f)) == Graph(2, [(1, 2, 0.5)])
+
+    @pytest.mark.parametrize("data, line_no", [
+        (b"\xff", 1), (b"1 2\n2 3 0.5\n3 \xff4\n", 3), (b"1 2\r\n# \xc3\n", 2),
+    ])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, data, line_no):
+        f = tmp_path / "g.txt"
+        f.write_bytes(data)
+        with pytest.raises(MalformedLineError) as exc:
+            load_graph(str(f))
+        assert exc.value.line_no == line_no
 
 
 class TestAdjacency:

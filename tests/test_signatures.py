@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -5,6 +6,7 @@ import math
 import random
 import re
 import struct
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,6 @@ from kcanon.errors import (
 )
 from kcanon.graph import Graph, relabel
 from kcanon.signatures import (
-    DEFAULT_BUDGET,
     Fingerprint,
     all_edge_signatures,
     all_node_signatures,
@@ -32,7 +33,6 @@ from kcanon.signatures import (
     orbit_partition,
     verify_mapping,
     IsoVerdict,
-    _Analysis,
     _canonical,
     _grid,
     _lex_sort,
@@ -435,8 +435,7 @@ class TestExactResidues:
     def test_pinv_matches_exact_solves(self):
         for n in range(2, 6):
             for g in oracle.enumerate_connected_graphs(n):
-                analysis = _Analysis(g)
-                P, p = analysis.P, analysis.p
+                P, p = g._analysis.P, g._analysis.p
                 for a in range(1, n + 1):
                     for b in range(1, n + 1):
                         if a == b:
@@ -470,8 +469,8 @@ class TestExactResidues:
         assert fp.node_part.tolist() == nodes and fp.edge_part.tolist() == edges
         assert fingerprint(relabel(wheel, random_permutation(6, random.Random(1)))) == fp
         monkeypatch.setattr(solver, "_primes", lambda: (11,))
-        with pytest.raises(FactorizationFailedError):
-            fingerprint(wheel)
+        with pytest.raises(FactorizationFailedError):  # a fresh graph: no cached analysis
+            fingerprint(Graph(wheel.n, wheel.edges))
 
 
 # Graph seeds per n for which float signatures snapped to a grid gave some of
@@ -536,7 +535,7 @@ class TestFindIsomorphism:
             find_isomorphism(cycle(6), cycle(6), node_budget=1)
 
     def test_fingerprint_mismatch_rejects_before_search(self, monkeypatch):
-        def refuse(analysis, budget):
+        def refuse(*args):
             raise AssertionError("searched a pair with differing fingerprints")
 
         monkeypatch.setattr(signatures, "_canonical", refuse)
@@ -686,9 +685,7 @@ class TestCanonicalLabeling:
         forms = set()
         for seed in range(10):
             h = relabel(g, random_permutation(g.n, random.Random(seed)))
-            analysis = _Analysis(h)
-            analysis.start = [0] * g.n  # no help from signatures
-            lab = _canonical(analysis, 10**6)
+            lab = _canonical(h.adj, [0] * g.n, 10**6)  # no help from signatures
             assert lab.certified
             forms.add(lab.form)
         assert len(forms) == 1
@@ -846,7 +843,7 @@ class TestLabelInvariance:
 
     def test_float_voltage_rows_bit_equal(self, relabelled_pair):
         g, h, perm = relabelled_pair
-        a, b = _Analysis(g), _Analysis(h)
+        a, b = g._analysis, h._analysis
         assert a.p == b.p
         to_h = np.array([perm[x] - 1 for x in range(1, g.n + 1)])
         assert (b.P[np.ix_(to_h, to_h)] == a.P).all()
@@ -887,6 +884,39 @@ class TestFactorizations:
         assert iso_screen(g, h).kind == IsoVerdict.ISOMORPHIC
         assert factorization_count() == 2
 
+    def test_orbit_partition_then_canonical_labeling(self):
+        g = weighted_graph(20, 0)
+        reset_factorization_count()
+        orbit_partition(g)
+        canonical_labeling(g)
+        assert factorization_count() == 1
+
+    def test_fingerprint_then_canonical_labeling(self):
+        g = weighted_graph(20, 0)
+        reset_factorization_count()
+        fingerprint(g)
+        canonical_labeling(g)
+        assert factorization_count() == 1
+
+    def test_iso_screen_of_a_graph_with_itself(self):
+        g = weighted_graph(20, 0)
+        reset_factorization_count()
+        assert iso_screen(g, g).kind == IsoVerdict.ISOMORPHIC
+        assert factorization_count() == 1
+
+    def test_cached_analysis_dies_with_its_graph(self):
+        # No reference cycle: reference counting alone frees the n x n L+.
+        gc.disable()
+        try:
+            g = weighted_graph(20, 0)
+            fingerprint(g)
+            canonical_labeling(g)
+            analysis = weakref.ref(g._analysis)
+            del g
+            assert analysis() is None
+        finally:
+            gc.enable()
+
 
 class TestScale:
     """Fingerprint and canonical search at n = 1000, from one analysis per copy."""
@@ -897,9 +927,10 @@ class TestScale:
         rng = random.Random(g.m)
         digests = set()
         for copy in range(3):
-            h = g if copy == 0 else shuffled_copy(g, rng)[0]
-            analysis = _Analysis(h)
-            lab = _canonical(analysis, DEFAULT_BUDGET)
+            h = Graph(g.n, g.edges) if copy == 0 else shuffled_copy(g, rng)[0]
+            reset_factorization_count()
+            lab = canonical_labeling(h)
             assert lab.certified
-            digests.add((analysis.fingerprint().digest(), lab.digest()))
+            digests.add((fingerprint(h).digest(), lab.digest()))
+            assert factorization_count() == 1
         assert len(digests) == 1
