@@ -5,8 +5,11 @@ to b.  Each node collects its voltage across all N(N-1) ordered pairs; each
 edge collects its current.  Sorted, these vectors are label independent, so
 equal vectors group nodes into orbit candidates, the multiset of all vectors
 fingerprints the whole graph, and the signature classes seed the
-individualization-refinement search behind canonical labeling, which in turn
-decides isomorphism.
+individualization-refinement search behind canonical labeling.
+
+iso_screen decides in three stages, cheapest first: exact weighted colour
+refinement from one cell (no factorization; a discrete refinement gives the
+only candidate mapping), then fingerprints, then canonical forms.
 
 Every voltage is a difference of two entries of one row of the Laplacian
 pseudoinverse: v_ab[x] = L+[x,a] - L+[x,b].  Every float weight is a dyadic
@@ -138,6 +141,16 @@ def _refine(nbrs, colour: list[int], splitters: list[int] | None = None) -> list
     return cell
 
 
+def _uniform_refine(graph: Graph) -> list[int]:
+    """_refine of graph from the single-cell colouring; commutes with relabelling.
+
+    Raises GraphError below 2 nodes, where no signature exists.
+    """
+    if graph.n < 2:
+        raise GraphError("need at least 2 nodes and 1 edge")
+    return _refine([a.items() for a in graph.adj], [0] * graph.n)
+
+
 def _lex_sort(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable lexicographic row order, and which sorted rows differ from the last.
 
@@ -248,9 +261,7 @@ def _paper_rows(graph: Graph, tol: float, values_of) -> np.ndarray:
     """
     if not 0 < tol < float("inf"):
         raise InvalidToleranceError(f"tol must be finite and above 0, got {tol}")
-    if graph.n < 2:
-        raise GraphError("need at least 2 nodes and 1 edge")
-    solve = np.argsort(_refine([a.items() for a in graph.adj], [0] * graph.n), kind="stable")
+    solve = np.argsort(_uniform_refine(graph), kind="stable")
     ordered = relabel(graph, dict(zip((solve + 1).tolist(), range(1, graph.n + 1))))
     _, V = solve_all_pairs(build_system(ordered))
     k = _grid(values_of(V[np.argsort(solve)]), tol)
@@ -297,7 +308,11 @@ class IsoVerdict:
 
     kind is one of "distinct-certified", "possibly-isomorphic", or
     "isomorphic-certified"; a certified isomorphism always carries a mapping
-    that has passed independent edge-and-weight verification.
+    that has passed independent edge-and-weight verification.  reason names
+    the stage that decided: "node counts differ", "edge counts differ",
+    "colour refinement differs", "fingerprints differ", "canonical forms
+    differ", "search budget exhausted", "mapping failed verification" or
+    "verified mapping".
     """
 
     kind: str
@@ -331,8 +346,10 @@ def find_isomorphism(
 ) -> dict[int, int] | None:
     """The verified mapping of iso_screen, or None when it proves the pair distinct.
 
-    One decision path: a fingerprint mismatch rejects before any search, and
-    a mapping is returned only after verify_mapping has passed.  Raises
+    One decision path: differing colour refinements reject before any
+    factorization, a discrete refinement gives the mapping without one, a
+    fingerprint mismatch rejects before any search, and a mapping is
+    returned only after verify_mapping has passed.  Raises
     BudgetExhaustedError, carrying the verdict's reason, when the screen
     leaves the pair possibly isomorphic.
     """
@@ -348,26 +365,47 @@ def iso_screen(
     *,
     node_budget: int = DEFAULT_BUDGET,
 ) -> IsoVerdict:
-    """Fingerprint screen, then canonical forms; never certifies without proof.
+    """Refinement, fingerprint, then canonical-form screen; never certifies without proof.
 
-    Certified canonical forms that differ prove non-isomorphism; equal forms
+    After the node and edge counts, each graph is refined from one cell by
+    exact weighted colour refinement (_refine), which commutes with
+    relabelling and costs no factorization.  Differing refinement invariants
+    (sorted colours, sorted (colour, colour, weight) edge triples) prove the
+    pair distinct.  When g1's colouring is discrete, an isomorphism must match
+    colours, so that mapping is the only candidate, and it is certified only
+    after verify_mapping.  Otherwise differing fingerprints prove the pair
+    distinct, certified canonical forms that differ do too, and equal forms
     give a mapping that must pass verify_mapping.
     """
     if g1.n != g2.n:
         return IsoVerdict(IsoVerdict.DISTINCT, reason="node counts differ")
     if g1.m != g2.m:
         return IsoVerdict(IsoVerdict.DISTINCT, reason="edge counts differ")
-    if fingerprint(g1) != fingerprint(g2):
-        return IsoVerdict(IsoVerdict.DISTINCT, reason="fingerprints differ")
-    c1, c2 = (canonical_labeling(g, budget=node_budget) for g in (g1, g2))
-    if not (c1.certified and c2.certified):
-        return IsoVerdict(IsoVerdict.POSSIBLE, reason="search budget exhausted")
-    if c1.form != c2.form:
-        return IsoVerdict(IsoVerdict.DISTINCT, reason="canonical forms differ")
-    mapping = dict(zip(c1.order, c2.order))
+    k1, k2 = _uniform_refine(g1), _uniform_refine(g2)
+    if _refinement_invariant(g1, k1) != _refinement_invariant(g2, k2):
+        return IsoVerdict(IsoVerdict.DISTINCT, reason="colour refinement differs")
+    if len(set(k1)) == g1.n:
+        orders = [sorted(range(1, g1.n + 1), key=lambda x: k[x - 1]) for k in (k1, k2)]
+    else:
+        if fingerprint(g1) != fingerprint(g2):
+            return IsoVerdict(IsoVerdict.DISTINCT, reason="fingerprints differ")
+        c1, c2 = (canonical_labeling(g, budget=node_budget) for g in (g1, g2))
+        if not (c1.certified and c2.certified):
+            return IsoVerdict(IsoVerdict.POSSIBLE, reason="search budget exhausted")
+        if c1.form != c2.form:
+            return IsoVerdict(IsoVerdict.DISTINCT, reason="canonical forms differ")
+        orders = [c1.order, c2.order]
+    mapping = dict(zip(*orders))
     if not verify_mapping(g1, g2, mapping):
         return IsoVerdict(IsoVerdict.POSSIBLE, reason="mapping failed verification")
     return IsoVerdict(IsoVerdict.ISOMORPHIC, mapping=mapping, reason="verified mapping")
+
+
+def _refinement_invariant(graph: Graph, colour: list[int]) -> tuple[list, list]:
+    """Sorted colours and sorted (min colour, max colour, weight) edge triples."""
+    edges = sorted((min(colour[u - 1], colour[v - 1]), max(colour[u - 1], colour[v - 1]), w)
+                   for u, v, w in graph.edges)
+    return sorted(colour), edges
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,32 @@ def complete(n, w=1.0):
 def star(leaves):
     """K_{1,leaves}: node 1 is the center."""
     return Graph(leaves + 1, [(1, k, 1.0) for k in range(2, leaves + 2)])
+
+
+def unit_graph(n, pairs):
+    """Unweighted graph on nodes 1..n from 0-based node pairs, duplicates merged."""
+    edges = {(min(u, v) + 1, max(u, v) + 1) for u, v in pairs}
+    return Graph(n, [(u, v, 1.0) for u, v in sorted(edges)])
+
+
+def prism(k):
+    return unit_graph(2 * k, [(x + s, (x + 1) % k + s) for x in range(k) for s in (0, k)]
+                      + [(x, x + k) for x in range(k)])
+
+
+def complete_bipartite(k):
+    return unit_graph(2 * k, [(i, k + j) for i in range(k) for j in range(k)])
+
+
+def cayley_z4z4(steps):
+    """Cayley graph of Z4 x Z4 whose connection set is steps and their negations."""
+    return unit_graph(16, [(4 * a + b, 4 * ((a + s) % 4) + (b + t) % 4)
+                           for a in range(4) for b in range(4) for s, t in steps])
+
+
+# Both strongly regular with parameters (16, 6, 2, 2), and not isomorphic.
+SHRIKHANDE = cayley_z4z4([(0, 1), (1, 0), (1, 1)])
+ROOK_4X4 = cayley_z4z4([(0, 1), (0, 2), (1, 0), (2, 0)])
 
 
 def random_cubic(n, rng):
@@ -45,6 +72,27 @@ def shuffled_copy(g, rng):
              for u, v, w in g.edges]
     rng.shuffle(edges)
     return Graph(g.n, edges), perm
+
+
+def double_edge_swap(g, rng):
+    """g with edges a-b, c-d replaced by a-d, c-b, degrees and weights kept.
+
+    None when no such swap leaves a simple connected graph.
+    """
+    edges = list(g.edges)
+    present = {(min(u, v), max(u, v)) for u, v, _ in edges}
+    pairs = list(itertools.combinations(range(len(edges)), 2))
+    rng.shuffle(pairs)
+    for i, j in pairs:
+        (a, b, w1), (c, d, w2) = edges[i], edges[j]
+        for a, b in ((a, b), (b, a)):
+            if len({a, b, c, d}) < 4 or {(min(a, d), max(a, d)), (min(c, b), max(c, b))} & present:
+                continue
+            out = edges.copy()
+            out[i], out[j] = (a, d, w1), (c, b, w2)
+            if is_connected(g.n, out):
+                return Graph(g.n, out)
+    return None
 
 
 @pytest.fixture

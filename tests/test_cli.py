@@ -6,12 +6,24 @@ import pytest
 from click.testing import CliRunner
 from jsonschema import validate
 
-from kcanon import oracle, solver
+from kcanon import oracle, signatures, solver
 from kcanon.cli import main
-from kcanon.graph import relabel, to_edge_list, to_json
+from kcanon.graph import Graph, relabel, to_edge_list, to_json
 from kcanon.signatures import Fingerprint, fingerprint
 
-from conftest import complete, cycle, path, random_cubic, random_permutation, shuffled_copy, star
+from conftest import (
+    ROOK_4X4,
+    SHRIKHANDE,
+    complete,
+    complete_bipartite,
+    cycle,
+    path,
+    prism,
+    random_cubic,
+    random_permutation,
+    shuffled_copy,
+    star,
+)
 
 
 def schema(name):
@@ -182,6 +194,32 @@ class TestIso:
         result, doc = run_json(runner, ["iso", write(g), write(h), "--budget", "1"])
         assert result.exit_code == 5
         assert doc["verdict"] == "possibly-isomorphic"
+
+
+    def test_every_reason_validates_against_the_schema(self, runner, write, rng, monkeypatch):
+        def weighted(n):
+            return Graph(n, [(k, k + 1, float(k)) for k in range(1, n)] + [(n, 1, 0.5)])
+
+        cases = [
+            ([path(3), path(4)], []),
+            ([cycle(4), path(4)], []),
+            ([path(4), star(3)], []),
+            ([complete_bipartite(3), prism(3)], []),
+            ([SHRIKHANDE, ROOK_4X4], []),
+            ([cycle(6), relabel(cycle(6), random_permutation(6, rng))], ["--budget", "1"]),
+            ([weighted(5), relabel(weighted(5), random_permutation(5, rng))], []),
+        ]
+        reasons = set()
+        for graphs, extra in cases:
+            _, doc = run_json(runner, ["iso", *map(write, graphs), *extra])
+            validate(doc, schema("iso"))
+            reasons.add(doc["reason"])
+        monkeypatch.setattr(signatures, "verify_mapping", lambda g1, g2, mapping: False)
+        result, doc = run_json(runner, ["iso", write(weighted(5)), write(weighted(5))])
+        assert result.exit_code == 5
+        validate(doc, schema("iso"))
+        reasons.add(doc["reason"])
+        assert reasons == set(schema("iso")["properties"]["reason"]["enum"])
 
 
 class TestFingerprint:

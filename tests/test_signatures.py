@@ -37,10 +37,26 @@ from kcanon.signatures import (
     _grid,
     _lex_sort,
     _refine,
+    _refinement_invariant,
+    _uniform_refine,
 )
 from kcanon.solver import factorization_count, reset_factorization_count
 
-from conftest import complete, cycle, path, random_cubic, random_permutation, shuffled_copy, star
+from conftest import (
+    ROOK_4X4,
+    SHRIKHANDE,
+    complete,
+    complete_bipartite,
+    cycle,
+    double_edge_swap,
+    path,
+    prism,
+    random_cubic,
+    random_permutation,
+    shuffled_copy,
+    star,
+    unit_graph,
+)
 
 
 def grid(frac, tol=1e-8):
@@ -73,10 +89,29 @@ def expected_rows(g, p):
     return nodes, sorted(edges)
 
 
-def unit_graph(n, pairs):
-    """Unweighted graph on nodes 1..n from 0-based node pairs, duplicates merged."""
-    edges = {(min(u, v) + 1, max(u, v) + 1) for u, v in pairs}
-    return Graph(n, [(u, v, 1.0) for u, v in sorted(edges)])
+def refuse_to_factorize(graph):
+    raise AssertionError("factorized a pair that colour refinement decides")
+
+
+def weighted_graph(n, seed, m=None):
+    """Connected graph on n nodes with m (default 2n) edges, 3-decimal weights in [0.5, 4]."""
+    rng = random.Random(seed)
+    pairs = {(rng.randint(1, k - 1), k) for k in range(2, n + 1)}
+    while len(pairs) < (m or 2 * n):
+        u, v = sorted(rng.sample(range(1, n + 1), 2))
+        pairs.add((u, v))
+    return Graph(n, [(u, v, round(rng.uniform(0.5, 4.0), 3)) for u, v in sorted(pairs)])
+
+
+@st.composite
+def weighted_graphs(draw, max_n=40):
+    n = draw(st.integers(2, max_n))
+    parents = [draw(st.integers(1, k - 1)) for k in range(2, n + 1)]
+    pairs = {(p, k) for p, k in zip(parents, range(2, n + 1))}
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    pairs |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    weights = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+    return Graph(n, [(u, v, draw(weights)) for u, v in sorted(pairs)])
 
 
 def circulant(n, jumps):
@@ -90,26 +125,6 @@ def hypercube(d):
 def torus(a, b):
     return unit_graph(a * b, [(b * i + j, b * ((i + di) % a) + (j + dj) % b)
                               for i in range(a) for j in range(b) for di, dj in ((0, 1), (1, 0))])
-
-
-def prism(k):
-    return unit_graph(2 * k, [(x + s, (x + 1) % k + s) for x in range(k) for s in (0, k)]
-                      + [(x, x + k) for x in range(k)])
-
-
-def complete_bipartite(k):
-    return unit_graph(2 * k, [(i, k + j) for i in range(k) for j in range(k)])
-
-
-def cayley_z4z4(steps):
-    """Cayley graph of Z4 x Z4 whose connection set is steps and their negations."""
-    return unit_graph(16, [(4 * a + b, 4 * ((a + s) % 4) + (b + t) % 4)
-                           for a in range(4) for b in range(4) for s, t in steps])
-
-
-# Both strongly regular with parameters (16, 6, 2, 2), and not isomorphic.
-SHRIKHANDE = cayley_z4z4([(0, 1), (1, 0), (1, 1)])
-ROOK_4X4 = cayley_z4z4([(0, 1), (0, 2), (1, 0), (2, 0)])
 
 
 def chang_graph():
@@ -567,12 +582,57 @@ class TestIsoScreen:
         assert verdict.reason == "mapping failed verification"
         assert verdict.mapping is None
 
+    def test_unverified_discrete_mapping_is_not_certified(self, rng, monkeypatch):
+        monkeypatch.setattr(signatures, "verify_mapping", lambda g1, g2, mapping: False)
+        g = weighted_graph(12, 0)
+        assert len(set(_uniform_refine(g))) == g.n
+        verdict = iso_screen(g, relabel(g, random_permutation(12, rng)))
+        assert verdict.kind == IsoVerdict.POSSIBLE
+        assert verdict.reason == "mapping failed verification"
+        assert verdict.mapping is None
+
     def test_relabeled_c4(self, rng):
         g = cycle(4)
         h = relabel(g, random_permutation(4, rng))
         verdict = iso_screen(g, h)
         assert verdict.kind == IsoVerdict.ISOMORPHIC
         assert verify_mapping(g, h, verdict.mapping)
+
+    def test_refinement_rejects_a_swap_without_factorizing(self, monkeypatch):
+        g = weighted_graph(20, 0)
+        h = double_edge_swap(g, random.Random(2))
+        monkeypatch.setattr(signatures, "_pinv_mod", refuse_to_factorize)
+        verdict = iso_screen(g, h)
+        assert (verdict.kind, verdict.reason) == (IsoVerdict.DISTINCT, "colour refinement differs")
+
+    def test_discrete_refinement_gives_the_mapping_without_factorizing(self, monkeypatch):
+        # A discrete refinement leaves no automorphism, so the relabelling is
+        # the only isomorphism.
+        g = weighted_graph(20, 0)
+        h, perm = shuffled_copy(g, random.Random(1))
+        monkeypatch.setattr(signatures, "_pinv_mod", refuse_to_factorize)
+        verdict = iso_screen(g, h)
+        assert (verdict.kind, verdict.reason) == (IsoVerdict.ISOMORPHIC, "verified mapping")
+        assert verdict.mapping == perm
+        assert verify_mapping(g, h, verdict.mapping)
+
+    def test_pair_refinement_cannot_split_reaches_fingerprints(self):
+        g, h = complete_bipartite(3), prism(3)
+        k, l = _uniform_refine(g), _uniform_refine(h)
+        assert len(set(k)) == 1 and _refinement_invariant(g, k) == _refinement_invariant(h, l)
+        verdict = iso_screen(g, h)
+        assert (verdict.kind, verdict.reason) == (IsoVerdict.DISTINCT, "fingerprints differ")
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_graphs(max_n=8), st.randoms(use_true_random=False))
+    def test_agrees_with_brute_force(self, g, rng):
+        others = [shuffled_copy(g, rng)[0], double_edge_swap(g, rng)]
+        for h in filter(None, others):
+            truth = oracle.brute_force_isomorphic(g, h)
+            verdict = iso_screen(g, h)
+            assert verdict.kind == (IsoVerdict.DISTINCT if truth is None else IsoVerdict.ISOMORPHIC)
+            if truth is not None:
+                assert verify_mapping(g, h, verdict.mapping)
 
     def test_c6_vs_p6_edge_count(self):
         verdict = iso_screen(cycle(6), path(6))
@@ -779,17 +839,6 @@ def check_individualized(g, colour, rng):
         check_refine(g, child, rng, [child[v]])
 
 
-@st.composite
-def weighted_graphs(draw):
-    n = draw(st.integers(2, 40))
-    parents = [draw(st.integers(1, k - 1)) for k in range(2, n + 1)]
-    pairs = {(p, k) for p, k in zip(parents, range(2, n + 1))}
-    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
-    pairs |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
-    weights = st.sampled_from([0.5, 1.0, 2.0, 3.0])
-    return Graph(n, [(u, v, draw(weights)) for u, v in sorted(pairs)])
-
-
 class TestRefine:
     """Splitter-queue refinement gives the referee's partition, keeps input
     cells as intervals in order, and commutes with relabelling."""
@@ -817,16 +866,6 @@ class TestRefine:
                   + [(k, k + 4, 5.0) for k in range(1, 5)])
         out = check_refine(g, [0] * 8, random.Random(1))
         assert cells_of(out) == {frozenset(range(4)), frozenset(range(4, 8))}
-
-
-def weighted_graph(n, seed, m=None):
-    """Connected graph on n nodes with m (default 2n) edges, 3-decimal weights in [0.5, 4]."""
-    rng = random.Random(seed)
-    pairs = {(rng.randint(1, k - 1), k) for k in range(2, n + 1)}
-    while len(pairs) < (m or 2 * n):
-        u, v = sorted(rng.sample(range(1, n + 1), 2))
-        pairs.add((u, v))
-    return Graph(n, [(u, v, round(rng.uniform(0.5, 4.0), 3)) for u, v in sorted(pairs)])
 
 
 @pytest.fixture(params=range(4), ids=lambda seed: f"seed{seed}")
@@ -865,7 +904,8 @@ class TestLabelInvariance:
 
 
 class TestFactorizations:
-    """One analysis, so one factorization, per graph."""
+    """One analysis, so one factorization, per graph; none for an iso pair
+    that colour refinement decides."""
 
     def test_fingerprint(self):
         reset_factorization_count()
@@ -877,12 +917,22 @@ class TestFactorizations:
         canonical_labeling(weighted_graph(20, 0))
         assert factorization_count() == 1
 
-    def test_iso_screen_isomorphic_pair(self):
-        g = weighted_graph(20, 0)
-        h, _ = shuffled_copy(g, random.Random(1))
+    def test_iso_screen_isomorphic_pair(self, rng):
+        # Refinement leaves a strongly regular graph one cell, so the screen
+        # reads both analyses.
+        g = relabel(SHRIKHANDE, random_permutation(16, rng))
+        h, _ = shuffled_copy(g, rng)
         reset_factorization_count()
         assert iso_screen(g, h).kind == IsoVerdict.ISOMORPHIC
         assert factorization_count() == 2
+
+    def test_iso_screen_discrete_pair(self):
+        g = weighted_graph(20, 0)
+        h, _ = shuffled_copy(g, random.Random(1))
+        assert len(set(_uniform_refine(g))) == g.n
+        reset_factorization_count()
+        assert iso_screen(g, h).kind == IsoVerdict.ISOMORPHIC
+        assert factorization_count() == 0
 
     def test_orbit_partition_then_canonical_labeling(self):
         g = weighted_graph(20, 0)
@@ -898,8 +948,8 @@ class TestFactorizations:
         canonical_labeling(g)
         assert factorization_count() == 1
 
-    def test_iso_screen_of_a_graph_with_itself(self):
-        g = weighted_graph(20, 0)
+    def test_iso_screen_of_a_graph_with_itself(self, rng):
+        g = relabel(SHRIKHANDE, random_permutation(16, rng))
         reset_factorization_count()
         assert iso_screen(g, g).kind == IsoVerdict.ISOMORPHIC
         assert factorization_count() == 1
