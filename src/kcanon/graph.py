@@ -9,7 +9,6 @@ otherwise.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,51 +24,50 @@ from .errors import (
     SelfLoopError,
 )
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class Graph:
     """Undirected connected weighted graph. Immutable and safe to share.
 
-    The cached views arrays, adj and _analysis (the signature analysis, built
-    at most once) are shared: read-only by convention.
+    adj, built while the edges are validated, and the cached views arrays and
+    _analysis (the signature analysis, built at most once) are shared:
+    read-only by convention.  adj[x - 1] maps each neighbour y - 1 of node x
+    to the weight of {x, y}.
     """
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
 
     def __init__(self, n, edges):
-        object.__setattr__(self, "n", int(n))
+        n = int(n)
+        object.__setattr__(self, "n", n)
         try:
             edges = tuple((int(u), int(v), float(w)) for u, v, w in edges)
         except OverflowError:
             raise NonFiniteWeightError("an edge weight is too large for a float")
         object.__setattr__(self, "edges", edges)
-        self._validate()
-
-    def _validate(self):
-        if self.n < 1:
-            raise GraphError(f"node count must be >= 1, got {self.n}")
-        seen = set()
-        for u, v, w in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise GraphError(
-                    f"edge ({u},{v}) endpoint outside 1..{self.n}"
-                )
+        if n < 1:
+            raise GraphError(f"node count must be >= 1, got {n}")
+        adj = tuple({} for _ in range(n))
+        for u, v, w in edges:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise GraphError(f"edge ({u},{v}) endpoint outside 1..{n}")
             if u == v:
                 raise SelfLoopError(f"self-loop at node {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise DuplicateEdgeError(f"duplicate edge {key[0]}-{key[1]}")
-            seen.add(key)
+            nbrs = adj[u - 1]
+            if v - 1 in nbrs:
+                raise DuplicateEdgeError(f"duplicate edge {min(u, v)}-{max(u, v)}")
             if not (w > 0.0):  # catches zero, negative, and NaN
-                raise NonPositiveWeightError(
-                    f"edge ({u},{v}) has non-positive weight {w}"
-                )
-            if w == float("inf"):
+                raise NonPositiveWeightError(f"edge ({u},{v}) has non-positive weight {w}")
+            if w == _INF:
                 raise NonFiniteWeightError(f"edge ({u},{v}) has infinite weight")
-        comps = _components(self.n, self.edges)
+            nbrs[v - 1] = adj[v - 1][u - 1] = w
+        comps = _components(adj)
         if len(comps) > 1:
             raise DisconnectedError(comps)
+        object.__setattr__(self, "adj", adj)
 
     @property
     def m(self) -> int:
@@ -85,14 +83,6 @@ class Graph:
         return arrays
 
     @cached_property
-    def adj(self) -> tuple[dict[int, float], ...]:
-        """adj[x - 1] maps each neighbour y - 1 of node x to the weight of {x, y}."""
-        adj = tuple({} for _ in range(self.n))
-        for u, v, w in self.edges:
-            adj[u - 1][v - 1] = adj[v - 1][u - 1] = w
-        return adj
-
-    @cached_property
     def _analysis(self):
         from .signatures import _Analysis  # signatures imports graph
         return _Analysis(self)
@@ -105,35 +95,38 @@ class Graph:
         return tuple(sorted(len(a) for a in self.adj))
 
 
-def _components(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        adj[u - 1].append(v - 1)
-        adj[v - 1].append(u - 1)
-    seen = [False] * n
+def _components(adj):
+    """Node-id lists of the connected components; adj[k] iterates k's neighbour indices."""
+    seen = [False] * len(adj)
     comps = []
-    for start in range(n):
+    for start in range(len(adj)):
         if seen[start]:
             continue
-        comp = []
-        queue = deque([start])
         seen[start] = True
-        while queue:
-            k = queue.popleft()
+        comp = []
+        stack = [start]
+        while stack:
+            k = stack.pop()
             comp.append(k + 1)
             for j in adj[k]:
                 if not seen[j]:
                     seen[j] = True
-                    queue.append(j)
+                    stack.append(j)
         comps.append(comp)
     return comps
 
 
 def is_connected(n: int, edges) -> bool:
-    """True iff breadth-first traversal from node 1 reaches all n nodes."""
+    """True iff the (u, v, ...) edges join all n nodes; ids must lie in 1..n."""
     if n < 1:
         raise GraphError("node count must be >= 1")
-    return len(_components(n, [(u, v, 1.0) for u, v, *_ in edges])) == 1
+    adj = [[] for _ in range(n)]
+    for u, v, *_ in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise GraphError(f"edge ({u},{v}) endpoint outside 1..{n}")
+        adj[u - 1].append(v - 1)
+        adj[v - 1].append(u - 1)
+    return len(_components(adj)) == 1
 
 
 def adjacency(graph: Graph) -> np.ndarray:
@@ -150,21 +143,22 @@ def parse_edge_list(text: str) -> Graph:
     Lines starting with '#' and blank lines are ignored.  A missing weight
     defaults to 1.0 (unit resistors).  N is the largest node id seen.
     """
+    lines = text.splitlines()
     edges = []
     max_id = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line_no, parts in enumerate(map(str.split, lines), start=1):
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) not in (2, 3):
             raise MalformedLineError(line_no, f"expected 2 or 3 fields, got {len(parts)}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise MalformedLineError(line_no, f"node ids must be integers: {line!r}")
+            raise MalformedLineError(
+                line_no, f"node ids must be integers: {lines[line_no - 1].strip()!r}")
         if u < 1 or v < 1:
-            raise MalformedLineError(line_no, f"node ids must be positive: {line!r}")
+            raise MalformedLineError(
+                line_no, f"node ids must be positive: {lines[line_no - 1].strip()!r}")
         w = 1.0
         if len(parts) == 3:
             try:
@@ -172,7 +166,10 @@ def parse_edge_list(text: str) -> Graph:
             except ValueError:
                 raise MalformedLineError(line_no, f"bad weight: {parts[2]!r}")
         edges.append((u, v, w))
-        max_id = max(max_id, u, v)
+        if u > max_id:
+            max_id = u
+        if v > max_id:
+            max_id = v
     if max_id == 0:
         raise GraphError("no edges found")
     return Graph(max_id, edges)

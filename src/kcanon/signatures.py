@@ -403,8 +403,12 @@ def iso_screen(
 
 def _refinement_invariant(graph: Graph, colour: list[int]) -> tuple[list, list]:
     """Sorted colours and sorted (min colour, max colour, weight) edge triples."""
-    edges = sorted((min(colour[u - 1], colour[v - 1]), max(colour[u - 1], colour[v - 1]), w)
-                   for u, v, w in graph.edges)
+    c = [None, *colour]  # c[x] is the colour of node x
+    edges = []
+    for u, v, w in graph.edges:
+        a, b = c[u], c[v]
+        edges.append((a, b, w) if a <= b else (b, a, w))
+    edges.sort()
     return sorted(colour), edges
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kcanon.errors import (
     DisconnectedError,
@@ -97,6 +97,78 @@ class TestParseEdgeList:
             parse_edge_list("1 3")
 
 
+# Faulty inputs with the error type, message and line_no (None for errors
+# that name no line) that building their Graph raises.  Errors come in input
+# order, except that every text line is parsed, and every Graph edge
+# converted, before any graph fault is looked for.
+CONSTRUCTION_FAULTS = [
+    ("1 2\n2 1", DuplicateEdgeError, "duplicate edge 1-2", None),
+    ("5 2\n2 5", DuplicateEdgeError, "duplicate edge 2-5", None),
+    ("1 2\n2 3\n3 1\n1 3", DuplicateEdgeError, "duplicate edge 1-3", None),
+    ("1 1\n1 2\n2 1", SelfLoopError, "self-loop at node 1", None),
+    ("1 2\n2 1\n3 3", DuplicateEdgeError, "duplicate edge 1-2", None),
+    ("1 1\n3 4", SelfLoopError, "self-loop at node 1", None),
+    ("1 2\n2 1\n3 4", DuplicateEdgeError, "duplicate edge 1-2", None),
+    ((2, [(1, 1, 1.0), (1, 2, 10**400)]), NonFiniteWeightError,
+     "an edge weight is too large for a float", None),
+    ((0, [(1, 2, 10**400)]), NonFiniteWeightError, "an edge weight is too large for a float", None),
+    ((0, []), GraphError, "node count must be >= 1, got 0", None),
+    ((-1, [(1, 2, 1.0)]), GraphError, "node count must be >= 1, got -1", None),
+    ((2, [(1, 3, 1.0)]), GraphError, "edge (1,3) endpoint outside 1..2", None),
+    ((3, [(0, 1, 1.0)]), GraphError, "edge (0,1) endpoint outside 1..3", None),
+    ((3, [(1, 2, 1.0), (2, -1, 1.0)]), GraphError, "edge (2,-1) endpoint outside 1..3", None),
+    ((3, [(1, 2, 1.0), (2, 3, float("nan"))]), NonPositiveWeightError,
+     "edge (2,3) has non-positive weight nan", None),
+    ((2, [(1, 2, -1.0), (1, 2, 1.0)]), NonPositiveWeightError,
+     "edge (1,2) has non-positive weight -1.0", None),
+    ((2, [(1, 2, 1.0), (2, 1, -1.0)]), DuplicateEdgeError, "duplicate edge 1-2", None),
+    ((2, [(1, 2, 1.0), (1, 2, float("inf"))]), DuplicateEdgeError, "duplicate edge 1-2", None),
+    ((3, [(1, 2, 1.0)]), DisconnectedError, "graph is disconnected; components: [[1, 2], [3]]", None),
+    ("1 1\n1 2\n2 1\nnope", MalformedLineError, "line 4: expected 2 or 3 fields, got 1", 4),
+    ("1 2\n2 1\n1 x", MalformedLineError, "line 3: node ids must be integers: '1 x'", 3),
+    ("1 2\n3 3\n1 2 3 4", MalformedLineError, "line 3: expected 2 or 3 fields, got 4", 3),
+    ("1\t2\n2\tx\t\n", MalformedLineError, "line 2: node ids must be integers: '2\\tx'", 2),
+    ("1\t2\t3\t4", MalformedLineError, "line 1: expected 2 or 3 fields, got 4", 1),
+    ("1\t2\tabc", MalformedLineError, "line 1: bad weight: 'abc'", 1),
+    ("1 2\n  3   y   \n", MalformedLineError, "line 2: node ids must be integers: '3   y'", 2),
+    ("1 2\n0   2", MalformedLineError, "line 2: node ids must be positive: '0   2'", 2),
+    ("1 2\r\n2 x\r\n", MalformedLineError, "line 2: node ids must be integers: '2 x'", 2),
+    ("#x\n  # indented\n1 2 3 4", MalformedLineError, "line 3: expected 2 or 3 fields, got 4", 3),
+    ("1 2 # trailing", MalformedLineError, "line 1: expected 2 or 3 fields, got 4", 1),
+    ("1 2 0", NonPositiveWeightError, "edge (1,2) has non-positive weight 0.0", None),
+    ("1 2 -3", NonPositiveWeightError, "edge (1,2) has non-positive weight -3.0", None),
+    ("1 2 nan", NonPositiveWeightError, "edge (1,2) has non-positive weight nan", None),
+    ("1 2 inf", NonFiniteWeightError, "edge (1,2) has infinite weight", None),
+    ("1 2 1e400", NonFiniteWeightError, "edge (1,2) has infinite weight", None),
+    ("", GraphError, "no edges found", None),
+    ("# only a comment\n\n   \n", GraphError, "no edges found", None),
+    ("1 2\n3 4\n5 6", DisconnectedError,
+     "graph is disconnected; components: [[1, 2], [3, 4], [5, 6]]", None),
+    ("4 6\n1 5\n2 3", DisconnectedError,
+     "graph is disconnected; components: [[1, 5], [2, 3], [4, 6]]", None),
+    ("1 3", DisconnectedError, "graph is disconnected; components: [[1, 3], [2]]", None),
+    ('{"n": 3, "edges": [[1, 2], [2, 1]]}', DuplicateEdgeError, "duplicate edge 1-2", None),
+    ('{"n": 4, "edges": [[1, 2]]}', DisconnectedError,
+     "graph is disconnected; components: [[1, 2], [3], [4]]", None),
+    ('{"n": 2, "edges": [[1, 2, 1e999]]}', NonFiniteWeightError, "edge (1,2) has infinite weight", None),
+]
+
+
+class TestConstructionFaults:
+    @pytest.mark.parametrize("source, err, message, line_no", CONSTRUCTION_FAULTS)
+    def test_error_type_message_and_line(self, source, err, message, line_no):
+        with pytest.raises(GraphError) as exc:
+            parse_graph(source) if isinstance(source, str) else Graph(*source)
+        assert type(exc.value) is err
+        assert str(exc.value) == message
+        assert getattr(exc.value, "line_no", None) == line_no
+
+    def test_components_are_sorted(self):
+        with pytest.raises(DisconnectedError) as exc:
+            parse_edge_list("4 6\n1 5\n2 3")
+        assert exc.value.components == ((1, 5), (2, 3), (4, 6))
+
+
 class TestJsonFormat:
     def test_round_trip(self):
         g = parse_edge_list("1 2 0.25\n2 3 4.0")
@@ -177,6 +249,12 @@ class TestIsConnected:
         with pytest.raises(GraphError):
             is_connected(0, [])
 
+    @pytest.mark.parametrize("edges", [[(0, 1)], [(1, 5)], [(1, 2), (2, -1)]])
+    def test_ids_outside_the_nodes(self, edges):
+        # Id 0 would wrap to node 2 by negative indexing; id 5 has no node.
+        with pytest.raises(GraphError, match="endpoint outside 1..2"):
+            is_connected(2, edges)
+
 
 def test_edge_list_round_trip_exact():
     g = parse_edge_list("1 2 0.1\n2 3 0.30000000000000004\n1 3 7")
@@ -217,3 +295,53 @@ def test_graph_is_immutable():
     g = path(3)
     with pytest.raises(AttributeError):
         g.n = 5
+
+
+@st.composite
+def edge_list_texts(draw):
+    """(text, n, edges) of a valid connected edge list: 2- and 3-field lines
+    in random order and orientation, comments, blank lines, CRLF or LF
+    endings, and extra spaces and tabs around and between fields."""
+    n = draw(st.integers(2, 12))
+    pairs = {(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)}
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    pairs |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    weight = st.none() | st.sampled_from(["1", "0.5", "2.5e-3", "7"]) | st.floats(
+        1e-300, 1e300, allow_nan=False, allow_infinity=False).map(repr)
+    lines, edges = [], []
+    for u, v in draw(st.permutations(sorted(pairs))):
+        if draw(st.booleans()):
+            u, v = v, u
+        filler = draw(st.sampled_from([None, "", "  \t", "#", "# a comment", " \t# 1 2 3"]))
+        if filler is not None:
+            lines.append(filler)
+        fields = [str(u), str(v)]
+        w = draw(weight)
+        if w is not None:
+            fields.append(w)
+        lines.append(draw(pad) + "".join(f + draw(gap) for f in fields[:-1]) + fields[-1] + draw(pad))
+        edges.append((u, v, 1.0 if w is None else float(w)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol])), n, tuple(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_list_texts())
+def test_parsed_graph_matches_an_independent_build(case):
+    text, n, edges = case
+    g = parse_edge_list(text)
+    assert "adj" in vars(g)
+    assert (g.n, g.edges) == (n, edges)
+    adj = [{} for _ in range(n)]
+    for u, v, w in edges:
+        adj[u - 1][v - 1] = w
+        adj[v - 1][u - 1] = w
+    assert g.adj == tuple(adj)
+    expected = (np.array([u - 1 for u, _, _ in edges]), np.array([v - 1 for _, v, _ in edges]),
+                np.array([w for _, _, w in edges]))
+    for got, want in zip(g.arrays, expected):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert parse_edge_list(to_edge_list(g)) == g

@@ -634,6 +634,18 @@ class TestIsoScreen:
             if truth is not None:
                 assert verify_mapping(g, h, verdict.mapping)
 
+    @settings(max_examples=50, deadline=None)
+    @given(weighted_graphs(max_n=20), st.randoms(use_true_random=False))
+    def test_refinement_invariant_orders_each_edge_by_colour(self, g, rng):
+        def reference(graph, colour):
+            edges = sorted((min(colour[u - 1], colour[v - 1]), max(colour[u - 1], colour[v - 1]), w)
+                           for u, v, w in graph.edges)
+            return sorted(colour), edges
+
+        for h in filter(None, [g, shuffled_copy(g, rng)[0], double_edge_swap(g, rng)]):
+            for colour in (_uniform_refine(h), [rng.randrange(3) for _ in range(h.n)]):
+                assert _refinement_invariant(h, colour) == reference(h, colour)
+
     def test_c6_vs_p6_edge_count(self):
         verdict = iso_screen(cycle(6), path(6))
         assert verdict.kind == IsoVerdict.DISTINCT
