@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import itertools
+
 
 class KCanonError(Exception):
     """Base class for all errors raised by this package."""
@@ -32,12 +34,25 @@ class NonFiniteWeightError(GraphError):
 
 
 class DisconnectedError(GraphError):
-    """Graph is not connected; carries the node components found."""
+    """Graph on nodes 1..n is not connected; carries the node components found.
 
-    def __init__(self, components):
-        comps = [sorted(c) for c in components]
+    components may leave out isolated nodes, since n names them.  The
+    components attribute and the message list the isolated nodes one by one
+    up to LISTED_ISOLATED of them; isolated counts them all.
+    """
+
+    LISTED_ISOLATED = 10
+
+    def __init__(self, components, n):
+        comps = [sorted(c) for c in components if len(c) > 1]
+        named = {x for c in comps for x in c}
+        unnamed = (x for x in range(1, n + 1) if x not in named)
+        comps += [[x] for x in itertools.islice(unnamed, self.LISTED_ISOLATED)]
         comps.sort()
-        super().__init__(f"graph is disconnected; components: {comps}")
+        self.isolated = n - len(named)
+        more = self.isolated - self.LISTED_ISOLATED
+        super().__init__(f"graph is disconnected; components: {comps}"
+                         + (f" and {more} more isolated nodes" if more > 0 else ""))
         self.components = tuple(tuple(c) for c in comps)
 
 

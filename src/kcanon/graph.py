@@ -9,6 +9,7 @@ otherwise.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,7 +51,11 @@ class Graph:
         object.__setattr__(self, "edges", edges)
         if n < 1:
             raise GraphError(f"node count must be >= 1, got {n}")
-        adj = tuple({} for _ in range(n))
+        # Above 2m nodes some node has no edge, so the graph is disconnected:
+        # adj then holds only the nodes that edges name, so rejecting a huge
+        # node id costs time and memory bounded by the input, not by n.
+        named_only = n > 1 and n > 2 * len(edges)
+        adj = defaultdict(dict) if named_only else tuple({} for _ in range(n))
         for u, v, w in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphError(f"edge ({u},{v}) endpoint outside 1..{n}")
@@ -64,9 +69,9 @@ class Graph:
             if w == _INF:
                 raise NonFiniteWeightError(f"edge ({u},{v}) has infinite weight")
             nbrs[v - 1] = adj[v - 1][u - 1] = w
-        comps = _components(adj)
-        if len(comps) > 1:
-            raise DisconnectedError(comps)
+        comps = _components(adj, list(adj) if named_only else range(n))
+        if named_only or len(comps) > 1:
+            raise DisconnectedError(comps, n)
         object.__setattr__(self, "adj", adj)
 
     @property
@@ -95,38 +100,28 @@ class Graph:
         return tuple(sorted(len(a) for a in self.adj))
 
 
-def _components(adj):
-    """Node-id lists of the connected components; adj[k] iterates k's neighbour indices."""
-    seen = [False] * len(adj)
+def _components(adj, nodes):
+    """Node-id lists of the components that hold the node indices nodes.
+
+    adj[k] iterates the neighbour indices of node index k.
+    """
+    seen = set()
     comps = []
-    for start in range(len(adj)):
-        if seen[start]:
+    for start in nodes:
+        if start in seen:
             continue
-        seen[start] = True
+        seen.add(start)
         comp = []
         stack = [start]
         while stack:
             k = stack.pop()
             comp.append(k + 1)
             for j in adj[k]:
-                if not seen[j]:
-                    seen[j] = True
+                if j not in seen:
+                    seen.add(j)
                     stack.append(j)
         comps.append(comp)
     return comps
-
-
-def is_connected(n: int, edges) -> bool:
-    """True iff the (u, v, ...) edges join all n nodes; ids must lie in 1..n."""
-    if n < 1:
-        raise GraphError("node count must be >= 1")
-    adj = [[] for _ in range(n)]
-    for u, v, *_ in edges:
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphError(f"edge ({u},{v}) endpoint outside 1..{n}")
-        adj[u - 1].append(v - 1)
-        adj[v - 1].append(u - 1)
-    return len(_components(adj)) == 1
 
 
 def adjacency(graph: Graph) -> np.ndarray:

@@ -65,7 +65,7 @@ def exact_solve_pair(graph: Graph, a: int, b: int) -> list[Fraction]:
     if a == b:
         raise SameSourceSinkError(f"source and sink are both node {a}")
     L = exact_laplacian(graph)
-    ground = n - 1  # 0-based; matches the solver's default ground choice
+    ground = n - 1  # 0-based node N, the node build_system grounds
     keep = [i for i in range(n) if i != ground]
     reduced = [[L[i][j] for j in keep] for i in keep]
     rhs = [

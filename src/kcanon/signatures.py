@@ -43,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, GraphError, InvalidToleranceError, NonFiniteError
+from .errors import BudgetExhaustedError, InvalidToleranceError, NonFiniteError
 from .graph import Graph, relabel
-from .solver import _pinv_mod, build_system, solve_all_pairs
+from .solver import _pinv_mod, _require_two_nodes, build_system, solve_all_pairs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_BUDGET = 10**6
@@ -146,8 +146,7 @@ def _uniform_refine(graph: Graph) -> list[int]:
 
     Raises GraphError below 2 nodes, where no signature exists.
     """
-    if graph.n < 2:
-        raise GraphError("need at least 2 nodes and 1 edge")
+    _require_two_nodes(graph)
     return _refine([a.items() for a in graph.adj], [0] * graph.n)
 
 
@@ -237,8 +236,7 @@ class _Analysis:
     """
 
     def __init__(self, graph: Graph):
-        if graph.n < 2:
-            raise GraphError("need at least 2 nodes and 1 edge")
+        _require_two_nodes(graph)
         self.P, self.p, self.r = _pinv_mod(graph)
         self.node_rows = np.concatenate([self.P.diagonal()[:, None], np.sort(self.P, axis=1)],
                                         axis=1)

@@ -2,8 +2,8 @@
 
 Three strategies for the singular system L v = e_a - e_b:
 
-* grounded:       factor the (N-1)x(N-1) reduced system once and
-                  back-substitute per pair; the default and fastest.
+* grounded:       ground node N, factor the (N-1)x(N-1) reduced system once
+                  and back-substitute per pair; the default and fastest.
 * pseudoinverse:  spectral decomposition of L with the zero mode deflated.
 * universal sink: augment with a sink node tied to every node, which makes the
                   system nonsingular but changes the physical network; the
@@ -11,7 +11,8 @@ Three strategies for the singular system L v = e_a - e_b:
 
 Two kinds of factor serve them:
 
-* build_system: sparse LU (SuperLU) of the grounded block, held as a CSC
+* build_system: sparse LU (SuperLU) of the block left by deleting node N's
+                row and column (grounding N), held as a CSC
                 matrix built from the edge arrays, with a fill-reducing
                 minimum-degree ordering and no pivoting (the block is
                 symmetric positive definite).  Memory and per-query work grow
@@ -40,6 +41,7 @@ import numpy as np
 from .errors import (
     EigendecompositionFailedError,
     FactorizationFailedError,
+    GraphError,
     GraphMismatchError,
     NonFiniteWeightError,
     NonPositiveWeightError,
@@ -55,11 +57,6 @@ _factorization_count = 0
 
 def factorization_count() -> int:
     return _factorization_count
-
-
-def reset_factorization_count() -> None:
-    global _factorization_count
-    _factorization_count = 0
 
 
 def laplacian(graph: Graph) -> np.ndarray:
@@ -101,18 +98,18 @@ def _sparse_lu(a):
 
 @dataclass(frozen=True)
 class LaplacianSystem:
-    """Grounded reduced Laplacian plus a reusable factor of it.
+    """Laplacian grounded at node N plus a reusable factor of it.
 
-    reduced is a scipy CSC matrix and factor its SuperLU sparse LU, which
-    solves through factor.solve(B).  Immutable after construction; solve
-    calls only read the factor.
+    reduced is the Laplacian without node N's row and column, a scipy CSC
+    matrix, and factor its SuperLU sparse LU, which solves through
+    factor.solve(B).  Under the sum-zero gauge the voltages do not depend on
+    which node is grounded.  Immutable after construction; solve calls only
+    read the factor.
     """
 
     graph: Graph
-    ground: int
     reduced: Any
     factor: Any = field(repr=False)
-    keep: np.ndarray = field(repr=False)  # row/col indices with ground removed
 
 
 @dataclass(frozen=True)
@@ -135,21 +132,20 @@ class PairCurrents:
     currents: np.ndarray  # read-only float64, one per stored edge
 
 
-def build_system(graph: Graph, ground: int | None = None) -> LaplacianSystem:
-    """Sparse LU of the grounded Laplacian, once, for many queries."""
+def _require_two_nodes(graph: Graph) -> None:
+    """GraphError below 2 nodes, where no pair and no signature exists."""
+    if graph.n < 2:
+        raise GraphError("need at least 2 nodes and 1 edge")
+
+
+def build_system(graph: Graph) -> LaplacianSystem:
+    """Sparse LU of the Laplacian grounded at node N, once, for many queries."""
     global _factorization_count
-    n = graph.n
-    if n < 2:
-        raise FactorizationFailedError("need at least 2 nodes")
-    if ground is None:
-        ground = n
-    if not 1 <= ground <= n:
-        raise FactorizationFailedError(f"ground node {ground} outside 1..{n}")
-    keep = np.delete(np.arange(n), ground - 1)
-    reduced = _sparse_laplacian(graph)[keep][:, keep]
+    _require_two_nodes(graph)
+    reduced = _sparse_laplacian(graph)[:-1, :-1]
     factor = _sparse_lu(reduced)
     _factorization_count += 1
-    return LaplacianSystem(graph, ground, reduced, factor, keep)
+    return LaplacianSystem(graph, reduced, factor)
 
 
 def _injection(n, a, b):
@@ -250,9 +246,9 @@ def _pinv_mod(graph: Graph) -> tuple[np.ndarray, int, np.ndarray]:
 
 
 def _solve(system: LaplacianSystem, B: np.ndarray) -> np.ndarray:
-    """Grounded solve of L X = B, zero at the ground, each column shifted to sum zero."""
+    """Grounded solve of L X = B, zero at node N, each column shifted to sum zero."""
     X = np.zeros(B.shape)
-    X[system.keep] = system.factor.solve(B[system.keep])
+    X[:-1] = system.factor.solve(B[:-1])
     X -= X.mean(axis=0)
     return X
 
@@ -286,9 +282,9 @@ def solve_pair_pseudoinverse(graph: Graph, a: int, b: int) -> VoltageProfile:
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionFailedError(str(exc))
     scale = max(eigvals[-1], 1.0)
-    if n < 2 or eigvals[1] < 1e-12 * scale:
+    if eigvals[1] < 1e-12 * scale:
         raise SecondEigenvalueNearZeroError(
-            f"algebraic connectivity {eigvals[1] if n > 1 else 0.0} is numerically zero"
+            f"algebraic connectivity {eigvals[1]} is numerically zero"
         )
     # Range of L+ is orthogonal to the all-ones vector, so v is already
     # sum-zero; the final shift only removes rounding in the gauge.

@@ -2,6 +2,7 @@ import json
 import random
 from importlib import resources
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from jsonschema import validate
@@ -102,6 +103,14 @@ class TestVoltages:
         assert result.exit_code == 2
         assert json.loads(result.stderr)["error"] == "Disconnected"
 
+    def test_huge_node_id_exit_2(self, runner, write):
+        result = runner.invoke(main, ["voltages", write("1 2\n2 1000000000"), "1", "2"])
+        assert result.exit_code == 2
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == "Disconnected"
+        assert err["message"].endswith(" and 999999987 more isolated nodes")
+
     def test_infinite_weight_exit_2(self, runner, write):
         result = runner.invoke(main, ["voltages", write("1 2 inf\n2 3"), "1", "3"])
         assert result.exit_code == 2
@@ -119,6 +128,37 @@ class TestVoltages:
         err = json.loads(result.stderr)
         validate(err, schema("error"))
         assert err["error"] == "SingularSystem"
+
+    def test_singular_pseudoinverse_exit_3(self, runner, write):
+        # The same 1e-17 bridge: the second eigenvalue of L rounds to zero.
+        text = "4 6 1\n5 6 1e-17\n2 4 1\n3 6 1\n1 6 1\n"
+        result = runner.invoke(main, ["voltages", write(text), "5", "3", "--method",
+                                      "pseudoinverse", "--format", "json"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == "SecondEigenvalueNearZero"
+
+    @pytest.mark.parametrize("method, target, raised, error", [
+        ("grounded", "scipy.sparse.linalg.splu", RuntimeError("Factor is exactly singular"),
+         "FactorizationFailed"),
+        ("pseudoinverse", "numpy.linalg.eigh",
+         np.linalg.LinAlgError("Eigenvalues did not converge"), "EigendecompositionFailed"),
+    ])
+    def test_failed_factor_exit_3(self, runner, write, monkeypatch, method, target, raised,
+                                  error):
+        def fail(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(target, fail)
+        result = runner.invoke(main, ["voltages", write(complete(3)), "1", "2", "--method",
+                                      method, "--format", "json"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err == {"error": error, "message": str(raised)}
 
     @pytest.mark.parametrize("method", ["grounded", "pseudoinverse", "universal-sink"])
     def test_methods(self, runner, write, method):
@@ -325,13 +365,19 @@ class TestFingerprint:
 def test_single_node_graph_rejected_alike(runner, write):
     f = write('{"n": 1, "edges": []}')
     errors = set()
-    for args in (["canon", f], ["orbits", f], ["fingerprint", f], ["iso", f, f]):
+    for args in (["canon", f], ["orbits", f], ["fingerprint", f], ["iso", f, f],
+                 ["voltages", f, "1", "2"]):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, args
         err = json.loads(result.stderr)
         validate(err, schema("error"))
         errors.add((err["error"], err["message"]))
     assert errors == {("Graph", "need at least 2 nodes and 1 edge")}
+    # No pair of nodes exists to inject a current between.
+    for method in ("pseudoinverse", "universal-sink"):
+        result = runner.invoke(main, ["voltages", f, "1", "2", "--method", method])
+        assert result.exit_code == 2, method
+        validate(json.loads(result.stderr), schema("error"))
 
 
 class TestCanon:

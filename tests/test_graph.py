@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,6 @@ from kcanon import oracle
 from kcanon.graph import (
     Graph,
     adjacency,
-    is_connected,
     load_graph,
     parse_edge_list,
     parse_graph,
@@ -151,6 +152,13 @@ CONSTRUCTION_FAULTS = [
     ('{"n": 4, "edges": [[1, 2]]}', DisconnectedError,
      "graph is disconnected; components: [[1, 2], [3], [4]]", None),
     ('{"n": 2, "edges": [[1, 2, 1e999]]}', NonFiniteWeightError, "edge (1,2) has infinite weight", None),
+    # Isolated nodes past the first 10 are only counted, with 2m >= n and 2m < n.
+    ((20, [(i, j, 1.0) for i in range(1, 6) for j in range(i + 1, 6)]), DisconnectedError,
+     "graph is disconnected; components: [[1, 2, 3, 4, 5], [6], [7], [8], [9], [10], [11], [12],"
+     " [13], [14], [15]] and 5 more isolated nodes", None),
+    ("1 2\n2 1000000000", DisconnectedError,
+     "graph is disconnected; components: [[1, 2, 1000000000], [3], [4], [5], [6], [7], [8], [9],"
+     " [10], [11], [12]] and 999999987 more isolated nodes", None),
 ]
 
 
@@ -167,6 +175,16 @@ class TestConstructionFaults:
         with pytest.raises(DisconnectedError) as exc:
             parse_edge_list("4 6\n1 5\n2 3")
         assert exc.value.components == ((1, 5), (2, 3), (4, 6))
+
+    @pytest.mark.parametrize("source", ["1 2\n2 1000000000", (10**9, [(1, 2, 1.0)])])
+    def test_huge_node_id_rejected_in_time_bounded_by_the_input(self, source):
+        start = time.perf_counter()
+        with pytest.raises(DisconnectedError) as exc:
+            parse_graph(source) if isinstance(source, str) else Graph(*source)
+        assert time.perf_counter() - start < 0.5
+        head = exc.value.components[0]
+        assert exc.value.components[1:] == tuple((x,) for x in range(3, 13))
+        assert exc.value.isolated == 10**9 - len(head)
 
 
 class TestJsonFormat:
@@ -233,27 +251,6 @@ def test_adj_and_weight(rng):
         # Ids outside 1..n name no node, even where an index would wrap.
         for u, v in [(0, 1), (1, 0), (g.n + 1, 1), (1, g.n + 1), (-1, g.n)]:
             assert g.weight(u, v) is None
-
-
-class TestIsConnected:
-    def test_path(self):
-        assert is_connected(3, [(1, 2), (2, 3)])
-
-    def test_single_node(self):
-        assert is_connected(1, [])
-
-    def test_two_components(self):
-        assert not is_connected(4, [(1, 2), (3, 4)])
-
-    def test_no_nodes(self):
-        with pytest.raises(GraphError):
-            is_connected(0, [])
-
-    @pytest.mark.parametrize("edges", [[(0, 1)], [(1, 5)], [(1, 2), (2, -1)]])
-    def test_ids_outside_the_nodes(self, edges):
-        # Id 0 would wrap to node 2 by negative indexing; id 5 has no node.
-        with pytest.raises(GraphError, match="endpoint outside 1..2"):
-            is_connected(2, edges)
 
 
 def test_edge_list_round_trip_exact():
