@@ -1,7 +1,7 @@
 """Kirchhoff resistor-network signatures for graph symmetry detection,
 isomorphism screening, and canonical labeling."""
 
-from .graph import Graph, adjacency, load_graph, parse_edge_list, parse_json, relabel
+from .graph import Graph, load_graph, parse_edge_list, parse_json, relabel
 from .solver import (
     LaplacianSystem,
     PairCurrents,
@@ -29,7 +29,6 @@ from .signatures import (
 
 __all__ = [
     "Graph",
-    "adjacency",
     "load_graph",
     "parse_edge_list",
     "parse_json",

@@ -80,10 +80,6 @@ class NonFiniteError(KCanonError):
     pass
 
 
-class InvalidToleranceError(KCanonError):
-    """Quantization tolerance is not a finite number above zero."""
-
-
 class TooLargeError(KCanonError):
     """Input exceeds the hard size limit of a brute-force routine."""
 

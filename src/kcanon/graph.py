@@ -9,6 +9,8 @@ otherwise.
 from __future__ import annotations
 
 import json
+import numbers
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,6 +34,11 @@ _INF = float("inf")
 class Graph:
     """Undirected connected weighted graph. Immutable and safe to share.
 
+    n and each node id must be integers (anything operator.index takes, but
+    not a bool), and each edge a (u, v, w) triple whose weight is a real
+    number that is not a bool; anything else is a GraphError, never coerced.
+    edges holds them as (int, int, float).
+
     adj, built while the edges are validated, and the cached views arrays and
     _analysis (the signature analysis, built at most once) are shared:
     read-only by convention.  adj[x - 1] maps each neighbour y - 1 of node x
@@ -42,12 +49,19 @@ class Graph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __init__(self, n, edges):
-        n = int(n)
+        try:
+            n = _index(n)
+        except TypeError:
+            raise GraphError(f"node count must be an integer, got {n!r}")
         object.__setattr__(self, "n", n)
         try:
-            edges = tuple((int(u), int(v), float(w)) for u, v, w in edges)
-        except OverflowError:
-            raise NonFiniteWeightError("an edge weight is too large for a float")
+            entries = iter(edges)
+        except TypeError:
+            raise GraphError(f"edges must be iterable, got {type(edges).__name__}")
+        # Entries that are already (int, int, float) tuples are kept as they are.
+        edges = tuple(e if type(e) is tuple and len(e) == 3 and type(e[0]) is int
+                      and type(e[1]) is int and type(e[2]) is float else _edge(e)
+                      for e in entries)
         object.__setattr__(self, "edges", edges)
         if n < 1:
             raise GraphError(f"node count must be >= 1, got {n}")
@@ -100,6 +114,36 @@ class Graph:
         return tuple(sorted(len(a) for a in self.adj))
 
 
+def _index(x) -> int:
+    """operator.index(x), which refuses bools too: TypeError unless x is an integer."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a bool, not an integer")
+    return operator.index(x)
+
+
+def _weight(w) -> float:
+    """w as a float; GraphError unless w is a real number and not a bool."""
+    if isinstance(w, bool) or not isinstance(w, numbers.Real):
+        raise GraphError(f"edge weight must be a real number, got {w!r}")
+    try:
+        return float(w)
+    except OverflowError:
+        raise NonFiniteWeightError("an edge weight is too large for a float")
+
+
+def _edge(e) -> tuple[int, int, float]:
+    """An entry of Graph's edges as (int, int, float); GraphError if it is not one."""
+    try:
+        u, v, w = e
+    except (TypeError, ValueError):
+        raise GraphError(f"edge {e!r} is not a (u, v, w) triple")
+    try:
+        u, v = _index(u), _index(v)
+    except TypeError:
+        raise GraphError(f"edge {e!r} has a node id that is not an integer")
+    return u, v, _weight(w)
+
+
 def _components(adj, nodes):
     """Node-id lists of the components that hold the node indices nodes.
 
@@ -124,20 +168,15 @@ def _components(adj, nodes):
     return comps
 
 
-def adjacency(graph: Graph) -> np.ndarray:
-    """Symmetric N x N conductance matrix with zero diagonal."""
-    a = np.zeros((graph.n, graph.n))
-    u, v, w = graph.arrays
-    a[u, v] = a[v, u] = w
-    return a
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v" or "u v w" lines into a Graph.
 
     Lines starting with '#' and blank lines are ignored.  A missing weight
-    defaults to 1.0 (unit resistors).  N is the largest node id seen.
+    defaults to 1.0 (unit resistors).  N is the largest node id seen.  text
+    must be a str; decoding bytes is load_graph's job.
     """
+    if not isinstance(text, str):
+        raise GraphError(f"edge-list text must be a str, got {type(text).__name__}")
     lines = text.splitlines()
     edges = []
     max_id = 0
@@ -192,7 +231,7 @@ def parse_json(text: str) -> Graph:
 
 def parse_graph(text: str) -> Graph:
     """Parse either format, sniffing JSON by a leading '{'."""
-    if text.lstrip().startswith("{"):
+    if isinstance(text, str) and text.lstrip().startswith("{"):
         return parse_json(text)
     return parse_edge_list(text)
 

@@ -29,8 +29,8 @@ exact values differ, and a residue collision can only merge classes.  Rows
 are int64 matrices from L+ to the fingerprint.  Fingerprint.digest() hashes
 the parts' int64 bytes under the header tag gfp/1.
 
-The paper's float vectors, quantized to a grid of step tol, survive only in
-all_node_signatures and all_edge_signatures, as the referee; they too are
+The paper's float vectors, snapped to a grid of fixed step TOL, survive only
+in all_node_signatures and all_edge_signatures, as the referee; they too are
 read-only int64 matrices, one row per node or edge.
 """
 
@@ -43,24 +43,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, InvalidToleranceError, NonFiniteError
+from .errors import BudgetExhaustedError, NonFiniteError
 from .graph import Graph, relabel
 from .solver import _pinv_mod, _require_two_nodes, build_system, solve_all_pairs
 
-DEFAULT_TOL = 1e-8
+TOL = 1e-8  # the referee's grid step
 DEFAULT_BUDGET = 10**6
 
 
-def _grid(values: np.ndarray, tol: float) -> np.ndarray:
-    """The quantizer: snap to integer multiples of tol, in grid units.
+def _grid(values: np.ndarray) -> np.ndarray:
+    """The quantizer: snap to integer multiples of TOL, in grid units.
 
     Odd under negation and 0 at zero.  Refuses values that are not finite or
     whose grid index does not fit in int64.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scaled = values / tol
+        scaled = values / TOL
     if not np.all(np.abs(scaled) < 2.0**63):
-        raise NonFiniteError(f"solve result is not finite or overflows the grid at tol {tol}")
+        raise NonFiniteError(f"solve result is not finite or overflows the grid at step {TOL}")
     return np.rint(scaled).astype(np.int64)
 
 
@@ -248,7 +248,7 @@ class _Analysis:
         self.classes = [ids[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
-def _paper_rows(graph: Graph, tol: float, values_of) -> np.ndarray:
+def _paper_rows(graph: Graph, values_of) -> np.ndarray:
     """The paper's sorted grid-unit rows over all ordered pairs, from float solves.
 
     One read-only int64 row per row of values_of, which reads V indexed by
@@ -257,26 +257,24 @@ def _paper_rows(graph: Graph, tol: float, values_of) -> np.ndarray:
     operations and snap even near-half-grid values alike; ties inside a cell
     that refinement cannot split break by node id.
     """
-    if not 0 < tol < float("inf"):
-        raise InvalidToleranceError(f"tol must be finite and above 0, got {tol}")
     solve = np.argsort(_uniform_refine(graph), kind="stable")
     ordered = relabel(graph, dict(zip((solve + 1).tolist(), range(1, graph.n + 1))))
-    _, V = solve_all_pairs(build_system(ordered))
-    k = _grid(values_of(V[np.argsort(solve)]), tol)
+    V = solve_all_pairs(build_system(ordered))
+    k = _grid(values_of(V[np.argsort(solve)]))
     rows = np.sort(np.concatenate([k, -k], axis=1), axis=1)
     rows.flags.writeable = False
     return rows
 
 
-def all_node_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> np.ndarray:
+def all_node_signatures(graph: Graph) -> np.ndarray:
     """Row x - 1: node x's sorted grid-unit voltages; n x n(n-1), int64."""
-    return _paper_rows(graph, tol, lambda V: V)
+    return _paper_rows(graph, lambda V: V)
 
 
-def all_edge_signatures(graph: Graph, tol: float = DEFAULT_TOL) -> np.ndarray:
+def all_edge_signatures(graph: Graph) -> np.ndarray:
     """Row k: the sorted grid-unit currents of graph.edges[k]; m x n(n-1), int64."""
     u, v, w = graph.arrays
-    return _paper_rows(graph, tol, lambda V: w[:, None] * (V[u] - V[v]))
+    return _paper_rows(graph, lambda V: w[:, None] * (V[u] - V[v]))
 
 
 def orbit_partition(graph: Graph) -> OrbitPartition:

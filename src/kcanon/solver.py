@@ -12,12 +12,12 @@ Three strategies for the singular system L v = e_a - e_b:
 Two kinds of factor serve them:
 
 * build_system: sparse LU (SuperLU) of the block left by deleting node N's
-                row and column (grounding N), held as a CSC
-                matrix built from the edge arrays, with a fill-reducing
+                row and column (grounding N), sliced from a CSC Laplacian
+                built from the edge arrays, with a fill-reducing
                 minimum-degree ordering and no pivoting (the block is
                 symmetric positive definite).  Memory and per-query work grow
                 with the fill and m, not with N^2, so point queries run at
-                N >= 10^4.  Every float solve uses it: solve_pair, and
+                N >= 10^4.  Every grounded solve uses it: solve_pair, and
                 solve_all_pairs behind the paper's float signature rows.
 * _pinv_mod:    the pseudoinverse L+ = (L + J/n)^-1 - J/n modulo a prime
                 p < 2^21, J the all-ones matrix, inverted by pivoted
@@ -48,7 +48,7 @@ from .errors import (
     SameSourceSinkError,
     SecondEigenvalueNearZeroError,
 )
-from .graph import Graph, adjacency
+from .graph import Graph, _index, _weight
 
 # Incremented by build_system and each prime _pinv_mod tries; lets callers
 # assert the factor-once contract.
@@ -60,9 +60,15 @@ def factorization_count() -> int:
 
 
 def laplacian(graph: Graph) -> np.ndarray:
-    """L = D - A; symmetric, rows sum to zero."""
-    a = adjacency(graph)
-    return np.diag(a.sum(axis=1)) - a
+    """L = D - A as one dense N x N array; symmetric, rows sum to zero."""
+    n = graph.n
+    L = np.zeros((n, n))
+    u, v, w = graph.arrays
+    L[u, v] = L[v, u] = -w
+    # Subtracting from the zero diagonal, not assigning -sum, keeps it +0.0
+    # where a row has no edge.
+    L.flat[::n + 1] -= L.sum(axis=1)
+    return L
 
 
 def _sparse_laplacian(graph: Graph, shift: float = 0.0):
@@ -100,15 +106,13 @@ def _sparse_lu(a):
 class LaplacianSystem:
     """Laplacian grounded at node N plus a reusable factor of it.
 
-    reduced is the Laplacian without node N's row and column, a scipy CSC
-    matrix, and factor its SuperLU sparse LU, which solves through
-    factor.solve(B).  Under the sum-zero gauge the voltages do not depend on
-    which node is grounded.  Immutable after construction; solve calls only
-    read the factor.
+    factor is the SuperLU sparse LU of the Laplacian without node N's row and
+    column, which solves through factor.solve(B).  Under the sum-zero gauge
+    the voltages do not depend on which node is grounded.  Immutable after
+    construction; solve calls only read the factor.
     """
 
     graph: Graph
-    reduced: Any
     factor: Any = field(repr=False)
 
 
@@ -142,13 +146,17 @@ def build_system(graph: Graph) -> LaplacianSystem:
     """Sparse LU of the Laplacian grounded at node N, once, for many queries."""
     global _factorization_count
     _require_two_nodes(graph)
-    reduced = _sparse_laplacian(graph)[:-1, :-1]
-    factor = _sparse_lu(reduced)
+    factor = _sparse_lu(_sparse_laplacian(graph)[:-1, :-1])
     _factorization_count += 1
-    return LaplacianSystem(graph, reduced, factor)
+    return LaplacianSystem(graph, factor)
 
 
 def _injection(n, a, b):
+    """e_a - e_b over nodes 1..n; SameSourceSinkError unless a != b are node ids."""
+    try:
+        a, b = _index(a), _index(b)
+    except TypeError:
+        raise SameSourceSinkError(f"node ids ({a!r},{b!r}) must be integers")
     if a == b:
         raise SameSourceSinkError(f"source and sink are both node {a}")
     if not (1 <= a <= n and 1 <= b <= n):
@@ -258,18 +266,17 @@ def solve_pair(system: LaplacianSystem, a: int, b: int) -> VoltageProfile:
     return VoltageProfile(a, b, _solve(system, _injection(system.graph.n, a, b)), method="grounded")
 
 
-def solve_all_pairs(system: LaplacianSystem):
+def solve_all_pairs(system: LaplacianSystem) -> np.ndarray:
     """Solve every unordered pair (a<b) against the shared factor in one call.
 
-    Returns (pairs, V) where V[:, k] is the gauge-fixed voltage vector for
-    pairs[k].  Pair order is fixed (lexicographic) so downstream assembly is
-    deterministic.
+    Returns V, whose column k is the gauge-fixed voltage vector for pair k of
+    itertools.combinations(range(1, n + 1), 2): the order is fixed, so
+    downstream assembly is deterministic.
     """
     n = system.graph.n
     a, b = np.triu_indices(n, 1)
     nodes = np.arange(n)[:, None]
-    B = (nodes == a).astype(float) - (nodes == b)
-    return list(zip((a + 1).tolist(), (b + 1).tolist())), _solve(system, B)
+    return _solve(system, (nodes == a).astype(float) - (nodes == b))
 
 
 def solve_pair_pseudoinverse(graph: Graph, a: int, b: int) -> VoltageProfile:
@@ -299,10 +306,11 @@ def solve_pair_universal_sink(
     """Solve the sink-augmented system; approximate by construction.
 
     sink_weight weighs every node's edge to the sink, so like any edge weight
-    it must be positive and finite.  With the sink grounded, deleting its
-    row/column leaves L + sink_weight * I, which is positive definite without
-    removing any original node.
+    it must be a positive, finite real number.  With the sink grounded,
+    deleting its row/column leaves L + sink_weight * I, which is positive
+    definite without removing any original node.
     """
+    sink_weight = _weight(sink_weight)
     if not sink_weight > 0:  # catches zero, negative, and NaN, as Graph does
         raise NonPositiveWeightError(f"sink edges have non-positive weight {sink_weight}")
     if sink_weight == float("inf"):

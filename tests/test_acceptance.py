@@ -58,8 +58,7 @@ def random_corpus():
 
 def all_pair_profiles(g):
     system = build_system(g)
-    pairs, V = solve_all_pairs(system)
-    return system, pairs, V
+    return system, list(itertools.combinations(range(1, g.n + 1), 2)), solve_all_pairs(system)
 
 
 def test_criterion_1_kcl_residual_suite(corpus7, random_corpus):

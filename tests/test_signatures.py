@@ -18,7 +18,6 @@ from kcanon.errors import (
     BudgetExhaustedError,
     FactorizationFailedError,
     GraphError,
-    InvalidToleranceError,
     NonFiniteError,
 )
 from kcanon.graph import Graph, relabel
@@ -59,9 +58,9 @@ from conftest import (
 )
 
 
-def grid(frac, tol=1e-8):
+def grid(frac):
     """Expected grid units of an exact rational value."""
-    return round(Fraction(frac) / Fraction(tol))
+    return round(Fraction(frac) / Fraction(signatures.TOL))
 
 
 def residue(frac, p):
@@ -165,14 +164,15 @@ class TestQuantize:
     """The one quantizer, _grid, and the signature rows built on it."""
 
     def test_snap(self):
-        assert _grid(np.array([0.333333333007]), 1e-8).tolist() == [33333333]
+        assert signatures.TOL == 1e-8
+        assert _grid(np.array([0.333333333007])).tolist() == [33333333]
 
-    @given(st.floats(-1e6, 1e6), st.sampled_from([1e-8, 1e-6, 0.5]))
-    def test_odd_symmetry(self, x, tol):
-        assert _grid(np.array([-x]), tol)[0] == -_grid(np.array([x]), tol)[0]
+    @given(st.floats(-1e6, 1e6))
+    def test_odd_symmetry(self, x):
+        assert _grid(np.array([-x]))[0] == -_grid(np.array([x]))[0]
 
     def test_zero_is_positive_zero(self):
-        assert _grid(np.array([-1e-12, -0.0]), 1e-8).tolist() == [0, 0]
+        assert _grid(np.array([-1e-12, -0.0])).tolist() == [0, 0]
         # P3's fingerprint serializes every value as its exact residue mod p,
         # a JSON integer in [0, p).
         fp = fingerprint(path(3))
@@ -188,12 +188,12 @@ class TestQuantize:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite(self, bad):
         with pytest.raises(NonFiniteError):
-            _grid(np.array([0.5, bad]), 1e-8)
+            _grid(np.array([0.5, bad]))
 
     def test_overflow(self):
-        assert _grid(np.array([-9.2e10]), 1e-8)[0] == -9_200_000_000_000_000_000
+        assert _grid(np.array([-9.2e10]))[0] == -9_200_000_000_000_000_000
         with pytest.raises(NonFiniteError):
-            _grid(np.array([9.3e10]), 1e-8)
+            _grid(np.array([9.3e10]))
         # A 1e-300 S bridge puts the paper's float voltages near 1e300, on
         # either side of the path.
         with pytest.raises(NonFiniteError):
@@ -209,7 +209,7 @@ class TestQuantize:
         system = build_system(complete(3))
         v12 = solve_pair(system, 1, 2).v
         v23 = solve_pair(system, 2, 3).v
-        assert _grid(np.array([v12[0]]), 1e-8) == _grid(np.array([v23[1]]), 1e-8)
+        assert _grid(np.array([v12[0]])) == _grid(np.array([v23[1]]))
         assert len({tuple(row) for row in all_node_signatures(complete(3)).tolist()}) == 1
 
 
@@ -219,13 +219,6 @@ ONE = grid(1)
 
 
 class TestNodeSignatures:
-    @pytest.mark.parametrize("tol", [-1e-8, 0.0, float("nan"), float("inf")])
-    def test_invalid_tol(self, tol):
-        with pytest.raises(InvalidToleranceError):
-            all_node_signatures(path(3), tol)
-        with pytest.raises(InvalidToleranceError):
-            all_edge_signatures(path(3), tol)
-
     def test_lengths_and_sorted(self):
         for g in (path(3), cycle(4), star(3)):
             rows = all_node_signatures(g)
@@ -404,7 +397,7 @@ class TestHalfRows:
     def test_expanded_rows_match_exact_solves(self):
         # Every connected graph on 2..5 nodes, against exact Fraction voltages
         # and currents over all ordered pairs.
-        tol = Fraction(1e-8)
+        tol = Fraction(signatures.TOL)
         for n in range(2, 6):
             for g in oracle.enumerate_connected_graphs(n):
                 volts = [[] for _ in range(n)]

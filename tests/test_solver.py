@@ -38,18 +38,34 @@ from kcanon.solver import (
 from conftest import complete, cycle, path, random_cubic
 
 
+def grounded_block(g):
+    """The block build_system factors, checked against the factor it builds."""
+    block = solver._sparse_laplacian(g)[:-1, :-1].toarray()
+    eye = np.eye(g.n - 1)
+    assert np.allclose(block @ build_system(g).factor.solve(eye), eye, rtol=0, atol=1e-12)
+    return block.tolist()
+
+
 class TestBuildSystem:
     def test_p2_reduced(self):
-        system = build_system(path(2))
-        assert system.reduced.toarray().tolist() == [[1.0]]
+        assert grounded_block(path(2)) == [[1.0]]
 
     def test_k3_reduced(self):
-        system = build_system(complete(3))
-        assert system.reduced.toarray().tolist() == [[2, -1], [-1, 2]]
+        assert grounded_block(complete(3)) == [[2, -1], [-1, 2]]
 
     def test_c4_reduced(self):
-        system = build_system(cycle(4))
-        assert system.reduced.toarray().tolist() == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+        assert grounded_block(cycle(4)) == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+
+    def test_laplacian_is_degree_minus_adjacency_bytewise(self, rng):
+        graphs = [Graph(1, [])] + [
+            oracle.random_connected_graph(rng.randint(2, 120), rng, weight_range=(0.01, 100.0))
+            for _ in range(30)
+        ]
+        for g in graphs:
+            A = np.zeros((g.n, g.n))
+            for u, v, w in g.edges:
+                A[u - 1, v - 1] = A[v - 1, u - 1] = w
+            assert laplacian(g).tobytes() == (np.diag(A.sum(axis=1)) - A).tobytes()
 
     def test_laplacian_rows_sum_zero(self):
         g = Graph(4, [(1, 2, 0.5), (2, 3, 2.0), (3, 4, 1.0), (1, 4, 3.0)])
@@ -102,6 +118,23 @@ class TestSolvePair:
         with pytest.raises(SameSourceSinkError):
             solve_pair(build_system(path(3)), a, b)
 
+    @pytest.mark.parametrize("a, b", [(1.5, 2), (1, 3.0), (1, 2.5), (True, 2), ("1", 2),
+                                      (np.True_, 3)])
+    def test_node_ids_must_be_integers(self, a, b):
+        g = path(3)
+        system = build_system(g)
+        for solve in (solve_pair, effective_resistance):
+            with pytest.raises(SameSourceSinkError, match="must be integers"):
+                solve(system, a, b)
+        for solve in (solve_pair_pseudoinverse, solve_pair_universal_sink):
+            with pytest.raises(SameSourceSinkError, match="must be integers"):
+                solve(g, a, b)
+
+    def test_numpy_node_ids_accepted(self):
+        system = build_system(path(3))
+        assert np.array_equal(solve_pair(system, np.int64(1), np.uint8(3)).v,
+                              solve_pair(system, 1, 3).v)
+
     def test_gauge_and_residual(self):
         g = cycle(5)
         system = build_system(g)
@@ -145,8 +178,9 @@ class TestSolvePair:
     def test_solve_all_pairs_matches_single(self):
         g = cycle(5)
         system = build_system(g)
-        pairs, V = solve_all_pairs(system)
-        assert pairs == list(itertools.combinations(range(1, 6), 2))
+        V = solve_all_pairs(system)
+        pairs = list(itertools.combinations(range(1, 6), 2))
+        assert V.shape == (5, len(pairs))
         for k, (a, b) in enumerate(pairs):
             assert np.array_equal(V[:, k], solve_pair(system, a, b).v)
 
@@ -195,6 +229,8 @@ class TestUniversalSink:
     @pytest.mark.parametrize("weight, error", [
         (0.0, NonPositiveWeightError), (-1.0, NonPositiveWeightError),
         (float("nan"), NonPositiveWeightError), (float("inf"), NonFiniteWeightError),
+        ("x", GraphError), (True, GraphError), (1j, GraphError),
+        (10**400, NonFiniteWeightError),
     ])
     def test_rejects_sink_weight(self, weight, error):
         with pytest.raises(error):
@@ -390,7 +426,9 @@ class TestLargeSparse:
         # n = 10^4: the dense grounded block alone would take 800 MB.
         g = torus(100, 100)
         system = build_system(g)
-        assert scipy.sparse.issparse(system.reduced)
+        # The factor's fill, about 6 * 10^5 entries, against 10^8 for the
+        # dense block.
+        assert system.factor.L.nnz + system.factor.U.nnz < 2 * 10**6
         for a, b in [(1, 5051), (17, 9999), (4242, 4343)]:
             p = solve_pair(system, a, b)
             assert kcl_residual(g, p) <= 1e-9
