@@ -21,7 +21,6 @@ from .signatures import (
     all_edge_signatures,
     all_node_signatures,
     canonical_labeling,
-    find_isomorphism,
     fingerprint,
     iso_screen,
     orbit_partition,
@@ -49,7 +48,6 @@ __all__ = [
     "all_edge_signatures",
     "all_node_signatures",
     "canonical_labeling",
-    "find_isomorphism",
     "fingerprint",
     "iso_screen",
     "orbit_partition",

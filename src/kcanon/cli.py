@@ -21,6 +21,7 @@ from . import signatures as sig_mod
 from . import solver as solver_mod
 from .errors import (
     GraphError,
+    InvalidBudgetError,
     KCanonError,
     SameSourceSinkError,
     SingularSystemError,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .graph import load_graph
 
-VALIDATION_ERRORS = (GraphError, SameSourceSinkError, TooLargeError)
+VALIDATION_ERRORS = (GraphError, InvalidBudgetError, SameSourceSinkError, TooLargeError)
 # Largest KCL residual an exact (non-approximate) solve may report.
 KCL_LIMIT = 1e-9
 
@@ -221,17 +222,18 @@ def canon(graph_file, budget, fmt):
     """Compute a canonical node ordering and canonical form."""
     g = load_graph(graph_file)
     lab = sig_mod.canonical_labeling(g, budget=budget)
+    digest = lab.digest()
     doc = {
         "order": list(lab.order),
         "form": [_f(x) for x in lab.form],
         "certified": lab.certified,
-        "form_sha256": lab.digest(),
+        "form_sha256": digest,
         "expansions": lab.expansions,
     }
     lines = [
         f"order: {list(lab.order)}",
         f"certified: {lab.certified}",
-        f"form sha256: {lab.digest()}",
+        f"form sha256: {digest}",
     ]
     _emit(doc, fmt, lines)
 

@@ -88,5 +88,5 @@ class SingularSystemError(KCanonError):
     pass
 
 
-class BudgetExhaustedError(KCanonError):
-    """Search stopped because its tree-node budget ran out (not a proof of absence)."""
+class InvalidBudgetError(KCanonError):
+    """A search budget that is not an integer of at least 1."""

@@ -213,8 +213,11 @@ def parse_json(text: str) -> Graph:
     """Parse the JSON form {"n": N, "edges": [[u, v, w], ...]}.
 
     N and the node ids must be JSON integers, weights JSON numbers (booleans
-    are neither); anything else is a GraphError, never coerced.
+    are neither); anything else is a GraphError, never coerced.  text must be
+    a str, as for parse_edge_list.
     """
+    if not isinstance(text, str):
+        raise GraphError(f"JSON text must be a str, got {type(text).__name__}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -273,7 +273,3 @@ def random_connected_graph(
             if (i, j) not in edges and rng.random() < extra_edge_prob:
                 edges.add((i, j))
     return Graph(n, [(u, v, w()) for u, v in sorted(edges)])
-
-
-def random_tree(n: int, rng: random.Random) -> Graph:
-    return random_connected_graph(n, rng, extra_edge_prob=0.0)

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, NonFiniteError
-from .graph import Graph, relabel
+from .errors import InvalidBudgetError, NonFiniteError
+from .graph import Graph, _index, relabel
 from .solver import _pinv_mod, _require_two_nodes, build_system, solve_all_pairs
 
 TOL = 1e-8  # the referee's grid step
@@ -334,27 +334,6 @@ def verify_mapping(g1: Graph, g2: Graph, mapping: dict[int, int]) -> bool:
     return True
 
 
-def find_isomorphism(
-    g1: Graph,
-    g2: Graph,
-    *,
-    node_budget: int = DEFAULT_BUDGET,
-) -> dict[int, int] | None:
-    """The verified mapping of iso_screen, or None when it proves the pair distinct.
-
-    One decision path: differing colour refinements reject before any
-    factorization, a discrete refinement gives the mapping without one, a
-    fingerprint mismatch rejects before any search, and a mapping is
-    returned only after verify_mapping has passed.  Raises
-    BudgetExhaustedError, carrying the verdict's reason, when the screen
-    leaves the pair possibly isomorphic.
-    """
-    verdict = iso_screen(g1, g2, node_budget=node_budget)
-    if verdict.kind == IsoVerdict.POSSIBLE:
-        raise BudgetExhaustedError(verdict.reason)
-    return verdict.mapping
-
-
 def iso_screen(
     g1: Graph,
     g2: Graph,
@@ -371,8 +350,10 @@ def iso_screen(
     colours, so that mapping is the only candidate, and it is certified only
     after verify_mapping.  Otherwise differing fingerprints prove the pair
     distinct, certified canonical forms that differ do too, and equal forms
-    give a mapping that must pass verify_mapping.
+    give a mapping that must pass verify_mapping.  A node_budget that is not
+    an integer of at least 1 raises InvalidBudgetError before any of this.
     """
+    _check_budget(node_budget)
     if g1.n != g2.n:
         return IsoVerdict(IsoVerdict.DISTINCT, reason="node counts differ")
     if g1.m != g2.m:
@@ -427,18 +408,11 @@ class CanonicalLabeling:
     certified: bool
     expansions: int
 
-    def form_json(self) -> str:
-        return json.dumps(
-            {
-                "n": len(self.order),
-                "form": [format(x, ".17g") for x in self.form],
-            },
-            separators=(",", ":"),
-            sort_keys=True,
-        )
-
     def digest(self) -> str:
-        return hashlib.sha256(self.form_json().encode()).hexdigest()
+        """sha256 of the JSON {"form": [17-digit decimal strings], "n": n}."""
+        text = json.dumps({"form": [format(x, ".17g") for x in self.form], "n": len(self.order)},
+                          separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 def canonical_labeling(
@@ -454,8 +428,22 @@ def canonical_labeling(
     smallest non-singleton cell.  Every discrete leaf gives an order; the one
     with the least form wins.  Automorphisms found on the way prune
     equivalent branches.  A finished search makes the form label invariant.
+    A budget that is not an integer of at least 1 raises InvalidBudgetError
+    before the graph is analysed.
     """
+    budget = _check_budget(budget)
     return _canonical(graph.adj, graph._analysis.start, budget)
+
+
+def _check_budget(budget) -> int:
+    """budget as an int; InvalidBudgetError unless it is an integer (not a bool) >= 1."""
+    try:
+        budget = _index(budget)
+    except TypeError:
+        raise InvalidBudgetError(f"search budget must be an integer, got {budget!r}")
+    if budget < 1:
+        raise InvalidBudgetError(f"search budget must be >= 1, got {budget}")
+    return budget
 
 
 def _find(rep: list[int], x: int) -> int:

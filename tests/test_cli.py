@@ -10,7 +10,7 @@ from jsonschema import validate
 from kcanon import oracle, signatures, solver
 from kcanon.cli import main
 from kcanon.graph import Graph, relabel, to_edge_list, to_json
-from kcanon.signatures import Fingerprint, fingerprint
+from kcanon.signatures import CanonicalLabeling, Fingerprint, fingerprint
 
 from conftest import (
     ROOK_4X4,
@@ -399,6 +399,20 @@ class TestCanon:
         assert result.exit_code == 0
         assert doc["certified"] is False
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_digests_once(self, runner, write, monkeypatch, fmt):
+        digests = []
+        method = CanonicalLabeling.digest
+
+        def counted(self):
+            digests.append(method(self))
+            return digests[-1]
+
+        monkeypatch.setattr(CanonicalLabeling, "digest", counted)
+        result = runner.invoke(main, ["canon", write(cycle(5)), "--format", fmt])
+        assert result.exit_code == 0
+        assert len(digests) == 1 and digests[0] in result.output
+
 
 class TestOracleCommands:
     def test_solve(self, runner, write):
@@ -451,6 +465,18 @@ class TestErrorBoundary:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "is a directory" in result.stderr
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize("command", [["canon", "FILE"], ["iso", "FILE", "FILE"]])
+    def test_budget_below_one_exit_2(self, runner, write, command, budget):
+        f = write(cycle(4))
+        result = runner.invoke(main, [f if arg == "FILE" else arg for arg in command]
+                               + ["--budget", budget])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err == {"error": "InvalidBudget", "message": f"search budget must be >= 1, got {budget}"}
 
     def test_oracle_solve_same_source_sink_exit_2(self, runner, write):
         result = runner.invoke(main, ["oracle", "solve", write(path(3)), "2", "2"])

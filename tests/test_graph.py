@@ -224,6 +224,15 @@ class TestJsonFormat:
     def test_sniffing(self):
         assert parse_graph('{"n":2,"edges":[[1,2,1.0]]}') == parse_graph("1 2")
 
+    @pytest.mark.parametrize("text", [b'{"n":2,"edges":[[1,2]]}', bytearray(b'{"n":2,"edges":[[1,2]]}'),
+                                      3, None], ids=["bytes", "bytearray", "int", "None"])
+    def test_text_must_be_a_str(self, text):
+        # As parse_edge_list does; json.loads would decode bytes.
+        with pytest.raises(GraphError) as exc:
+            parse_json(text)
+        assert type(exc.value) is GraphError
+        assert str(exc.value) == f"JSON text must be a str, got {type(text).__name__}"
+
 
 class TestLoadGraph:
     def test_reads_non_ascii_utf8(self, tmp_path):

@@ -138,7 +138,7 @@ class TestRandomGraphs:
     def test_tree_edge_count(self, rng):
         for _ in range(10):
             n = rng.randint(2, 12)
-            assert oracle.random_tree(n, rng).m == n - 1
+            assert oracle.random_connected_graph(n, rng, extra_edge_prob=0.0).m == n - 1
 
     def test_weight_range(self, rng):
         g = oracle.random_connected_graph(10, rng, weight_range=(0.1, 10.0))

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from kcanon import oracle, signatures, solver
 from kcanon.errors import (
-    BudgetExhaustedError,
     FactorizationFailedError,
     GraphError,
+    InvalidBudgetError,
     NonFiniteError,
 )
 from kcanon.graph import Graph, relabel
@@ -26,7 +26,6 @@ from kcanon.signatures import (
     all_edge_signatures,
     all_node_signatures,
     canonical_labeling,
-    find_isomorphism,
     fingerprint,
     iso_screen,
     orbit_partition,
@@ -90,6 +89,10 @@ def expected_rows(g, p):
 
 def refuse_to_factorize(graph):
     raise AssertionError("factorized a pair that colour refinement decides")
+
+
+def refuse_to_search(*args):
+    raise AssertionError("searched a pair that an earlier stage decides")
 
 
 def weighted_graph(n, seed, m=None):
@@ -514,42 +517,6 @@ class TestRegularRelabelling:
             assert verify_mapping(g, h, verdict.mapping)
 
 
-class TestFindIsomorphism:
-    def test_identity(self):
-        g = cycle(4)
-        mapping = find_isomorphism(g, g)
-        assert mapping is not None
-        assert verify_mapping(g, g, mapping)
-
-    def test_k3_any_bijection(self):
-        mapping = find_isomorphism(complete(3), complete(3))
-        assert verify_mapping(complete(3), complete(3), mapping)
-
-    def test_random_tree_relabeling(self, rng):
-        t = oracle.random_tree(9, rng)
-        perm = random_permutation(9, rng)
-        h = relabel(t, perm)
-        mapping = find_isomorphism(t, h)
-        assert mapping is not None
-        assert verify_mapping(t, h, mapping)
-
-    def test_budget_exhaustion_raises(self):
-        g = cycle(6)
-        with pytest.raises(BudgetExhaustedError):
-            find_isomorphism(g, g, node_budget=1)
-
-    def test_budget_error_carries_the_verdict_reason(self):
-        with pytest.raises(BudgetExhaustedError, match="search budget exhausted"):
-            find_isomorphism(cycle(6), cycle(6), node_budget=1)
-
-    def test_fingerprint_mismatch_rejects_before_search(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("searched a pair with differing fingerprints")
-
-        monkeypatch.setattr(signatures, "_canonical", refuse)
-        assert find_isomorphism(path(4), star(3)) is None
-
-
 class TestVerifyMapping:
     @pytest.mark.parametrize("g2, mapping", [
         (path(3), {1: 1, 2: 2}),
@@ -585,18 +552,25 @@ class TestIsoScreen:
         assert verdict.mapping is None
 
     def test_relabeled_c4(self, rng):
+        # Also C4 and K3 against themselves, and a relabelled random tree.
         g = cycle(4)
-        h = relabel(g, random_permutation(4, rng))
-        verdict = iso_screen(g, h)
-        assert verdict.kind == IsoVerdict.ISOMORPHIC
-        assert verify_mapping(g, h, verdict.mapping)
+        pairs = [(g, relabel(g, random_permutation(4, rng))), (g, g), (complete(3), complete(3))]
+        tree = oracle.random_connected_graph(9, rng, extra_edge_prob=0.0)
+        pairs.append((tree, relabel(tree, random_permutation(9, rng))))
+        for g, h in pairs:
+            verdict = iso_screen(g, h)
+            assert verdict.kind == IsoVerdict.ISOMORPHIC
+            assert verify_mapping(g, h, verdict.mapping)
 
     def test_refinement_rejects_a_swap_without_factorizing(self, monkeypatch):
         g = weighted_graph(20, 0)
         h = double_edge_swap(g, random.Random(2))
         monkeypatch.setattr(signatures, "_pinv_mod", refuse_to_factorize)
-        verdict = iso_screen(g, h)
-        assert (verdict.kind, verdict.reason) == (IsoVerdict.DISTINCT, "colour refinement differs")
+        monkeypatch.setattr(signatures, "_canonical", refuse_to_search)
+        for g, h in [(g, h), (path(4), star(3))]:
+            verdict = iso_screen(g, h)
+            assert (verdict.kind, verdict.reason) == (IsoVerdict.DISTINCT, "colour refinement differs")
+            assert verdict.mapping is None
 
     def test_discrete_refinement_gives_the_mapping_without_factorizing(self, monkeypatch):
         # A discrete refinement leaves no automorphism, so the relabelling is
@@ -609,10 +583,11 @@ class TestIsoScreen:
         assert verdict.mapping == perm
         assert verify_mapping(g, h, verdict.mapping)
 
-    def test_pair_refinement_cannot_split_reaches_fingerprints(self):
+    def test_pair_refinement_cannot_split_reaches_fingerprints(self, monkeypatch):
         g, h = complete_bipartite(3), prism(3)
         k, l = _uniform_refine(g), _uniform_refine(h)
         assert len(set(k)) == 1 and _refinement_invariant(g, k) == _refinement_invariant(h, l)
+        monkeypatch.setattr(signatures, "_canonical", refuse_to_search)
         verdict = iso_screen(g, h)
         assert (verdict.kind, verdict.reason) == (IsoVerdict.DISTINCT, "fingerprints differ")
 
@@ -661,7 +636,7 @@ class TestIsoScreen:
         verdict = iso_screen(SHRIKHANDE, ROOK_4X4)
         assert verdict.kind == IsoVerdict.DISTINCT
         assert verdict.reason == "canonical forms differ"
-        assert find_isomorphism(SHRIKHANDE, ROOK_4X4) is None
+        assert verdict.mapping is None
         h = relabel(SHRIKHANDE, random_permutation(16, rng))
         verdict = iso_screen(SHRIKHANDE, h)
         assert verdict.kind == IsoVerdict.ISOMORPHIC
@@ -670,8 +645,10 @@ class TestIsoScreen:
     def test_budget_one_gives_possible(self, rng):
         g = cycle(6)
         h = relabel(g, random_permutation(6, rng))
-        verdict = iso_screen(g, h, node_budget=1)
-        assert verdict.kind == IsoVerdict.POSSIBLE
+        for budget in (1, np.int32(1)):  # numpy integers are integers
+            verdict = iso_screen(g, h, node_budget=budget)
+            assert (verdict.kind, verdict.reason) == (IsoVerdict.POSSIBLE, "search budget exhausted")
+            assert verdict.mapping is None
 
     def test_decides_without_serializing(self, rng, monkeypatch):
         def refuse(self):
@@ -780,9 +757,41 @@ class TestCanonicalLabeling:
         assert len(digests) == 1
 
     def test_budget_exhaustion_flags_uncertified(self):
-        lab = canonical_labeling(cycle(6), budget=1)
-        assert not lab.certified
-        assert len(lab.order) == 6
+        for budget in (1, np.int64(1)):  # numpy integers are integers
+            lab = canonical_labeling(cycle(6), budget=budget)
+            assert not lab.certified
+            assert len(lab.order) == 6
+
+    @pytest.mark.parametrize("budget, message", [
+        (-5, "search budget must be >= 1, got -5"),
+        (0, "search budget must be >= 1, got 0"),
+        (True, "search budget must be an integer, got True"),
+        (2.5, "search budget must be an integer, got 2.5"),
+        ("x", "search budget must be an integer, got 'x'"),
+        (None, "search budget must be an integer, got None"),
+    ])
+    def test_invalid_budget_raises_before_any_analysis(self, monkeypatch, budget, message):
+        def refuse(*args):
+            raise AssertionError("analysed a graph despite an invalid budget")
+
+        monkeypatch.setattr(signatures, "_pinv_mod", refuse)
+        monkeypatch.setattr(signatures, "_refine", refuse)
+        for call in (lambda: canonical_labeling(cycle(4), budget=budget),
+                     lambda: iso_screen(cycle(4), cycle(4), node_budget=budget),
+                     lambda: iso_screen(cycle(4), path(5), node_budget=budget)):
+            with pytest.raises(InvalidBudgetError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    def test_digest_pinned(self):
+        # sha256 of {"form": [17-digit decimal strings], "n": n}, no spaces.
+        g = Graph(5, [(1, 2, 0.5), (2, 3, 1.0), (3, 4, 0.5), (4, 5, 1.0), (5, 1, 0.1)])
+        lab = canonical_labeling(g)
+        assert lab.certified
+        assert lab.form == (0.5, 1.0, 0.0, 0.0, 0.0, 0.1, 0.0, 1.0, 0.0, 0.5)
+        text = '{"form":["0.5","1","0","0","0","0.10000000000000001","0","1","0","0.5"],"n":5}'
+        assert hashlib.sha256(text.encode()).hexdigest() == lab.digest()
+        assert lab.digest() == "61eb9ff3be9a341160c52c5756e7a4b62d288057dc3e3f75f65f45270d5084d2"
 
     def test_order_is_permutation(self):
         lab = canonical_labeling(cycle(5))
