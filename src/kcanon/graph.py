@@ -12,6 +12,7 @@ import json
 import numbers
 import operator
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +25,7 @@ from .errors import (
     MalformedLineError,
     NonFiniteWeightError,
     NonPositiveWeightError,
+    SameSourceSinkError,
     SelfLoopError,
 )
 
@@ -119,6 +121,19 @@ def _index(x) -> int:
     if isinstance(x, bool):
         raise TypeError(f"{x!r} is a bool, not an integer")
     return operator.index(x)
+
+
+def _source_sink(n: int, a, b) -> tuple[int, int]:
+    """(a, b) as ints; SameSourceSinkError unless a != b are node ids in 1..n."""
+    try:
+        a, b = _index(a), _index(b)
+    except TypeError:
+        raise SameSourceSinkError(f"node ids ({a!r},{b!r}) must be integers")
+    if a == b:
+        raise SameSourceSinkError(f"source and sink are both node {a}")
+    if not (1 <= a <= n and 1 <= b <= n):
+        raise SameSourceSinkError(f"nodes ({a},{b}) outside 1..{n}")
+    return a, b
 
 
 def _weight(w) -> float:
@@ -263,9 +278,17 @@ def to_json(graph: Graph) -> str:
     )
 
 
+def _is_bijection(perm, n: int) -> bool:
+    """Whether perm is a mapping whose keys and whose values are each 1..n."""
+    ids = list(range(1, n + 1))
+    try:
+        return isinstance(perm, Mapping) and sorted(perm) == ids and sorted(perm.values()) == ids
+    except TypeError:  # keys or values that do not compare with each other
+        return False
+
+
 def relabel(graph: Graph, perm: dict[int, int]) -> Graph:
     """Apply a node relabeling; perm maps old id -> new id, a bijection on 1..N."""
-    ids = list(range(1, graph.n + 1))
-    if sorted(perm) != ids or sorted(perm.values()) != ids:
+    if not _is_bijection(perm, graph.n):
         raise GraphError("perm must be a bijection on 1..N")
     return Graph(graph.n, [(perm[u], perm[v], w) for u, v, w in graph.edges])

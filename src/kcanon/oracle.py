@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SameSourceSinkError, SingularSystemError, TooLargeError
-from .graph import Graph
+from .errors import SingularSystemError, TooLargeError
+from .graph import Graph, _source_sink
 
 BRUTE_FORCE_MAX_N = 10
 ENUMERATION_MAX_N = 7
@@ -62,8 +62,7 @@ def _bareiss_solve(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
 def exact_solve_pair(graph: Graph, a: int, b: int) -> list[Fraction]:
     """Exact sum-zero-gauge voltages for unit current from a to b."""
     n = graph.n
-    if a == b:
-        raise SameSourceSinkError(f"source and sink are both node {a}")
+    a, b = _source_sink(n, a, b)
     L = exact_laplacian(graph)
     ground = n - 1  # 0-based node N, the node build_system grounds
     keep = [i for i in range(n) if i != ground]

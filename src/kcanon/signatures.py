@@ -26,8 +26,10 @@ The paper's node and edge vectors are functions of these rows, so classes
 are equal or finer, and still contain every automorphism orbit.  Isomorphic
 graphs get identical residues by construction; differing residues prove the
 exact values differ, and a residue collision can only merge classes.  Rows
-are int64 matrices from L+ to the fingerprint.  Fingerprint.digest() hashes
-the parts' int64 bytes under the header tag gfp/1.
+are int64 matrices from L+ to the fingerprint.  Rows are ordered and grouped
+lexicographically, by one fixed-width bytes key per row (_row_keys): node
+classes are the runs of equal keys in key order, ids ascending within each.
+Fingerprint.digest() hashes the parts' int64 bytes under the header tag gfp/1.
 
 The paper's float vectors, snapped to a grid of fixed step TOL, survive only
 in all_node_signatures and all_edge_signatures, as the referee; they too are
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBudgetError, NonFiniteError
-from .graph import Graph, _index, relabel
+from .graph import Graph, _index, _is_bijection, relabel
 from .solver import _pinv_mod, _require_two_nodes, build_system, solve_all_pairs
 
 TOL = 1e-8  # the referee's grid step
@@ -150,22 +152,14 @@ def _uniform_refine(graph: Graph) -> list[int]:
     return _refine([a.items() for a in graph.adj], [0] * graph.n)
 
 
-def _lex_sort(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable lexicographic row order, and which sorted rows differ from the last.
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One bytes key per int64 row that sorts and compares as the row does lexicographically.
 
-    np.lexsort takes one pass per column, so this sorts by the first k
-    columns, doubling k until rows tied on them are equal in full.
+    With the sign bit flipped, big-endian bytes compare as the values do, and
+    numpy sorts and compares unstructured void scalars bytewise.
     """
-    k = 8
-    while True:
-        order = np.lexsort(rows[:, :k].T[::-1])
-        head = rows[order, :k]
-        tied = np.flatnonzero((head[1:] == head[:-1]).all(axis=1))
-        if k >= rows.shape[1] or (rows[order[tied]] == rows[order[tied + 1]]).all():
-            new = np.ones(len(rows), dtype=bool)
-            new[tied + 1] = False
-            return order, new
-        k *= 2
+    keys = (rows ^ np.int64(-2**63)).astype(">i8", order="C")
+    return keys.view(f"V{8 * rows.shape[1]}").ravel()
 
 
 @dataclass(frozen=True)
@@ -240,12 +234,13 @@ class _Analysis:
         self.P, self.p, self.r = _pinv_mod(graph)
         self.node_rows = np.concatenate([self.P.diagonal()[:, None], np.sort(self.P, axis=1)],
                                         axis=1)
-        # Signature order: the order of orbit classes and canonical positions.
-        self.node_order, new = _lex_sort(self.node_rows)
-        # Colouring by signature class: the root of the canonical search.
-        self.start = (np.cumsum(new) - 1)[np.argsort(self.node_order)].tolist()
-        ids, bounds = (self.node_order + 1).tolist(), np.flatnonzero(new).tolist() + [graph.n]
-        self.classes = [ids[i:j] for i, j in zip(bounds, bounds[1:])]
+        # Colouring by signature class, in signature order: the root of the
+        # canonical search, and the order of orbit classes and canonical positions.
+        _, start, sizes = np.unique(_row_keys(self.node_rows), return_inverse=True,
+                                    return_counts=True)
+        self.start, self.node_order = start.tolist(), np.argsort(start, kind="stable")
+        ids, ends = (self.node_order + 1).tolist(), np.cumsum(sizes).tolist()
+        self.classes = [ids[i:j] for i, j in zip([0] + ends, ends)]
 
 
 def _paper_rows(graph: Graph, values_of) -> np.ndarray:
@@ -295,7 +290,8 @@ def fingerprint(graph: Graph) -> Fingerprint:
     pick = np.arange(len(rows))
     smaller = negated[pick, first] < rows[pick, first]
     rows[smaller] = negated[smaller]
-    return Fingerprint(graph.n, graph.m, a.p, a.node_rows[a.node_order], rows[_lex_sort(rows)[0]])
+    order = np.argsort(_row_keys(rows), kind="stable")
+    return Fingerprint(graph.n, graph.m, a.p, a.node_rows[a.node_order], rows[order])
 
 
 @dataclass(frozen=True)
@@ -322,11 +318,7 @@ class IsoVerdict:
 
 def verify_mapping(g1: Graph, g2: Graph, mapping: dict[int, int]) -> bool:
     """Independent check that mapping is a weight-preserving edge bijection."""
-    if sorted(mapping) != list(range(1, g1.n + 1)):
-        return False
-    if sorted(mapping.values()) != list(range(1, g2.n + 1)):
-        return False
-    if g1.m != g2.m:
+    if g1.n != g2.n or g1.m != g2.m or not _is_bijection(mapping, g1.n):
         return False
     for u, v, w in g1.edges:
         if g2.weight(mapping[u], mapping[v]) != w:

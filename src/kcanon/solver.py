@@ -45,10 +45,9 @@ from .errors import (
     GraphMismatchError,
     NonFiniteWeightError,
     NonPositiveWeightError,
-    SameSourceSinkError,
     SecondEigenvalueNearZeroError,
 )
-from .graph import Graph, _index, _weight
+from .graph import Graph, _source_sink, _weight
 
 # Incremented by build_system and each prime _pinv_mod tries; lets callers
 # assert the factor-once contract.
@@ -153,14 +152,7 @@ def build_system(graph: Graph) -> LaplacianSystem:
 
 def _injection(n, a, b):
     """e_a - e_b over nodes 1..n; SameSourceSinkError unless a != b are node ids."""
-    try:
-        a, b = _index(a), _index(b)
-    except TypeError:
-        raise SameSourceSinkError(f"node ids ({a!r},{b!r}) must be integers")
-    if a == b:
-        raise SameSourceSinkError(f"source and sink are both node {a}")
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise SameSourceSinkError(f"nodes ({a},{b}) outside 1..{n}")
+    a, b = _source_sink(n, a, b)
     rhs = np.zeros(n)
     rhs[a - 1] = 1.0
     rhs[b - 1] -= 1.0

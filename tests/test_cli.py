@@ -486,6 +486,15 @@ class TestErrorBoundary:
         validate(err, schema("error"))
         assert err["error"] == "SameSourceSink"
 
+    @pytest.mark.parametrize("a, b", [("5", "1"), ("0", "2")])
+    def test_oracle_solve_node_outside_exit_2(self, runner, write, a, b):
+        result = runner.invoke(main, ["oracle", "solve", write(path(3)), a, b])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err == {"error": "SameSourceSink", "message": f"nodes ({a},{b}) outside 1..3"}
+
 
 class TestConfig:
     def test_deterministic_output(self, runner, write):

@@ -307,6 +307,12 @@ def test_relabel_rejects_non_bijection():
         relabel(path(2), {1: 1, 2: 1})
 
 
+@pytest.mark.parametrize("perm", [[2, 1, 3], "abc", (1, 2, 3), None, {1: 1, "2": 2, 3: 3}])
+def test_relabel_rejects_non_mapping_or_unsortable_perm(perm):
+    with pytest.raises(GraphError, match=r"^perm must be a bijection on 1\.\.N$"):
+        relabel(path(3), perm)
+
+
 def test_graph_is_immutable():
     g = path(3)
     with pytest.raises(AttributeError):

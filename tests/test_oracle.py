@@ -7,7 +7,7 @@ import pytest
 from kcanon import oracle
 from kcanon.errors import SameSourceSinkError, TooLargeError
 from kcanon.graph import Graph, relabel
-from kcanon.solver import build_system, solve_pair
+from kcanon.solver import build_system, solve_pair, solve_pair_pseudoinverse
 
 from conftest import complete, cycle, path, random_permutation, star
 
@@ -38,6 +38,20 @@ class TestExactSolve:
     def test_same_source_sink(self):
         with pytest.raises(SameSourceSinkError):
             oracle.exact_solve_pair(path(3), 1, 1)
+
+    @pytest.mark.parametrize("a, b, message", [
+        (1.5, 2, "node ids (1.5,2) must be integers"),
+        (True, 3, "node ids (True,3) must be integers"),
+        (0, 2, "nodes (0,2) outside 1..3"),
+        (4, 1, "nodes (4,1) outside 1..3"),
+    ])
+    def test_rejects_what_the_float_solvers_reject(self, a, b, message):
+        g = path(3)
+        for solve in (oracle.exact_solve_pair, solve_pair_pseudoinverse,
+                      lambda g, a, b: solve_pair(build_system(g), a, b)):
+            with pytest.raises(SameSourceSinkError) as exc:
+                solve(g, a, b)
+            assert str(exc.value) == message
 
     def test_matches_float_solver(self, rng):
         for _ in range(20):

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kcanon import oracle, signatures, solver
 from kcanon.errors import (
@@ -33,9 +34,9 @@ from kcanon.signatures import (
     IsoVerdict,
     _canonical,
     _grid,
-    _lex_sort,
     _refine,
     _refinement_invariant,
+    _row_keys,
     _uniform_refine,
 )
 from kcanon.solver import factorization_count
@@ -387,11 +388,39 @@ class TestLexSort:
         base = rng.integers(-3, 3, size=(6, 40))
         rows = base[rng.integers(0, 6, size=30)]
         rows[::4, 25:] = rng.integers(-3, 3, size=(8, 15))
-        order, new = _lex_sort(rows)
+        keys = _row_keys(rows)
+        order = np.argsort(keys, kind="stable")
         tuples = [tuple(r) for r in rows.tolist()]
         assert order.tolist() == sorted(range(30), key=lambda i: (tuples[i], i))
-        assert new.tolist() == [k == 0 or tuples[order[k]] != tuples[order[k - 1]]
-                                for k in range(30)]
+        assert (keys[order][1:] != keys[order][:-1]).tolist() == [
+            tuples[order[k]] != tuples[order[k - 1]] for k in range(1, 30)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_key_order_and_equality_match_row_tuples(self, data):
+        # The full int64 range, and a 3-value alphabet for ties: -2**63 makes
+        # all-zero key bytes, 0 and 1 differ only in the last byte.
+        values = data.draw(st.sampled_from([st.integers(-2**63, 2**63 - 1),
+                                            st.sampled_from([-2**63, 0, 1])]))
+        shape = st.tuples(st.integers(1, 30), st.integers(1, 40))
+        rows = data.draw(hnp.arrays(np.int64, shape, elements=values))
+        keys, tuples = _row_keys(rows), [tuple(row) for row in rows.tolist()]
+        order = np.argsort(keys, kind="stable")
+        assert order.tolist() == sorted(range(len(rows)), key=lambda i: (tuples[i], i))
+        assert (keys[:, None] == keys).tolist() == [[s == t for t in tuples] for s in tuples]
+
+
+class TestAnalysis:
+    def test_classes_and_start_group_equal_node_rows_in_row_order(self):
+        for n in range(2, 7):
+            for g in oracle.enumerate_connected_graphs(n):
+                a = g._analysis
+                rows = [tuple(row) for row in a.node_rows.tolist()]
+                distinct = sorted(set(rows))
+                assert a.classes == [[x for x in range(1, n + 1) if rows[x - 1] == row]
+                                     for row in distinct]
+                assert a.start == [distinct.index(row) for row in rows]
+                assert (a.node_order + 1).tolist() == [x for c in a.classes for x in c]
 
 
 class TestHalfRows:
@@ -434,10 +463,10 @@ class TestHalfRows:
                 h = full[:, :n * (n - 1) // 2]
                 assert (h <= 0).all()
                 assert (full == np.concatenate([h, -h[:, ::-1]], axis=1)).all()
-                order, new = _lex_sort(h)
-                full_order, full_new = _lex_sort(full)
-                assert order.tolist() == full_order.tolist()
-                assert new.tolist() == full_new.tolist()
+                keys, full_keys = _row_keys(h), _row_keys(full)
+                assert (np.argsort(keys, kind="stable").tolist()
+                        == np.argsort(full_keys, kind="stable").tolist())
+                assert (keys[:, None] == keys).tolist() == (full_keys[:, None] == full_keys).tolist()
 
 
 class TestExactResidues:
@@ -523,10 +552,14 @@ class TestVerifyMapping:
         (path(3), {1: 1, 2: 2, 3: 4}),
         (complete(3), {1: 1, 2: 2, 3: 3}),
         (path(3, 2.0), {1: 1, 2: 2, 3: 3}),
-    ], ids=["domain", "image", "edge-count", "weight"])
+        (path(3), [2, 1, 3]),
+        (path(3), "abc"),
+        (path(3), None),
+        (path(3), {1: 1, "2": 2, 3: 3}),
+    ], ids=["domain", "image", "edge-count", "weight", "list", "str", "none", "str-key"])
     def test_rejects(self, g2, mapping):
         assert verify_mapping(path(3), path(3), {1: 3, 2: 2, 3: 1})
-        assert not verify_mapping(path(3), g2, mapping)
+        assert verify_mapping(path(3), g2, mapping) is False
 
 
 class TestIsoScreen:
