@@ -279,10 +279,19 @@ def to_json(graph: Graph) -> str:
 
 
 def _is_bijection(perm, n: int) -> bool:
-    """Whether perm is a mapping whose keys and whose values are each 1..n."""
+    """Whether perm is a mapping whose keys and whose values are each 1..n.
+
+    Ids must be integers, as _index takes them: a float or a bool equal to an
+    id is refused.
+    """
+    if not isinstance(perm, Mapping):
+        return False
+    types = {*map(type, perm), *map(type, perm.values())}
+    if bool in types or not all(hasattr(t, "__index__") for t in types):
+        return False
     ids = list(range(1, n + 1))
     try:
-        return isinstance(perm, Mapping) and sorted(perm) == ids and sorted(perm.values()) == ids
+        return sorted(perm) == ids and sorted(perm.values()) == ids
     except TypeError:  # keys or values that do not compare with each other
         return False
 

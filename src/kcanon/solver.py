@@ -20,13 +20,20 @@ Two kinds of factor serve them:
                 N >= 10^4.  Every grounded solve uses it: solve_pair, and
                 solve_all_pairs behind the paper's float signature rows.
 * _pinv_mod:    the pseudoinverse L+ = (L + J/n)^-1 - J/n modulo a prime
-                p < 2^21, J the all-ones matrix, inverted by pivoted
-                Gauss-Jordan elimination on int64 residues; the signature
-                analysis reads it.
+                p < 2^21, J the all-ones matrix; the signature analysis
+                reads it.  The inverse splits the matrix into 2 x 2 blocks
+                and recurses on the leading block and its Schur complement,
+                down to blocks of at most 32 rows, which pivoted Gauss-Jordan
+                elimination inverts on int64 residues.  Each block product
+                is one float64 matrix product through numpy's BLAS: residues
+                below 2^21 over an inner dimension of at most 2047 sum below
+                2^53, exactly in any order, so the BLAS thread count changes
+                no bit.  Longer products, above 4094 rows, are split.
 
-SciPy loads only when a sparse factor is built, so the signature analysis
-never loads it.  All voltage vectors are gauge-fixed to sum to zero, which
-makes the (b,a) solution the exact elementwise negation of the (a,b) solution.
+SciPy loads only when a sparse factor is built, so the signature analysis,
+whose products use numpy's own BLAS, never loads it.  All voltage vectors are
+gauge-fixed to sum to zero, which makes the (b,a) solution the exact
+elementwise negation of the (a,b) solution.
 """
 
 from __future__ import annotations
@@ -182,37 +189,117 @@ def _residues(w: np.ndarray, p: int) -> np.ndarray:
     return np.ldexp(mantissa, 53).astype(np.int64) % p * power[which] % p
 
 
-def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
+# Inverses of at most this many rows are computed by Gauss-Jordan elimination;
+# larger ones split into 2 x 2 blocks.
+_BASE = 32
+
+# (2**21)**2 * 2047 < 2**53: a float64 product of residues below 2**21 over
+# an inner dimension of at most 2047, plus a residue, is an exact integer.
+_INNER = 2047
+
+
+def _gauss_jordan(a: np.ndarray, p: int) -> np.ndarray:
     """Inverse mod p, in [0, p), by Gauss-Jordan elimination with row pivoting.
 
-    Entries are int64 in (-p, p).  Each step reduces only the pivot row and
-    column, so other entries grow by less than p**2 a step and stay exact in
+    Entries are integers in (-p, p), int64 or float64; the result is int64.
+    Each pivot is one rank-1 update: with the pivot d, the reduced pivot
+    column holds d - 1 at the pivot and the scaled pivot row d^-1 + 1, so
+    a -= col * row also leaves the pivot row scaled by d^-1, the pivot column
+    times -d^-1 and d^-1 at the pivot.  Only the pivot row and column are
+    reduced, so other entries grow by less than p**2 a step and stay exact in
     int64 for any k below 2**21; the whole matrix is reduced once, at the
     end.  Raises FactorizationFailedError when a is singular mod p.
     """
-    a = a.copy()
+    a = a.astype(np.int64)
     swaps = []
     for j in range(len(a)):
         col = a[:, j] % p
-        if col[j] == 0:
+        d = int(col[j])
+        if not d:
             nonzero = np.flatnonzero(col[j + 1:])
             if not nonzero.size:
                 raise FactorizationFailedError(f"matrix is singular modulo {p}")
             r = j + 1 + nonzero[0]
             a[[j, r]], col[[j, r]] = a[[r, j]], col[[r, j]]
             swaps.append((j, r))
+            d = int(col[j])
+        d_inv = pow(d, -1, p)
         row = a[j] % p
-        row[j] = 1
-        row *= pow(int(col[j]), -1, p)
+        row *= d_inv
         row %= p
-        col[j] = 0
-        a[:, j] = 0
-        a[j] = row
-        a -= np.outer(col, row)
+        row[j] = (d_inv + 1) % p
+        col[j] = d - 1
+        a -= col[:, None] * row
     for j, r in reversed(swaps):
         a[:, [j, r]] = a[:, [r, j]]
     a %= p
     return a
+
+
+def _mul_mod(x: np.ndarray, y: np.ndarray, p: int, z: np.ndarray | None = None) -> np.ndarray:
+    """z + x @ y mod p, as residues in (-p, p), for float64 residues in (-p, p).
+
+    One BLAS product per 2047 columns of x, each added to the sum so far,
+    which is then reduced by subtracting its nearest multiple of p: its
+    quotient by p, computed as xy * (1 / p), is off by less than 2/p, so
+    rounding misses that multiple by at most one.
+    """
+    for s in range(0, x.shape[1], _INNER):
+        xy = x[:, s:s + _INNER] @ y[s:s + _INNER]
+        if z is not None:
+            xy += z
+        q = xy * (1 / p)
+        np.rint(q, out=q)
+        q *= p
+        xy -= q
+        z = xy
+    return z
+
+
+def _block_inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of float64 residues in (-p, p), as residues in (-p, p).
+
+    a = [[A, B], [C, D]] with A the leading half: for M = -A^-1 B,
+    N = -C A^-1 and S = D + C M (the Schur complement, invertible when a is),
+    a^-1 = [[A^-1 + M S^-1 N, M S^-1], [S^-1 N, S^-1]].  When A is singular
+    mod p, Gauss-Jordan elimination inverts a instead.
+    """
+    k = len(a)
+    if k <= _BASE:
+        return _gauss_jordan(a, p).astype(float)
+    h = k // 2
+    try:
+        ai = _block_inverse(a[:h, :h], p)
+    except FactorizationFailedError:
+        return _gauss_jordan(a, p).astype(float)
+    b, c = a[:h, h:], a[h:, :h]
+    neg = -ai
+    m, n = _mul_mod(neg, b, p), _mul_mod(c, neg, p)
+    si = _block_inverse(_mul_mod(c, m, p, a[h:, h:]), p)
+    x = np.empty_like(a)
+    x[h:, :h] = _mul_mod(si, n, p)
+    x[:h, :h] = _mul_mod(m, x[h:, :h], p, ai)
+    x[:h, h:] = _mul_mod(m, si, p)
+    x[h:, h:] = si
+    return x
+
+
+def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p, in [0, p), of int64 residues in (-p, p).
+
+    Up to _BASE = 32 rows by Gauss-Jordan elimination; above, by the 2 x 2
+    block recursion of _block_inverse over float64 residues.  Its products go
+    through BLAS: products of residues below 2**21 over at most _INNER = 2047
+    terms, plus a residue, stay below 2**53, so they are exact integers in any
+    summation order; _mul_mod splits longer inner dimensions, which occur
+    only above 4094 rows.  The inverse is unique, so the result equals
+    elimination's.  Raises FactorizationFailedError when a is singular mod p.
+    """
+    if len(a) <= _BASE:
+        return _gauss_jordan(a, p)
+    x = _block_inverse(a.astype(float), p)
+    x[x < 0] += p
+    return x.astype(np.int64)
 
 
 def _pinv_mod(graph: Graph) -> tuple[np.ndarray, int, np.ndarray]:

@@ -307,10 +307,19 @@ def test_relabel_rejects_non_bijection():
         relabel(path(2), {1: 1, 2: 1})
 
 
-@pytest.mark.parametrize("perm", [[2, 1, 3], "abc", (1, 2, 3), None, {1: 1, "2": 2, 3: 3}])
+@pytest.mark.parametrize("perm", [
+    [2, 1, 3], "abc", (1, 2, 3), None, {1: 1, "2": 2, 3: 3},
+    # Floats and bools equal to ids are not ids.
+    {1: 1.0, 2: 2, 3: 3}, {1: True, 2: 2, 3: 3}, {1: 1, 2: 2, 3: 3.0}, {1: 2, 2: True, 3: 3},
+])
 def test_relabel_rejects_non_mapping_or_unsortable_perm(perm):
     with pytest.raises(GraphError, match=r"^perm must be a bijection on 1\.\.N$"):
         relabel(path(3), perm)
+
+
+def test_relabel_takes_numpy_integer_ids():
+    h = relabel(path(3), {np.int64(1): 3, 2: np.int64(2), 3: 1})
+    assert h.edges == ((3, 2, 1.0), (2, 1, 1.0))
 
 
 def test_graph_is_immutable():

@@ -556,10 +556,18 @@ class TestVerifyMapping:
         (path(3), "abc"),
         (path(3), None),
         (path(3), {1: 1, "2": 2, 3: 3}),
-    ], ids=["domain", "image", "edge-count", "weight", "list", "str", "none", "str-key"])
+        (path(3), {1: 1.0, 2: 2, 3: 3}),
+        (path(3), {1: True, 2: 2, 3: 3}),
+        (path(3), {1: 1, 2: 2, 3: 3.0}),
+        (path(3), {1: 2, 2: True, 3: 3}),
+    ], ids=["domain", "image", "edge-count", "weight", "list", "str", "none", "str-key",
+            "float-key", "bool-key", "float-value", "bool-value"])
     def test_rejects(self, g2, mapping):
         assert verify_mapping(path(3), path(3), {1: 3, 2: 2, 3: 1})
         assert verify_mapping(path(3), g2, mapping) is False
+
+    def test_numpy_integer_ids_pass(self):
+        assert verify_mapping(path(3), path(3), {np.int64(1): 3, 2: np.int64(2), 3: 1})
 
 
 class TestIsoScreen:

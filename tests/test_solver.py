@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 import kcanon
 from kcanon import oracle, solver
@@ -342,21 +343,57 @@ def is_inverse_mod(a, x, p=P):
     return ((a.astype(float) @ x.astype(float)) % p == np.eye(len(a))).all()
 
 
+def inverse_or_none(inverse, a, p):
+    try:
+        return inverse(a, p)
+    except FactorizationFailedError:
+        return None
+
+
 class TestModularInverse:
-    @pytest.mark.parametrize("k", [1, 2, 7, 63, 65, 300])
+    @pytest.mark.parametrize("k", [1, 2, 7, 33, 63, 65, 97, 300, 1000])
     def test_random_residue_matrices(self, k):
         a = np.random.default_rng(k).integers(0, P, size=(k, k))
         x = solver._inverse_mod(a, P)
         assert x.dtype == np.int64 and ((0 <= x) & (x < P)).all()
         assert is_inverse_mod(a, x)
+        assert (x == solver._gauss_jordan(a, P)).all()
 
     @pytest.mark.parametrize("k", [65, 130])
-    def test_singular_leading_block_keeps_the_prime(self, k):
+    def test_singular_leading_block_keeps_the_prime(self, k, monkeypatch):
         a = np.random.default_rng(k).integers(0, P, size=(k, k))
         a[0, :k // 2] = 0  # the leading half has a zero row
         with pytest.raises(FactorizationFailedError):
             solver._inverse_mod(a[:k // 2, :k // 2], P)
+        sizes = []
+        gauss_jordan = solver._gauss_jordan
+        monkeypatch.setattr(solver, "_gauss_jordan", lambda b, p: sizes.append(len(b)) or gauss_jordan(b, p))
         assert is_inverse_mod(a, solver._inverse_mod(a, P))
+        assert k in sizes  # the whole matrix, by elimination
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 80), st.sampled_from([13, 101, P]), st.sampled_from([3, None]),
+           st.integers(0, 2**32 - 1))
+    def test_block_recursion_matches_gauss_jordan(self, k, p, alphabet, seed):
+        # Small primes and a 0/1/2 alphabet make singular leading blocks common.
+        a = np.random.default_rng(seed).integers(0, alphabet or p, size=(k, k))
+        x = inverse_or_none(solver._inverse_mod, a, p)
+        want = inverse_or_none(solver._gauss_jordan, a, p)
+        assert (x is None) == (want is None)
+        if x is not None:
+            assert x.dtype == np.int64 and (x == want).all()
+
+    @pytest.mark.parametrize("fill", [P - 1, P - 2, None], ids=["p-1", "p-2", "upper-half"])
+    def test_products_past_the_exact_inner_dimension(self, fill):
+        # 4100 terms near p^2 sum past 2^53, where one float64 product would
+        # round the odd sums of the p - 2 and upper-half fills.
+        rng = np.random.default_rng(4100)
+        x, y = (np.full(shape, fill) if fill else rng.integers(P // 2, P, size=shape)
+                for shape in ((2, 4100), (4100, 2)))
+        z = solver._mul_mod(x.astype(float), y.astype(float), P)
+        exact = [[sum(int(s) * int(t) for s, t in zip(row, col)) % P for col in y.T] for row in x]
+        assert (z.astype(np.int64) % P).tolist() == exact
+        assert (np.abs(z) < P).all()
 
     def test_singular_mod_p_only(self):
         a = np.array([[1, 2], [3, 6 + 11]])  # determinant 11
@@ -459,3 +496,15 @@ def test_import_leaves_sparse_solver_unloaded():
         "kcanon.solve_pair_pseudoinverse(g, 1, 3)"
     )
     assert "scipy.linalg" not in loaded
+
+
+def test_fingerprint_through_the_block_inverse_loads_no_scipy():
+    # n = 100 inverts L + J/n through the block recursion and its BLAS products.
+    loaded = _loaded_modules(
+        "import sys, kcanon; "
+        "g = kcanon.Graph(100, [(x, x % 100 + 1, 1.0 + x % 3) for x in range(1, 101)]"
+        " + [(x, x + 50, 0.5) for x in range(1, 51)]); "
+        "kcanon.fingerprint(g).digest()"
+    )
+    assert "kcanon.signatures" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
