@@ -18,8 +18,6 @@ from .signatures import (
     Fingerprint,
     IsoVerdict,
     OrbitPartition,
-    all_edge_signatures,
-    all_node_signatures,
     canonical_labeling,
     fingerprint,
     iso_screen,
@@ -45,8 +43,6 @@ __all__ = [
     "Fingerprint",
     "IsoVerdict",
     "OrbitPartition",
-    "all_edge_signatures",
-    "all_node_signatures",
     "canonical_labeling",
     "fingerprint",
     "iso_screen",

@@ -76,10 +76,6 @@ class GraphMismatchError(KCanonError):
     pass
 
 
-class NonFiniteError(KCanonError):
-    pass
-
-
 class TooLargeError(KCanonError):
     """Input exceeds the hard size limit of a brute-force routine."""
 

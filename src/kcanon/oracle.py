@@ -79,6 +79,29 @@ def exact_solve_pair(graph: Graph, a: int, b: int) -> list[Fraction]:
     return [x - mean for x in v]
 
 
+def exact_pinv(graph: Graph) -> list[list[Fraction]]:
+    """The Laplacian pseudoinverse L+ = (L + J/n)^-1 - J/n, J the all-ones matrix.
+
+    One Gauss-Jordan inverse, in place and with no pivoting: L + J/n is
+    positive definite for a connected graph.  Row x - 1 is node x, so the
+    sum-zero-gauge voltage of node x for unit current from a to b is
+    L+[x - 1][a - 1] - L+[x - 1][b - 1].
+    """
+    n = graph.n
+    j = Fraction(1, n)
+    a = [[x + j for x in row] for row in exact_laplacian(graph)]
+    for k in range(n):
+        # Column k of the inverse takes the place of column k of the matrix.
+        d, a[k][k] = a[k][k], Fraction(1)
+        pivot = a[k] = [x / d for x in a[k]]
+        for r in range(n):
+            f = a[r][k]
+            if r != k and f:
+                a[r][k] = Fraction(0)
+                a[r] = [x - f * y for x, y in zip(a[r], pivot)]
+    return [[x - j for x in row] for row in a]
+
+
 @dataclass(frozen=True)
 class AutomorphismReport:
     order: int

@@ -1,11 +1,12 @@
 """Node/edge signatures over all ordered source/sink pairs, and what they buy.
 
-For every ordered pair (a,b) the network is solved with unit current from a
-to b.  Each node collects its voltage across all N(N-1) ordered pairs; each
-edge collects its current.  Sorted, these vectors are label independent, so
-equal vectors group nodes into orbit candidates, the multiset of all vectors
-fingerprints the whole graph, and the signature classes seed the
-individualization-refinement search behind canonical labeling.
+In the paper, for every ordered pair (a,b) the network is solved with unit
+current from a to b.  Each node collects its voltage across all N(N-1)
+ordered pairs; each edge collects its current.  Sorted, these vectors are
+label independent, so equal vectors group nodes into orbit candidates, the
+multiset of all vectors fingerprints the whole graph, and the signature
+classes seed the individualization-refinement search behind canonical
+labeling.
 
 iso_screen decides in three stages, cheapest first: exact weighted colour
 refinement from one cell (no factorization; a discrete refinement gives the
@@ -30,10 +31,6 @@ are int64 matrices from L+ to the fingerprint.  Rows are ordered and grouped
 lexicographically, by one fixed-width bytes key per row (_row_keys): node
 classes are the runs of equal keys in key order, ids ascending within each.
 Fingerprint.digest() hashes the parts' int64 bytes under the header tag gfp/1.
-
-The paper's float vectors, snapped to a grid of fixed step TOL, survive only
-in all_node_signatures and all_edge_signatures, as the referee; they too are
-read-only int64 matrices, one row per node or edge.
 """
 
 from __future__ import annotations
@@ -45,25 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBudgetError, NonFiniteError
-from .graph import Graph, _index, _is_bijection, relabel
-from .solver import _pinv_mod, _require_two_nodes, build_system, solve_all_pairs
+from .errors import InvalidBudgetError
+from .graph import Graph, _index, _is_bijection
+from .solver import _pinv_mod, _require_two_nodes
 
-TOL = 1e-8  # the referee's grid step
 DEFAULT_BUDGET = 10**6
-
-
-def _grid(values: np.ndarray) -> np.ndarray:
-    """The quantizer: snap to integer multiples of TOL, in grid units.
-
-    Odd under negation and 0 at zero.  Refuses values that are not finite or
-    whose grid index does not fit in int64.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scaled = values / TOL
-    if not np.all(np.abs(scaled) < 2.0**63):
-        raise NonFiniteError(f"solve result is not finite or overflows the grid at step {TOL}")
-    return np.rint(scaled).astype(np.int64)
 
 
 def _refine(nbrs, colour: list[int], splitters: list[int] | None = None) -> list[int]:
@@ -241,35 +224,6 @@ class _Analysis:
         self.start, self.node_order = start.tolist(), np.argsort(start, kind="stable")
         ids, ends = (self.node_order + 1).tolist(), np.cumsum(sizes).tolist()
         self.classes = [ids[i:j] for i, j in zip([0] + ends, ends)]
-
-
-def _paper_rows(graph: Graph, values_of) -> np.ndarray:
-    """The paper's sorted grid-unit rows over all ordered pairs, from float solves.
-
-    One read-only int64 row per row of values_of, which reads V indexed by
-    node id - 1.  Nodes are solved in exact weighted colour-refinement order,
-    so relabelled copies with a discrete refinement run bit-identical float
-    operations and snap even near-half-grid values alike; ties inside a cell
-    that refinement cannot split break by node id.
-    """
-    solve = np.argsort(_uniform_refine(graph), kind="stable")
-    ordered = relabel(graph, dict(zip((solve + 1).tolist(), range(1, graph.n + 1))))
-    V = solve_all_pairs(build_system(ordered))
-    k = _grid(values_of(V[np.argsort(solve)]))
-    rows = np.sort(np.concatenate([k, -k], axis=1), axis=1)
-    rows.flags.writeable = False
-    return rows
-
-
-def all_node_signatures(graph: Graph) -> np.ndarray:
-    """Row x - 1: node x's sorted grid-unit voltages; n x n(n-1), int64."""
-    return _paper_rows(graph, lambda V: V)
-
-
-def all_edge_signatures(graph: Graph) -> np.ndarray:
-    """Row k: the sorted grid-unit currents of graph.edges[k]; m x n(n-1), int64."""
-    u, v, w = graph.arrays
-    return _paper_rows(graph, lambda V: w[:, None] * (V[u] - V[v]))
 
 
 def orbit_partition(graph: Graph) -> OrbitPartition:

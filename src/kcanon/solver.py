@@ -17,8 +17,7 @@ Two kinds of factor serve them:
                 minimum-degree ordering and no pivoting (the block is
                 symmetric positive definite).  Memory and per-query work grow
                 with the fill and m, not with N^2, so point queries run at
-                N >= 10^4.  Every grounded solve uses it: solve_pair, and
-                solve_all_pairs behind the paper's float signature rows.
+                N >= 10^4.  solve_pair, the grounded solve, uses it.
 * _pinv_mod:    the pseudoinverse L+ = (L + J/n)^-1 - J/n modulo a prime
                 p < 2^21, J the all-ones matrix; the signature analysis
                 reads it.  The inverse splits the matrix into 2 x 2 blocks
@@ -285,7 +284,7 @@ def _block_inverse(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p, in [0, p), of int64 residues in (-p, p).
+    """Inverse mod p, as int64 in [0, p), of int64 or float64 residues in (-p, p).
 
     Up to _BASE = 32 rows by Gauss-Jordan elimination; above, by the 2 x 2
     block recursion of _block_inverse over float64 residues.  Its products go
@@ -297,7 +296,7 @@ def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     """
     if len(a) <= _BASE:
         return _gauss_jordan(a, p)
-    x = _block_inverse(a.astype(float), p)
+    x = _block_inverse(a.astype(float, copy=False), p)
     x[x < 0] += p
     return x.astype(np.int64)
 
@@ -322,40 +321,27 @@ def _pinv_mod(graph: Graph) -> tuple[np.ndarray, int, np.ndarray]:
             continue
         _factorization_count += 1
         r, n_inv = _residues(w, p), pow(n, -1, p)
-        a = np.full((n, n), n_inv, dtype=np.int64)
+        # float64, which the block recursion reads without a copy
+        a = np.full((n, n), float(n_inv))
         a[u, v] = a[v, u] = n_inv - r
-        a[diagonal, diagonal] = (np.bincount(u, r, n) + np.bincount(v, r, n) + n_inv).astype(np.int64) % p
+        a[diagonal, diagonal] = (np.bincount(u, r, n) + np.bincount(v, r, n) + n_inv) % p
         try:
-            return (_inverse_mod(a, p) - n_inv) % p, p, r
+            x = _inverse_mod(a, p)
         except FactorizationFailedError:
             continue
+        x -= n_inv
+        x[x < 0] += p
+        return x, p, r
     raise FactorizationFailedError("every prime tried divides n or the weighted spanning-tree count")
 
 
-def _solve(system: LaplacianSystem, B: np.ndarray) -> np.ndarray:
-    """Grounded solve of L X = B, zero at node N, each column shifted to sum zero."""
-    X = np.zeros(B.shape)
-    X[:-1] = system.factor.solve(B[:-1])
-    X -= X.mean(axis=0)
-    return X
-
-
 def solve_pair(system: LaplacianSystem, a: int, b: int) -> VoltageProfile:
-    """Solve via the grounded reduced factor, then shift to the sum-zero gauge."""
-    return VoltageProfile(a, b, _solve(system, _injection(system.graph.n, a, b)), method="grounded")
-
-
-def solve_all_pairs(system: LaplacianSystem) -> np.ndarray:
-    """Solve every unordered pair (a<b) against the shared factor in one call.
-
-    Returns V, whose column k is the gauge-fixed voltage vector for pair k of
-    itertools.combinations(range(1, n + 1), 2): the order is fixed, so
-    downstream assembly is deterministic.
-    """
-    n = system.graph.n
-    a, b = np.triu_indices(n, 1)
-    nodes = np.arange(n)[:, None]
-    return _solve(system, (nodes == a).astype(float) - (nodes == b))
+    """Solve via the grounded reduced factor, zero at node N, then shift to the sum-zero gauge."""
+    rhs = _injection(system.graph.n, a, b)
+    v = np.zeros(len(rhs))
+    v[:-1] = system.factor.solve(rhs[:-1])
+    v -= v.mean()
+    return VoltageProfile(a, b, v, method="grounded")
 
 
 def solve_pair_pseudoinverse(graph: Graph, a: int, b: int) -> VoltageProfile:

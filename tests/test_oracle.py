@@ -64,6 +64,17 @@ class TestExactSolve:
             assert solve_pair(system, a, b).v == pytest.approx(exact, abs=1e-9)
 
 
+class TestExactPinv:
+    def test_differences_are_exact_solves(self, rng):
+        graphs = [g for n in range(2, 6) for g in oracle.enumerate_connected_graphs(n)]
+        graphs += [oracle.random_connected_graph(rng.randint(2, 7), rng, weight_range=(0.01, 100.0))
+                   for _ in range(5)]
+        for g in graphs:
+            pinv = oracle.exact_pinv(g)
+            for a, b in itertools.permutations(range(1, g.n + 1), 2):
+                assert [row[a - 1] - row[b - 1] for row in pinv] == oracle.exact_solve_pair(g, a, b)
+
+
 class TestBruteForceAutomorphisms:
     @pytest.mark.parametrize(
         "graph,order,orbits",

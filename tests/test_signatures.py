@@ -15,17 +15,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kcanon import oracle, signatures, solver
-from kcanon.errors import (
-    FactorizationFailedError,
-    GraphError,
-    InvalidBudgetError,
-    NonFiniteError,
-)
+from kcanon.errors import FactorizationFailedError, InvalidBudgetError
 from kcanon.graph import Graph, relabel
 from kcanon.signatures import (
     Fingerprint,
-    all_edge_signatures,
-    all_node_signatures,
     canonical_labeling,
     fingerprint,
     iso_screen,
@@ -33,7 +26,6 @@ from kcanon.signatures import (
     verify_mapping,
     IsoVerdict,
     _canonical,
-    _grid,
     _refine,
     _refinement_invariant,
     _row_keys,
@@ -58,28 +50,15 @@ from conftest import (
 )
 
 
-def grid(frac):
-    """Expected grid units of an exact rational value."""
-    return round(Fraction(frac) / Fraction(signatures.TOL))
-
-
 def residue(frac, p):
     """An exact rational value mod p."""
     frac = Fraction(frac)
     return frac.numerator * pow(frac.denominator, -1, p) % p
 
 
-def exact_pinv(g):
-    """L+ in exact rationals: column a is the mean over b of the (a, b) solves."""
-    columns = [[sum(col) / g.n for col in zip(*(oracle.exact_solve_pair(g, a, b)
-                                                 for b in range(1, g.n + 1) if b != a))]
-               for a in range(1, g.n + 1)]
-    return [list(row) for row in zip(*columns)]
-
-
 def expected_rows(g, p):
     """Node and edge rows, in lexicographic order, from exact rationals."""
-    pinv = [[residue(x, p) for x in row] for row in exact_pinv(g)]
+    pinv = [[residue(x, p) for x in row] for row in oracle.exact_pinv(g)]
     nodes = sorted([row[x]] + sorted(row) for x, row in enumerate(pinv))
     edges = []
     for u, v, w in g.edges:
@@ -164,131 +143,6 @@ SYMMETRIC = {
 }
 
 
-class TestQuantize:
-    """The one quantizer, _grid, and the signature rows built on it."""
-
-    def test_snap(self):
-        assert signatures.TOL == 1e-8
-        assert _grid(np.array([0.333333333007])).tolist() == [33333333]
-
-    @given(st.floats(-1e6, 1e6))
-    def test_odd_symmetry(self, x):
-        assert _grid(np.array([-x]))[0] == -_grid(np.array([x]))[0]
-
-    def test_zero_is_positive_zero(self):
-        assert _grid(np.array([-1e-12, -0.0])).tolist() == [0, 0]
-        # P3's fingerprint serializes every value as its exact residue mod p,
-        # a JSON integer in [0, p).
-        fp = fingerprint(path(3))
-        assert fp.p == next(iter(solver._primes()))
-        text = fp.to_json()
-        doc = json.loads(text)
-        assert doc["p"] == fp.p
-        assert (doc["node_part"], doc["edge_part"]) == expected_rows(path(3), fp.p)
-        assert doc["node_part"] == [list(row) for row in fp.node_part]
-        assert doc["edge_part"] == [list(row) for row in fp.edge_part]
-        assert re.search(r"-0\b", text) is None
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite(self, bad):
-        with pytest.raises(NonFiniteError):
-            _grid(np.array([0.5, bad]))
-
-    def test_overflow(self):
-        assert _grid(np.array([-9.2e10]))[0] == -9_200_000_000_000_000_000
-        with pytest.raises(NonFiniteError):
-            _grid(np.array([9.3e10]))
-        # A 1e-300 S bridge puts the paper's float voltages near 1e300, on
-        # either side of the path.
-        with pytest.raises(NonFiniteError):
-            all_node_signatures(Graph(3, [(1, 2, 1.0), (2, 3, 1e-300)]))
-        with pytest.raises(NonFiniteError):
-            all_node_signatures(Graph(3, [(1, 2, 1e-300), (2, 3, 1.0)]))
-
-    def test_symmetric_solves_quantize_identically(self):
-        # K3 is vertex-transitive: node 1 under (1,2) and node 2 under (2,3)
-        # sit in the same electrical position.
-        from kcanon.solver import build_system, solve_pair
-
-        system = build_system(complete(3))
-        v12 = solve_pair(system, 1, 2).v
-        v23 = solve_pair(system, 2, 3).v
-        assert _grid(np.array([v12[0]])) == _grid(np.array([v23[1]]))
-        assert len({tuple(row) for row in all_node_signatures(complete(3)).tolist()}) == 1
-
-
-THIRD = grid(Fraction(1, 3))
-TWO_THIRDS = grid(Fraction(2, 3))
-ONE = grid(1)
-
-
-class TestNodeSignatures:
-    def test_lengths_and_sorted(self):
-        for g in (path(3), cycle(4), star(3)):
-            rows = all_node_signatures(g)
-            assert rows.shape == (g.n, g.n * (g.n - 1))
-            for row in rows.tolist():
-                assert row == sorted(row)
-
-    def test_negation_symmetric(self):
-        for row in all_node_signatures(cycle(5)).tolist():
-            assert sorted(-x for x in row) == row
-
-    def test_k3_all_identical(self):
-        rows = all_node_signatures(complete(3)).tolist()
-        assert rows[0] == rows[1] == rows[2]
-
-    def test_p3_frozen(self):
-        # From the exact solves of all three pairs of the path 1-2-3; row
-        # x - 1 is node x.
-        rows = all_node_signatures(path(3)).tolist()
-        assert rows[1] == [-THIRD, -THIRD, 0, 0, THIRD, THIRD]
-        expected_end = [-ONE, -TWO_THIRDS, -THIRD, THIRD, TWO_THIRDS, ONE]
-        assert rows[0] == expected_end
-        assert rows[2] == expected_end
-
-    def test_star_two_classes(self):
-        rows = all_node_signatures(star(3)).tolist()
-        center, leaves = tuple(rows[0]), {tuple(row) for row in rows[1:]}
-        assert len(leaves) == 1
-        assert center not in leaves
-
-    @pytest.mark.parametrize("signatures_of", [all_node_signatures, all_edge_signatures])
-    def test_read_only_int64_matrix(self, signatures_of):
-        g = Graph(4, [(1, 2, 1.0), (2, 3, 2.0), (3, 4, 0.5), (4, 1, 1.0), (1, 3, 3.0)])
-        rows = signatures_of(g)
-        count = g.n if signatures_of is all_node_signatures else g.m
-        assert isinstance(rows, np.ndarray)
-        assert rows.dtype == np.int64
-        assert rows.shape == (count, g.n * (g.n - 1))
-        assert not rows.flags.writeable
-        with pytest.raises(ValueError):
-            rows[0, 0] = 0
-
-    def test_too_few_nodes(self):
-        with pytest.raises(GraphError):
-            all_node_signatures(Graph(1, []))
-
-
-class TestEdgeSignatures:
-    def test_p2_single_edge(self):
-        rows = all_edge_signatures(path(2))
-        assert rows.tolist() == [[-ONE, ONE]]
-
-    def test_k3_edge_transitive(self):
-        rows = all_edge_signatures(complete(3))
-        assert len({tuple(row) for row in rows.tolist()}) == 1
-
-    def test_p3_edges_share_signature(self):
-        rows = all_edge_signatures(path(3)).tolist()
-        assert rows[0] == rows[1]
-
-    def test_orientation_independent(self):
-        g1 = Graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
-        g2 = Graph(3, [(2, 1, 1.0), (3, 2, 1.0)])
-        assert all_edge_signatures(g1).tolist() == all_edge_signatures(g2).tolist()
-
-
 class TestOrbitPartition:
     def test_p3(self):
         # Classes in signature order: node 2's L+[x,x] residue, 2/9 mod p,
@@ -340,6 +194,30 @@ class TestFingerprint:
     def test_json_is_canonical(self):
         fp = fingerprint(path(4))
         assert fp.to_json() == fingerprint(path(4)).to_json()
+
+    def test_json_holds_exact_residues(self):
+        # P3's fingerprint serializes every value as its exact residue mod p,
+        # a JSON integer in [0, p).
+        fp = fingerprint(path(3))
+        assert fp.p == next(iter(solver._primes()))
+        text = fp.to_json()
+        doc = json.loads(text)
+        assert doc["p"] == fp.p
+        assert (doc["node_part"], doc["edge_part"]) == expected_rows(path(3), fp.p)
+        assert doc["node_part"] == [list(row) for row in fp.node_part]
+        assert doc["edge_part"] == [list(row) for row in fp.edge_part]
+        assert re.search(r"-0\b", text) is None
+
+    @pytest.mark.parametrize("g", [path(2), complete(3), path(3)], ids=["P2", "K3", "P3"])
+    def test_symmetric_edges_share_one_row(self, g):
+        fp = fingerprint(g)
+        assert fp.edge_part.tolist() == [fp.edge_part[0].tolist()] * g.m
+        assert fp.edge_part.tolist() == expected_rows(g, fp.p)[1]
+
+    def test_edge_orientation_independent(self):
+        g1 = Graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
+        g2 = Graph(3, [(2, 1, 1.0), (3, 2, 1.0)])
+        assert fingerprint(g1) == fingerprint(g2)
 
     def test_hashable_and_hash_matches_eq(self, rng):
         g = Graph(6, [(1, 2, 0.5), (2, 3, 1.0), (3, 4, 2.0), (4, 5, 1.0),
@@ -423,54 +301,8 @@ class TestAnalysis:
                 assert (a.node_order + 1).tolist() == [x for c in a.classes for x in c]
 
 
-class TestHalfRows:
-    """The paper's float rows: each is a sorted non-positive half h followed by -h[::-1]."""
-
-    def test_expanded_rows_match_exact_solves(self):
-        # Every connected graph on 2..5 nodes, against exact Fraction voltages
-        # and currents over all ordered pairs.
-        tol = Fraction(signatures.TOL)
-        for n in range(2, 6):
-            for g in oracle.enumerate_connected_graphs(n):
-                volts = [[] for _ in range(n)]
-                amps = [[] for _ in range(g.m)]
-                for a in range(1, n + 1):
-                    for b in range(1, n + 1):
-                        if a == b:
-                            continue
-                        v = oracle.exact_solve_pair(g, a, b)
-                        for x in range(n):
-                            volts[x].append(v[x] / tol)
-                        for k, (p, q, w) in enumerate(g.edges):
-                            amps[k].append(Fraction(w) * (v[p - 1] - v[q - 1]) / tol)
-                for units in volts + amps:
-                    # No value within 1e-6 grid units of a half-grid point, so
-                    # float noise cannot move any value to another grid unit.
-                    assert all(abs(u - (math.floor(u) + Fraction(1, 2))) > Fraction(1, 10**6)
-                               for u in units)
-                node_rows = all_node_signatures(g).tolist()
-                edge_rows = all_edge_signatures(g).tolist()
-                assert node_rows == [sorted(map(round, units)) for units in volts]
-                assert edge_rows == [sorted(map(round, units)) for units in amps]
-
-    def test_lex_sort_of_halves_matches_full_rows(self):
-        rng = random.Random(10)
-        for _ in range(20):
-            n = rng.randint(8, 40)
-            tree = oracle.random_connected_graph(n, rng, extra_edge_prob=1.5 / n)
-            g = Graph(n, [(u, v, rng.choice((1.0, 2.0))) for u, v, _ in tree.edges])
-            for full in (all_node_signatures(g), all_edge_signatures(g)):
-                h = full[:, :n * (n - 1) // 2]
-                assert (h <= 0).all()
-                assert (full == np.concatenate([h, -h[:, ::-1]], axis=1)).all()
-                keys, full_keys = _row_keys(h), _row_keys(full)
-                assert (np.argsort(keys, kind="stable").tolist()
-                        == np.argsort(full_keys, kind="stable").tolist())
-                assert (keys[:, None] == keys).tolist() == (full_keys[:, None] == full_keys).tolist()
-
-
 class TestExactResidues:
-    """The residue L+ against the exact Fraction oracle and the paper's float rows."""
+    """The residue L+ against the exact Fraction oracle and the paper's rows."""
 
     def test_pinv_matches_exact_solves(self):
         for n in range(2, 6):
@@ -485,12 +317,19 @@ class TestExactResidues:
                             assert (P[x, a - 1] - P[x, b - 1]) % p == residue(v[x], p)
 
     def test_classes_refine_paper_classes_and_hold_orbits(self):
+        # The paper's row for node x: its sorted exact voltages
+        # L+[x,a] - L+[x,b] over all ordered pairs (a, b), here times the
+        # common denominator d of L+, which keeps order and equality.
         for n in range(2, 8):
             for g in oracle.enumerate_connected_graphs(n):
                 classes = orbit_partition(g).classes
-                paper = all_node_signatures(g)
+                pinv = oracle.exact_pinv(g)
+                d = math.lcm(*(x.denominator for row in pinv for x in row))
+                scaled = [[x.numerator * (d // x.denominator) for x in row] for row in pinv]
+                paper = [sorted(row[a] - row[b] for a in range(n) for b in range(n) if a != b)
+                         for row in scaled]
                 for cls in classes:
-                    assert len({tuple(paper[x - 1].tolist()) for x in cls}) == 1
+                    assert len({tuple(paper[x - 1]) for x in cls}) == 1
                 class_of = {x: k for k, cls in enumerate(classes) for x in cls}
                 for orbit in oracle.brute_force_automorphisms(g).orbits:
                     assert len({class_of[x] for x in orbit}) == 1
@@ -932,18 +771,14 @@ def relabelled_pair(request):
 
 
 class TestLabelInvariance:
-    """Relabelled copies get the same residues, relabelled; with a discrete
-    refinement the paper's float rows run bit-identical solves."""
+    """Relabelled copies get the same residues, relabelled."""
 
-    def test_float_voltage_rows_bit_equal(self, relabelled_pair):
+    def test_pinv_residues_permute_with_labels(self, relabelled_pair):
         g, h, perm = relabelled_pair
         a, b = g._analysis, h._analysis
         assert a.p == b.p
         to_h = np.array([perm[x] - 1 for x in range(1, g.n + 1)])
         assert (b.P[np.ix_(to_h, to_h)] == a.P).all()
-        paper_g, paper_h = all_node_signatures(g), all_node_signatures(h)
-        for x in range(1, g.n + 1):
-            assert paper_h[perm[x] - 1].tolist() == paper_g[x - 1].tolist()
 
     def test_digest_and_orbit_classes(self, relabelled_pair):
         g, h, perm = relabelled_pair
@@ -1024,18 +859,26 @@ class TestFactorizations:
 
 
 class TestScale:
-    """Fingerprint and canonical search at n = 1000, from one analysis per copy."""
+    """Fingerprint and canonical search at n = 1000, from one analysis per copy.
 
-    @pytest.mark.parametrize("g", [weighted_graph(1000, 0, m=3000), torus(10, 100)],
-                             ids=["random-n1000-m3000", "torus-10x100"])
-    def test_relabelled_copies_agree(self, g):
+    The digests are pinned, so they also hold whatever BLAS thread count the
+    modular inverse's block products run with.
+    """
+
+    @pytest.mark.parametrize("g, digests", [
+        (weighted_graph(1000, 0, m=3000),
+         ("fb9c8154562cc7f6391c76308f6f6f5d4d25e5bc9be921220846c9ace87ebfb1",
+          "14671be9111a22cde91cfb8da60988d172ca60200f924b56dbf2b52eca82f953")),
+        (torus(10, 100),
+         ("d12a9f77a7a3090d280aee8c2bf05afdd6d3f09b5d44c50369d45d308a2492f2",
+          "0f4cc9a6d23d9f1c30a8c05a64974681a5ab99265e9e096f9691920cda924fb1")),
+    ], ids=["random-n1000-m3000", "torus-10x100"])
+    def test_relabelled_copies_agree(self, g, digests):
         rng = random.Random(g.m)
-        digests = set()
         for copy in range(3):
             h = Graph(g.n, g.edges) if copy == 0 else shuffled_copy(g, rng)[0]
             before = factorization_count()
             lab = canonical_labeling(h)
             assert lab.certified
-            digests.add((fingerprint(h).digest(), lab.digest()))
+            assert (fingerprint(h).digest(), lab.digest()) == digests
             assert factorization_count() - before == 1
-        assert len(digests) == 1

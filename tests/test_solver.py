@@ -30,7 +30,6 @@ from kcanon.solver import (
     kcl_residual,
     laplacian,
     pair_currents,
-    solve_all_pairs,
     solve_pair,
     solve_pair_pseudoinverse,
     solve_pair_universal_sink,
@@ -175,15 +174,6 @@ class TestSolvePair:
         vab = solve_pair(system, 1, 2).v
         vbc = solve_pair(system, 2, 3).v
         assert vac == pytest.approx(vab + vbc, abs=1e-9)
-
-    def test_solve_all_pairs_matches_single(self):
-        g = cycle(5)
-        system = build_system(g)
-        V = solve_all_pairs(system)
-        pairs = list(itertools.combinations(range(1, 6), 2))
-        assert V.shape == (5, len(pairs))
-        for k, (a, b) in enumerate(pairs):
-            assert np.array_equal(V[:, k], solve_pair(system, a, b).v)
 
 
 class TestPseudoinverse:
