@@ -68,19 +68,43 @@ def _refine(nbrs, colour: list[int], splitters: list[int] | None = None) -> list
     or with every cell; splitters=[s] suffices when colour is equitable but
     for a node moved to the first position s of its cell.  nbrs[x] holds the
     (neighbour, weight) pairs of Graph.adj[x], such as adj[x].items(); nbrs
-    and colour are indexed by node id - 1.
+    and colour are indexed by node id - 1.  This is _cells, then _split; the
+    search keeps the state between them and refines each child in place.
+    """
+    state = _cells(colour)
+    cells = sorted(set(state[2]))
+    _split(nbrs, *state, cells if splitters is None else splitters, len(cells))
+    return state[2]
+
+
+def _cells(colour: list[int]) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Refinement state (order, pos, cell, first) of colour.
+
+    order lists the nodes by colour, ids ascending within a colour, and
+    pos[x] is x's position in it; cell[x] is the last position of x's cell,
+    and first[c] the first position of the cell whose last is c.
     """
     n = len(colour)
     order = sorted(range(n), key=colour.__getitem__)
-    pos, cell, first = [0] * n, [0] * n, [0] * n  # first[c]: first position of cell c
+    pos, cell, first = [0] * n, [0] * n, [0] * n
     last = n - 1
     for i in range(n - 1, -1, -1):
         x = order[i]
         if i < last and colour[x] != colour[order[i + 1]]:
             last = i
         pos[x], cell[x], first[last] = i, last, i
-    queue = deque(sorted(set(cell)) if splitters is None else splitters)
-    queued, cells = set(queue), len(set(cell))
+    return order, pos, cell, first
+
+
+def _split(nbrs, order, pos, cell, first, splitters: list[int], cells: int) -> int:
+    """_refine's splitter loop: refine a state of cells cells in place; return the new count.
+
+    Only the sequence of splits decides cell, never the order of the nodes
+    inside a cell, so any state of one colouring refines to the same cell.
+    """
+    n = len(order)
+    queue = deque(splitters)
+    queued = set(queue)
     while queue and cells < n:
         s = queue.popleft()
         queued.remove(s)
@@ -123,7 +147,24 @@ def _refine(nbrs, colour: list[int], splitters: list[int] | None = None) -> list
                     queue.append(b)
                     queued.add(b)
             cells += len(bounds) - 1
-    return cell
+    return cells
+
+
+def _individualize(nbrs, state, cells: int, v: int):
+    """(state, cells) of a copy of an equitable state of cells cells, v made a singleton and refined.
+
+    v moves to the first position a of its cell and {v} becomes the cell a;
+    the rest of the old cell keeps its last position.  Refining from [a]
+    alone gives what _refine gives from the colouring with v at a.
+    """
+    order, pos, cell, first = state = tuple(map(list.copy, state))
+    c = cell[v]
+    a, i = first[c], pos[v]
+    u = order[a]
+    order[i], pos[u] = u, i
+    order[a], pos[v], cell[v] = v, a, a
+    first[a], first[c] = a, a + 1
+    return state, _split(nbrs, *state, [a], cells + 1)
 
 
 def _uniform_refine(graph: Graph) -> list[int]:
@@ -392,86 +433,151 @@ def _check_budget(budget) -> int:
     return budget
 
 
-def _find(rep: list[int], x: int) -> int:
+def _find(rep: dict[int, int], x: int) -> int:
     """Root of x in the union-find forest rep, halving the path on the way."""
     while rep[x] != x:
         rep[x] = x = rep[rep[x]]
     return x
 
 
+def _twins(adj) -> list[int]:
+    """twin[x]: the least node y with w(x,z) = w(y,z) for every node z other than x and y.
+
+    Swapping two such twins is an automorphism, so twinship is an
+    equivalence, and a node has twins of one kind only.  Non-adjacent twins
+    have equal sets of (neighbour, weight) pairs.  Adjacent twins have equal
+    closed sets of nodes, so only the nodes of one such set are compared,
+    each against the first node of every class found so far: x and y joined
+    by weight c are twins when their pair sets are equal once each adds
+    (itself, c), which makes K_n one class.  A sum of the pairs' hashes
+    screens each comparison, so a dense graph without twins costs O(n^2).
+    """
+    twin, lead, closed = [], {}, {}
+    for x, a in enumerate(adj):
+        twin.append(lead.setdefault(frozenset(a.items()), x))
+        closed.setdefault(frozenset((*a, x)), []).append(x)
+    for group in closed.values():
+        if len(group) > 1:
+            sums = {x: sum(map(hash, adj[x].items())) for x in group}
+            firsts = []
+            for y in group:
+                for x in firsts:
+                    c = adj[y][x]
+                    if (sums[x] + hash((x, c)) == sums[y] + hash((y, c))
+                            and {**adj[x], x: c} == {**adj[y], y: c}):
+                        twin[y] = x
+                        break
+                else:
+                    firsts.append(y)
+    return twin
+
+
 def _canonical(adj, start: list[int], budget: int) -> CanonicalLabeling:
     """Depth-first IR search for the leaf with the least form.
 
     A child individualizes one node v of its parent's first smallest
-    non-singleton cell, placing v first in that cell, and refines with only
-    the new singleton {v} as splitter: the parent's colouring is already
-    equitable.  Refinement keeps colour order, so a node that is a singleton
-    cell keeps one position in every leaf below it.  Hence when two leaves
-    have equal forms, the map between their orders is an automorphism that
-    fixes their common prefix and carries the earlier leaf's branch at the
-    common ancestor onto the later leaf's.  The earlier branch is finished,
-    so the search resumes at the common ancestor.  At every tree node,
-    children in one orbit of the automorphisms found so far that fix the
-    node's prefix are equivalent: one per orbit is explored.  Each tree node
-    keeps those orbits in one union-find and adds each automorphism once, as
-    it arrives.  The root refines start, the colouring by signature class of
-    the graph whose Graph.adj is adj.  Node indices are id - 1.
+    non-singleton cell, placing v first in that cell, and refines the
+    parent's refinement state in place (_individualize), with only the new
+    singleton {v} as splitter: the parent's colouring is already equitable.
+    Refinement keeps colour order, so a node that is a singleton cell keeps
+    one position in every leaf below it, and a leaf's order is its state's
+    order.  Hence when two leaves have equal forms, the map between their
+    orders is an automorphism that fixes their common prefix and carries the
+    earlier leaf's branch at the common ancestor onto the later leaf's.  The
+    earlier branch is finished, so the search resumes at the common
+    ancestor.  At every tree node, children in one orbit of the automorphisms
+    known to fix the node's prefix are equivalent: one per orbit is explored,
+    in ascending node index.  Such an automorphism maps the target cell onto
+    itself, so each tree node keeps the orbits of its target cell alone, in
+    one union-find seeded with the cell's twin classes (_twins: a swap of two
+    twins off the path fixes it), and adds each automorphism found by a leaf
+    once, as it arrives.  Each tree node is a generator on an explicit stack,
+    so the depth of a path is not bounded by Python's recursion limit.  The
+    root refines start, the colouring by signature class of the graph whose
+    Graph.adj is adj.  Node indices are id - 1.
     """
     n = len(adj)
-    # _refine's hot loop iterates tuples faster than dict views.
+    # _split's hot loop iterates tuples faster than dict views.
     nbrs = [tuple(a.items()) for a in adj]
     autos: list[list[int]] = []
     first = best = None  # leaves: (form, order, path)
     expansions, exhausted = 1, False
 
-    def search(colour: list[int], path: list[int]) -> int:
-        """Explore the subtree at path; return the depth to resume at."""
-        nonlocal first, best, expansions, exhausted
-        cells = sorted(set(colour))
-        if len(cells) == n:
-            order = sorted(range(n), key=colour.__getitem__)
-            form = tuple(adj[order[k]].get(order[i], 0.0) for k in range(1, n) for i in range(k))
-            if first is None:
-                first = best = (form, order, path)
-                return len(path) - 1
-            for ref_form, ref_order, ref_path in (first, best):
-                if form == ref_form:
-                    gamma = [0] * n
-                    for x, y in zip(ref_order, order):
-                        gamma[x] = y
-                    autos.append(gamma)
-                    common = 0
-                    while path[common] == ref_path[common]:
-                        common += 1
-                    return common
-            if form < best[0]:
-                best = (form, order, path)
+    def leaf(order: list[int], path: list[int]) -> int:
+        """Compare a discrete leaf with the first and best ones; return the depth to resume at."""
+        nonlocal first, best
+        form = tuple(get(y, 0.0) for k, get in enumerate([adj[x].get for x in order]) for y in order[:k])
+        if first is None:
+            first = best = (form, order, path)
             return len(path) - 1
-        size = {b: b - a for a, b in zip([-1] + cells, cells) if b - a > 1}
-        target = min(size, key=size.__getitem__)
-        rep, known, done = list(range(n)), 0, []
-        for v in (x for x in range(n) if colour[x] == target):
-            for gamma in autos[known:]:
-                if all(gamma[x] == x for x in path):
-                    for x, y in enumerate(gamma):
-                        if x != y:
-                            a, b = _find(rep, x), _find(rep, y)
-                            rep[max(a, b)] = min(a, b)
-            known = len(autos)
-            if _find(rep, v) in {_find(rep, u) for u in done}:
+        for ref_form, ref_order, ref_path in (first, best):
+            if form == ref_form:
+                gamma = [0] * n
+                for x, y in zip(ref_order, order):
+                    gamma[x] = y
+                autos.append(gamma)
+                common = 0
+                while path[common] == ref_path[common]:
+                    common += 1
+                return common
+        if form < best[0]:
+            best = (form, order, path)
+        return len(path) - 1
+
+    def search(state, cells: int, path: list[int]):
+        """Yield each child of the tree node at path, sent back the depth to resume at; return it."""
+        nonlocal expansions, exhausted
+        order, _, cell, first_pos = state
+        target, i = -1, 0
+        while i < n:
+            c = cell[order[i]]
+            if c > i and (target < 0 or c - i < target - first_pos[target]):
+                target = c
+            i = c + 1
+        children = sorted(order[first_pos[target]:target + 1])
+        lead: dict[int, int] = {}
+        rep = {x: lead.setdefault(twin[x], x) for x in children}
+        known, explored = 0, set()  # explored: the roots of the orbits explored
+        for v in lead.values():  # the first child of each twin class, ascending
+            if known < len(autos):
+                for gamma in autos[known:]:
+                    if all(gamma[x] == x for x in path):
+                        for x in children:
+                            a, b = _find(rep, x), _find(rep, gamma[x])
+                            if a != b:
+                                rep[max(a, b)] = min(a, b)
+                known = len(autos)
+                explored = {_find(rep, u) for u in explored}
+            if _find(rep, v) in explored:
                 continue
             if first is not None and expansions >= budget:
                 exhausted = True
                 return -1
             expansions += 1
-            child = colour.copy()
-            child[v] = target - size[target] + 1
-            resume = search(_refine(nbrs, child, [child[v]]), path + [v])
+            resume = yield _individualize(nbrs, state, cells, v), path + [v]
             if resume < len(path):
                 return resume
-            done.append(v)
+            explored.add(_find(rep, v))
         return len(path) - 1
 
-    search(_refine(nbrs, start), [])
+    state = _cells(_refine(nbrs, start))
+    cells = len(set(state[2]))
+    if cells == n:
+        leaf(state[0], [])
+    else:
+        twin = _twins(adj)
+        stack, resume = [search(state, cells, [])], None
+        while stack:
+            try:
+                (state, cells), path = stack[-1].send(resume)
+            except StopIteration as stop:
+                stack.pop()
+                resume = stop.value
+                continue
+            if cells == n:
+                resume = leaf(state[0], path)
+            else:
+                stack.append(search(state, cells, path))
+                resume = None
     form, order, _ = best
     return CanonicalLabeling(tuple(x + 1 for x in order), form, not exhausted, expansions)

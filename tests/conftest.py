@@ -24,6 +24,13 @@ def star(leaves):
     return Graph(leaves + 1, [(1, k, 1.0) for k in range(2, leaves + 2)])
 
 
+def caterpillar(spine, legs, w=1.0, leg_w=1.0):
+    """A path of spine nodes 1..spine, each with legs pendant leaves: twins on every spine node."""
+    edges = [(k, k + 1, w) for k in range(1, spine)]
+    edges += [(k, spine + legs * (k - 1) + j, leg_w) for k in range(1, spine + 1) for j in range(1, legs + 1)]
+    return Graph(spine * (legs + 1), edges)
+
+
 def unit_graph(n, pairs):
     """Unweighted graph on nodes 1..n from 0-based node pairs, duplicates merged."""
     edges = {(min(u, v) + 1, max(u, v) + 1) for u, v in pairs}

@@ -228,6 +228,14 @@ class TestIso:
         assert result.exit_code == 0
         assert doc["verdict"] == "isomorphic-certified"
 
+    def test_deep_first_path_exit_0(self, runner, write, rng):
+        # Each search individualizes the star's leaves one tree node deeper.
+        g = star(1000)
+        h = relabel(g, random_permutation(g.n, rng))
+        result, doc = run_json(runner, ["iso", write(g), write(h)])
+        assert result.exit_code == 0
+        assert doc["verdict"] == "isomorphic-certified"
+
     def test_budget_one_exit_5(self, runner, write, rng):
         g = cycle(6)
         h = relabel(g, random_permutation(6, rng))
@@ -398,6 +406,14 @@ class TestCanon:
         result, doc = run_json(runner, ["canon", write(cycle(6)), "--budget", "1"])
         assert result.exit_code == 0
         assert doc["certified"] is False
+
+    def test_deep_first_path_exit_0(self, runner, write):
+        # The first path individualizes 999 of the star's 1000 leaves, one
+        # tree node deeper each; the twin leaves prune every other child.
+        result, doc = run_json(runner, ["canon", write(star(1000)), "--budget", "1"])
+        assert result.exit_code == 0
+        validate(doc, schema("canon"))
+        assert doc["certified"] is True
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_digests_once(self, runner, write, monkeypatch, fmt):

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import struct
+import time
 import weakref
 from fractions import Fraction
 
@@ -26,9 +27,13 @@ from kcanon.signatures import (
     verify_mapping,
     IsoVerdict,
     _canonical,
+    _cells,
+    _individualize,
     _refine,
     _refinement_invariant,
     _row_keys,
+    _split,
+    _twins,
     _uniform_refine,
 )
 from kcanon.solver import factorization_count
@@ -36,6 +41,7 @@ from kcanon.solver import factorization_count
 from conftest import (
     ROOK_4X4,
     SHRIKHANDE,
+    caterpillar,
     complete,
     complete_bipartite,
     cycle,
@@ -129,6 +135,12 @@ CUBIC = [
     unit_graph(10, [(0, 7), (2, 4), (1, 2), (3, 4), (4, 9), (6, 8), (0, 3), (5, 7), (1, 7),
                     (8, 9), (0, 5), (3, 6), (5, 9), (1, 6), (2, 8)]),
 ]
+
+# CH3-CH2-CH2-CH3: carbons 1-4 (C-C weight 1.54), hydrogens 5-14 (C-H 1.09).
+BUTANE = Graph(14, [(1, 2, 1.54), (2, 3, 1.54), (3, 4, 1.54)]
+               + [(c, h, 1.09) for c, hs in {1: (5, 6, 7), 2: (8, 9), 3: (10, 11), 4: (12, 13, 14)}.items()
+                  for h in hs])
+
 
 # Vertex-transitive graphs whose signature classes are a single cell.
 SYMMETRIC = {
@@ -677,6 +689,89 @@ class TestCanonicalLabeling:
         lab = canonical_labeling(cycle(5))
         assert sorted(lab.order) == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("g, digest", [
+        (complete_bipartite(4), "bd091253d0b61b9f6df8a64bd964c20c3d6a2bc8b5557bb9f52e5d6ffd00ecc9"),
+        (complete_bipartite(8), "1ffb85714183cf29350749471d97e3c174c90c897254c919a5e1c29370ca2eb8"),
+        (star(20), "791cdc81a820aab054bfaaafcb5233f8c100f3c0908db6959756f7193e146f37"),
+        (complete(8), "4f8d7f870230792886f15bb570b677aba3aa238a6e6db76ae966f66b59fc8713"),
+        (caterpillar(10, 3), "8813ab58d23434214eb07ea273d603a37269bddb65dc552503808dd4143660e8"),
+        (BUTANE, "98b3a1d826990da27d6647cefa4a4b4891d4420351c17b37bda74cc47420c7ae"),
+    ], ids=["K4,4", "K8,8", "K1,20", "K8", "caterpillar10x3", "butane"])
+    def test_twin_rich_digests_pinned(self, g, digest, rng):
+        # Pinned from the search that learnt every twin swap from a leaf:
+        # pruning by twins skips only images of explored subtrees.
+        for h in (g, relabel(g, random_permutation(g.n, rng))):
+            lab = canonical_labeling(h)
+            assert lab.certified
+            assert lab.digest() == digest
+
+    @pytest.mark.parametrize("name, most", [
+        ("C12", 6), ("C16", 6), ("Q4", 15), ("T4x4", 15), ("Prism8", 8), ("K8,8", 29),
+        ("Circ16(1,3)", 6), ("Q5", 21),
+    ])
+    def test_tree_nodes_pinned(self, name, most):
+        # The search's counts as built; K8,8 took 134 before twin pruning.  A
+        # search that did not resume at the common ancestor of two leaves with
+        # equal forms would take more, 41 for Q5.
+        assert canonical_labeling(SYMMETRIC[name]).expansions <= most
+
+    @pytest.mark.parametrize("g, most", [
+        (star(1000), 1001),
+        (complete_bipartite(100), 400),
+        (complete(200), 200),
+        (caterpillar(50, 3), 400),
+    ], ids=["K1,1000", "K100,100", "K200", "caterpillar50x3"])
+    def test_twin_classes_certify_in_few_tree_nodes(self, g, most, rng):
+        # Learning each twin swap from a leaf took about k^2/2 tree nodes per
+        # class of k twins (5,050 for K1,100); the first paths are n - 1 deep.
+        # The clock covers the search: the analysis, cached first, is a dense
+        # n x n inverse whose time depends on BLAS threading.
+        g._analysis
+        start = time.perf_counter()
+        lab = canonical_labeling(g)
+        assert time.perf_counter() - start < 1.0
+        assert lab.certified
+        assert lab.expansions <= most
+        other = canonical_labeling(relabel(g, random_permutation(g.n, rng)))
+        assert other.certified
+        assert other.digest() == lab.digest()
+
+
+def brute_force_twins(g):
+    """Least y with w(x,z) = w(y,z) for every z other than x and y, for each node x."""
+    w = [[g.adj[x].get(z, 0.0) for z in range(g.n)] for x in range(g.n)]
+    return [min(y for y in range(g.n) if all(w[x][z] == w[y][z] for z in range(g.n) if z not in (x, y)))
+            for x in range(g.n)]
+
+
+class TestTwins:
+    """Twin classes, adjacent and non-adjacent, by exact weights."""
+
+    def test_known_classes(self):
+        assert _twins(star(4).adj) == [0, 1, 1, 1, 1]
+        assert _twins(complete(5).adj) == [0] * 5
+        assert _twins(cycle(4).adj) == [0, 1, 0, 1]
+        assert _twins(path(4).adj) == [0, 1, 2, 3]
+        assert _twins(BUTANE.adj) == [0, 1, 2, 3, 4, 4, 4, 7, 7, 9, 9, 11, 11, 11]
+        # Nodes 1 and 2, joined by weight 2, are adjacent twins; 3 and 4 are
+        # not twins of them, though all four meet node 5 alike.
+        g = Graph(5, [(1, 2, 2.0), (1, 5, 1.0), (2, 5, 1.0), (3, 5, 1.0), (4, 5, 1.0), (3, 4, 0.5),
+                      (1, 3, 3.0), (2, 3, 3.0)])
+        assert _twins(g.adj) == [0, 0, 2, 3, 4]
+
+    def test_small_graphs_against_definition(self):
+        rng = random.Random(4)
+        for n in range(2, 7):
+            for g in oracle.enumerate_connected_graphs(n):
+                weighted = Graph(n, [(u, v, rng.choice((1.0, 2.0))) for u, v, _ in g.edges])
+                for h in (g, weighted):
+                    assert _twins(h.adj) == brute_force_twins(h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_graphs(max_n=12))
+    def test_weighted_graphs_against_definition(self, g):
+        assert _twins(g.adj) == brute_force_twins(g)
+
 
 def reference_refine(nbrs, colour):
     """Whole-graph re-keying, the refinement the splitter queue replaced.
@@ -722,15 +817,33 @@ def check_refine(g, colour, rng, splitters=None):
     return out
 
 
+def check_in_place(g, state, cells, v, expected):
+    """_individualize of state leaves it alone and gives expected, with a consistent state."""
+    nbrs = [tuple(a.items()) for a in g.adj]
+    before = [x.copy() for x in state]
+    (order, pos, cell, first), child_cells = _individualize(nbrs, state, cells, v)
+    assert list(state) == before
+    assert cell == expected
+    assert child_cells == len(set(cell))
+    assert all(pos[x] == i and first[cell[x]] <= i <= cell[x] for i, x in enumerate(order))
+    return (order, pos, cell, first), child_cells
+
+
 def check_individualized(g, colour, rng):
-    """Refine, move one node of a non-singleton cell to its front, refine from it."""
+    """Refine, move one node of a non-singleton cell to its front, refine from it,
+    from the child colouring and from the parent's refined state in place."""
     equitable = check_refine(g, colour, rng)
     big = [x for x in range(g.n) if equitable.count(equitable[x]) > 1]
     if big:
         v = rng.choice(big)
         child = equitable.copy()
         child[v] = sum(c < equitable[v] for c in equitable)
-        check_refine(g, child, rng, [child[v]])
+        expected = check_refine(g, child, rng, [child[v]])
+        state = _cells(colour)
+        ids = sorted(set(state[2]))
+        cells = _split([tuple(a.items()) for a in g.adj], *state, ids, len(ids))
+        assert state[2] == equitable
+        check_in_place(g, state, cells, v, expected)
 
 
 class TestRefine:
@@ -752,6 +865,21 @@ class TestRefine:
     def test_weighted_graphs(self, g, rng):
         check_individualized(g, [0] * g.n, rng)
         check_individualized(g, [rng.randrange(2) for _ in range(g.n)], rng)
+
+    @pytest.mark.parametrize("name", SYMMETRIC)
+    def test_in_place_along_a_path(self, name, rng):
+        # Individualize random nodes down to a discrete leaf, each child
+        # refined in place from its parent's state.
+        g = relabel(SYMMETRIC[name], random_permutation(SYMMETRIC[name].n, rng))
+        state = _cells([0] * g.n)
+        cells = _split([tuple(a.items()) for a in g.adj], *state, [g.n - 1], 1)
+        while cells < g.n:
+            cell, first = state[2], state[3]
+            v = rng.choice([x for x in range(g.n) if first[cell[x]] < cell[x]])
+            child = cell.copy()
+            child[v] = first[cell[v]]
+            expected = check_refine(g, child, rng, [child[v]])
+            state, cells = check_in_place(g, state, cells, v, expected)
 
     def test_equal_weight_sums_split_by_multiset(self):
         # Nodes 1-4 carry weights {1, 3, 5}, nodes 5-8 {2, 2, 5}: equal sums.
