@@ -99,8 +99,13 @@ def _cells(colour: list[int]) -> tuple[list[int], list[int], list[int], list[int
 def _split(nbrs, order, pos, cell, first, splitters: list[int], cells: int) -> int:
     """_refine's splitter loop: refine a state of cells cells in place; return the new count.
 
-    Only the sequence of splits decides cell, never the order of the nodes
-    inside a cell, so any state of one colouring refines to the same cell.
+    A touched node has one edge into a singleton splitter, so its key is that
+    weight alone, which orders as the 1-tuple multiset does.  Keys and cells
+    are sorted only when there are two or more, and each touched node is
+    swapped into its fragment.  The splits and their order are as _refine
+    describes.  Only that sequence of splits decides cell, never the order
+    of the nodes inside a cell, so any state of one colouring refines to the
+    same cell.
     """
     n = len(order)
     queue = deque(splitters)
@@ -108,45 +113,55 @@ def _split(nbrs, order, pos, cell, first, splitters: list[int], cells: int) -> i
     while queue and cells < n:
         s = queue.popleft()
         queued.remove(s)
-        into: dict[int, list] = {}
-        for y in order[first[s]:s + 1]:
-            for x, w in nbrs[y]:
+        touched: dict[int, dict] = {}  # cell -> {key: its touched nodes}
+        if first[s] == s:  # a singleton's one edge into x is x's key
+            for x, w in nbrs[order[s]]:
                 if first[cell[x]] < cell[x]:
+                    touched.setdefault(cell[x], {}).setdefault(w, []).append(x)
+        else:
+            into: dict[int, list] = {}
+            for y in order[first[s]:s + 1]:
+                for x, w in nbrs[y]:
                     if x in into:
                         into[x].append(w)
-                    else:
+                    elif first[cell[x]] < cell[x]:
                         into[x] = [w]
-        touched: dict[int, list[int]] = {}
-        for x in into:
-            touched.setdefault(cell[x], []).append(x)
-        for c in sorted(touched):
-            xs, a = touched[c], first[c]
-            groups: dict[tuple, list[int]] = {}
-            for x in xs:
-                groups.setdefault(tuple(sorted(into[x])), []).append(x)
-            t = a + len(xs)  # touched nodes move to order[a:t]
-            if t > c and len(groups) == 1:
-                continue
-            holes = [pos[x] for x in xs if pos[x] >= t]
-            for i, y in zip(holes, [y for y in order[a:t] if y not in into]):
-                order[i], pos[y] = y, i
-            lasts, i = [], a
-            for key in sorted(groups):
-                lasts.append(i + len(groups[key]) - 1)
-                for x in groups[key]:
-                    order[i], pos[x], cell[x] = x, i, lasts[-1]
+            for x, ws in into.items():
+                ws.sort()
+                touched.setdefault(cell[x], {}).setdefault(tuple(ws), []).append(x)
+        for c in sorted(touched) if len(touched) > 1 else touched:
+            groups, i = touched[c], first[c]
+            if len(groups) == 1:
+                frags = tuple(groups.values())
+                rest = c + 1 - i - len(frags[0])  # untouched nodes, last in the cell
+                if not rest:
+                    continue
+                big = 0 if c in queued else max(rest, len(frags[0]))
+            else:
+                frags = [groups[k] for k in sorted(groups)]
+                rest = c + 1 - i - sum(map(len, frags))
+                big = 0 if c in queued else max(rest, *map(len, frags))
+            # A queued c stays queued for the fragment that keeps last c;
+            # else the first fragment of size big is left out.
+            for xs in frags:
+                b = i + len(xs) - 1
+                first[b] = i
+                for x in xs:  # swap x to i; positions below i are final
+                    y, j = order[i], pos[x]
+                    order[j], pos[y] = y, j
+                    order[i], pos[x], cell[x] = x, i, b
                     i += 1
-            if t <= c:
-                lasts.append(c)
-            bounds = list(zip([a] + [b + 1 for b in lasts[:-1]], lasts))
-            sizes = [b - f for f, b in bounds]
-            skip = len(bounds) - 1 if c in queued else sizes.index(max(sizes))
-            for j, (f, b) in enumerate(bounds):
-                first[b] = f
-                if j != skip:
+                if len(xs) == big:
+                    big = 0
+                elif b not in queued:
                     queue.append(b)
                     queued.add(b)
-            cells += len(bounds) - 1
+            if rest:
+                first[c] = i
+                if rest != big and c not in queued:
+                    queue.append(c)
+                    queued.add(c)
+            cells += len(frags) - (not rest)
     return cells
 
 
@@ -313,12 +328,13 @@ class IsoVerdict:
 
 def verify_mapping(g1: Graph, g2: Graph, mapping: dict[int, int]) -> bool:
     """Independent check that mapping is a weight-preserving edge bijection."""
-    if g1.n != g2.n or g1.m != g2.m or not _is_bijection(mapping, g1.n):
-        return False
-    for u, v, w in g1.edges:
-        if g2.weight(mapping[u], mapping[v]) != w:
-            return False
-    return True
+    return (g1.n == g2.n and g1.m == g2.m and _is_bijection(mapping, g1.n)
+            and _maps_edges(g1, g2, mapping))
+
+
+def _maps_edges(g1: Graph, g2: Graph, mapping: dict[int, int]) -> bool:
+    """Whether mapping, defined on every id of g1, sends each edge of g1 to one of g2 of equal weight."""
+    return all(g2.weight(mapping[u], mapping[v]) == w for u, v, w in g1.edges)
 
 
 def iso_screen(
@@ -331,14 +347,16 @@ def iso_screen(
 
     After the node and edge counts, each graph is refined from one cell by
     exact weighted colour refinement (_refine), which commutes with
-    relabelling and costs no factorization.  Differing refinement invariants
+    relabelling and costs no factorization.  When g1's colouring is discrete,
+    an isomorphism must match colours, so the colour mapping is the only
+    candidate: the pair is distinct unless g2's colouring is discrete too and
+    that mapping keeps every edge and weight, and the mapping is certified
+    only after verify_mapping.  Otherwise differing refinement invariants
     (sorted colours, sorted (colour, colour, weight) edge triples) prove the
-    pair distinct.  When g1's colouring is discrete, an isomorphism must match
-    colours, so that mapping is the only candidate, and it is certified only
-    after verify_mapping.  Otherwise differing fingerprints prove the pair
-    distinct, certified canonical forms that differ do too, and equal forms
-    give a mapping that must pass verify_mapping.  A node_budget that is not
-    an integer of at least 1 raises InvalidBudgetError before any of this.
+    pair distinct, differing fingerprints do too, and so do certified
+    canonical forms that differ; equal forms give a mapping that must pass
+    verify_mapping.  A node_budget that is not an integer of at least 1
+    raises InvalidBudgetError before any of this.
     """
     _check_budget(node_budget)
     if g1.n != g2.n:
@@ -346,10 +364,12 @@ def iso_screen(
     if g1.m != g2.m:
         return IsoVerdict(IsoVerdict.DISTINCT, reason="edge counts differ")
     k1, k2 = _uniform_refine(g1), _uniform_refine(g2)
-    if _refinement_invariant(g1, k1) != _refinement_invariant(g2, k2):
-        return IsoVerdict(IsoVerdict.DISTINCT, reason="colour refinement differs")
     if len(set(k1)) == g1.n:
-        orders = [sorted(range(1, g1.n + 1), key=lambda x: k[x - 1]) for k in (k1, k2)]
+        mapping = dict(zip(*[sorted(range(1, g1.n + 1), key=lambda x: k[x - 1]) for k in (k1, k2)]))
+        if len(set(k2)) < g2.n or not _maps_edges(g1, g2, mapping):
+            return IsoVerdict(IsoVerdict.DISTINCT, reason="colour refinement differs")
+    elif _refinement_invariant(g1, k1) != _refinement_invariant(g2, k2):
+        return IsoVerdict(IsoVerdict.DISTINCT, reason="colour refinement differs")
     else:
         if fingerprint(g1) != fingerprint(g2):
             return IsoVerdict(IsoVerdict.DISTINCT, reason="fingerprints differ")
@@ -358,8 +378,7 @@ def iso_screen(
             return IsoVerdict(IsoVerdict.POSSIBLE, reason="search budget exhausted")
         if c1.form != c2.form:
             return IsoVerdict(IsoVerdict.DISTINCT, reason="canonical forms differ")
-        orders = [c1.order, c2.order]
-    mapping = dict(zip(*orders))
+        mapping = dict(zip(c1.order, c2.order))
     if not verify_mapping(g1, g2, mapping):
         return IsoVerdict(IsoVerdict.POSSIBLE, reason="mapping failed verification")
     return IsoVerdict(IsoVerdict.ISOMORPHIC, mapping=mapping, reason="verified mapping")
@@ -384,7 +403,8 @@ class CanonicalLabeling:
     positions keep the signature classes in signature order.  form is the
     column-incremental upper-triangle weight sequence of the reordered
     adjacency matrix: entries (0,1), (0,2), (1,2), (0,3), ..., the least over
-    the leaves of the individualization-refinement search.  expansions counts
+    the leaves of the individualization-refinement search, which ranks leaves
+    by their edges and builds form for the winner alone.  expansions counts
     the search's tree nodes, root included.  certified is False when the
     budget of tree nodes ran out before the search finished; order is a full
     permutation either way.
@@ -494,24 +514,27 @@ def _canonical(adj, start: list[int], budget: int) -> CanonicalLabeling:
     once, as it arrives.  Each tree node is a generator on an explicit stack,
     so the depth of a path is not bounded by Python's recursion limit.  The
     root refines start, the colouring by signature class of the graph whose
-    Graph.adj is adj.  Node indices are id - 1.
+    Graph.adj is adj.  Node indices are id - 1.  Leaves compare by
+    _edge_key, and the form is built for the winning leaf alone.
     """
     n = len(adj)
     # _split's hot loop iterates tuples faster than dict views.
     nbrs = [tuple(a.items()) for a in adj]
+    edges = [(x, y, w) for x, a in enumerate(adj) for y, w in a.items() if x < y]
     autos: list[list[int]] = []
-    first = best = None  # leaves: (form, order, path)
+    first = best = None  # leaves: (key, order, path)
     expansions, exhausted = 1, False
 
-    def leaf(order: list[int], path: list[int]) -> int:
+    def leaf(state, path: list[int]) -> int:
         """Compare a discrete leaf with the first and best ones; return the depth to resume at."""
         nonlocal first, best
-        form = tuple(get(y, 0.0) for k, get in enumerate([adj[x].get for x in order]) for y in order[:k])
+        order, pos = state[:2]
+        key = _edge_key(edges, pos)
         if first is None:
-            first = best = (form, order, path)
+            first = best = (key, order, path)
             return len(path) - 1
-        for ref_form, ref_order, ref_path in (first, best):
-            if form == ref_form:
+        for ref_key, ref_order, ref_path in (first, best):
+            if key == ref_key:
                 gamma = [0] * n
                 for x, y in zip(ref_order, order):
                     gamma[x] = y
@@ -520,8 +543,8 @@ def _canonical(adj, start: list[int], budget: int) -> CanonicalLabeling:
                 while path[common] == ref_path[common]:
                     common += 1
                 return common
-        if form < best[0]:
-            best = (form, order, path)
+        if key < best[0]:
+            best = (key, order, path)
         return len(path) - 1
 
     def search(state, cells: int, path: list[int]):
@@ -563,7 +586,7 @@ def _canonical(adj, start: list[int], budget: int) -> CanonicalLabeling:
     state = _cells(_refine(nbrs, start))
     cells = len(set(state[2]))
     if cells == n:
-        leaf(state[0], [])
+        leaf(state, [])
     else:
         twin = _twins(adj)
         stack, resume = [search(state, cells, [])], None
@@ -575,9 +598,36 @@ def _canonical(adj, start: list[int], budget: int) -> CanonicalLabeling:
                 resume = stop.value
                 continue
             if cells == n:
-                resume = leaf(state[0], path)
+                resume = leaf(state, path)
             else:
                 stack.append(search(state, cells, path))
                 resume = None
-    form, order, _ = best
-    return CanonicalLabeling(tuple(x + 1 for x in order), form, not exhausted, expansions)
+    order = best[1]
+    return CanonicalLabeling(tuple(x + 1 for x in order), _form(adj, order), not exhausted,
+                             expansions)
+
+
+def _form(adj, order: list[int]) -> tuple[float, ...]:
+    """CanonicalLabeling.form of a node order (indices id - 1) of the graph whose Graph.adj is adj."""
+    return tuple(get(y, 0.0) for k, get in enumerate([adj[x].get for x in order]) for y in order[:k])
+
+
+def _edge_key(edges, pos: list[int]) -> list[tuple]:
+    """A search leaf's key: between orders of one graph it compares as _form does.
+
+    edges holds the graph's (u, v, w) by node index, and pos[x] is x's
+    position.  An edge at positions i > j becomes (-i, -j, w), and the list
+    is sorted in descending order, so it lists the form's non-zero entries
+    (j, i) in form order.  Two orders of one graph give keys of equal length
+    m.  At their first difference, either both keys hold an edge at one
+    entry, and its weights decide as in the form, or one key has an edge where
+    the other has 0.0 and its next edge, at a later entry, a smaller tuple.
+    Weights are positive, so either way the keys compare as the forms do,
+    in O(m log m) rather than the form's O(n^2).
+    """
+    key = []
+    for u, v, w in edges:
+        i, j = pos[u], pos[v]
+        key.append((-i, -j, w) if i > j else (-j, -i, w))
+    key.sort(reverse=True)
+    return key

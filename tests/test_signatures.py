@@ -28,6 +28,8 @@ from kcanon.signatures import (
     IsoVerdict,
     _canonical,
     _cells,
+    _edge_key,
+    _form,
     _individualize,
     _refine,
     _refinement_invariant,
@@ -475,6 +477,26 @@ class TestIsoScreen:
         assert verdict.mapping == perm
         assert verify_mapping(g, h, verdict.mapping)
 
+    def test_discrete_pair_decided_by_the_colour_mapping(self, monkeypatch):
+        # Two discrete colourings give equal refinement invariants exactly
+        # when the colour mapping keeps every edge and weight, so neither
+        # pair needs the invariants.
+        def refuse(*args):
+            raise AssertionError("built refinement invariants for a discrete pair")
+
+        g = weighted_graph(20, 0)
+        relabelled, perm = shuffled_copy(g, random.Random(1))
+        swapped = double_edge_swap(g, random.Random(2))
+        assert all(len(set(_uniform_refine(h))) == 20 for h in (g, relabelled, swapped))
+        monkeypatch.setattr(signatures, "_refinement_invariant", refuse)
+        monkeypatch.setattr(signatures, "_pinv_mod", refuse_to_factorize)
+        verdict = iso_screen(g, swapped)
+        assert (verdict.kind, verdict.reason, verdict.mapping) == (
+            IsoVerdict.DISTINCT, "colour refinement differs", None)
+        verdict = iso_screen(g, relabelled)
+        assert (verdict.kind, verdict.reason, verdict.mapping) == (
+            IsoVerdict.ISOMORPHIC, "verified mapping", perm)
+
     def test_pair_refinement_cannot_split_reaches_fingerprints(self, monkeypatch):
         g, h = complete_bipartite(3), prism(3)
         k, l = _uniform_refine(g), _uniform_refine(h)
@@ -689,6 +711,22 @@ class TestCanonicalLabeling:
         lab = canonical_labeling(cycle(5))
         assert sorted(lab.order) == [1, 2, 3, 4, 5]
 
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_graphs(max_n=8), st.randoms(use_true_random=False))
+    def test_edge_key_compares_as_form(self, g, rng):
+        # The search ranks its leaves by _edge_key and builds _form for the
+        # winner alone.  Small graphs make equal forms from distinct orders.
+        edges = [(u - 1, v - 1, w) for u, v, w in g.edges]
+        leaves = []
+        for _ in range(6):
+            order = rng.sample(range(g.n), g.n)
+            pos = [0] * g.n
+            for i, x in enumerate(order):
+                pos[x] = i
+            leaves.append((_edge_key(edges, pos), _form(g.adj, order)))
+        for (key1, form1), (key2, form2) in itertools.product(leaves, repeat=2):
+            assert (key1 < key2, key1 == key2) == (form1 < form2, form1 == form2)
+
     @pytest.mark.parametrize("g, digest", [
         (complete_bipartite(4), "bd091253d0b61b9f6df8a64bd964c20c3d6a2bc8b5557bb9f52e5d6ffd00ecc9"),
         (complete_bipartite(8), "1ffb85714183cf29350749471d97e3c174c90c897254c919a5e1c29370ca2eb8"),
@@ -880,6 +918,31 @@ class TestRefine:
             child[v] = first[cell[v]]
             expected = check_refine(g, child, rng, [child[v]])
             state, cells = check_in_place(g, state, cells, v, expected)
+
+    def test_cell_lists_pinned(self):
+        # The tests above compare partitions; this pins the exact cell lists,
+        # so also the order of the fragments of every split.  Every connected
+        # graph on <= 6 nodes, plain and weighted, and SYMMETRIC: _refine of
+        # the uniform and a random colouring, and _individualize down a random
+        # path to a leaf.  Pinned from the splitter loop before its rewrite.
+        rng = random.Random(27)
+        graphs = list(SYMMETRIC.values())
+        for n in range(2, 7):
+            for g in oracle.enumerate_connected_graphs(n):
+                graphs += [g, Graph(n, [(u, v, rng.choice((1.0, 2.0))) for u, v, _ in g.edges])]
+        digest = hashlib.sha256()
+        for g in graphs:
+            nbrs = [tuple(a.items()) for a in g.adj]
+            for colour in ([0] * g.n, [rng.randrange(3) for _ in range(g.n)]):
+                digest.update(repr(_refine(nbrs, colour)).encode())
+            state = _cells(_refine(nbrs, [0] * g.n))
+            cells = len(set(state[2]))
+            while cells < g.n:
+                cell, first = state[2], state[3]
+                v = rng.choice([x for x in range(g.n) if first[cell[x]] < cell[x]])
+                state, cells = _individualize(nbrs, state, cells, v)
+                digest.update(repr(state[2]).encode())
+        assert digest.hexdigest() == "6b74304812b0028017db98251e33e6e06460cd1a5f1bb1fe99431f126fa0bcfe"
 
     def test_equal_weight_sums_split_by_multiset(self):
         # Nodes 1-4 carry weights {1, 3, 5}, nodes 5-8 {2, 2, 5}: equal sums.
