@@ -68,13 +68,53 @@ def _refine(nbrs, colour: list[int], splitters: list[int] | None = None) -> list
     or with every cell; splitters=[s] suffices when colour is equitable but
     for a node moved to the first position s of its cell.  nbrs[x] holds the
     (neighbour, weight) pairs of Graph.adj[x], such as adj[x].items(); nbrs
-    and colour are indexed by node id - 1.  This is _cells, then _split; the
-    search keeps the state between them and refines each child in place.
+    and colour are indexed by node id - 1.  This is _cells, then _split, the
+    generic path of _refined_state, which keeps the state and lays out the
+    first split of a one-cell colouring directly; the tests hold the two equal.
     """
     state = _cells(colour)
     cells = sorted(set(state[2]))
     _split(nbrs, *state, cells if splitters is None else splitters, len(cells))
     return state[2]
+
+
+def _refined_state(adj, nbrs, colour: list[int]) -> tuple[tuple[list[int], ...], int]:
+    """(state, cells): _refine's refined state (order, pos, cell, first) of colour, and its cell count.
+
+    adj is Graph.adj and nbrs its (neighbour, weight) pairs, as for _refine.
+    From one cell, _split's first pop, of the whole node set, keys each node
+    by the sorted weights of all its edges, and those are the values of
+    adj[x]; so the fragments are laid out here directly, in key order, and
+    every fragment but the first largest is queued, as _split queues them,
+    before _split goes on from that queue.  This assumes that every node has
+    an edge, as in every Graph of two or more nodes; _split would put an
+    edgeless node last.  Nodes of one fragment keep ascending ids, where
+    _split may swap them: only the sequence of splits decides cell.  Any
+    other colouring goes through _cells and _split.
+    """
+    if len(set(colour)) > 1:
+        state = _cells(colour)
+        cells = sorted(set(state[2]))
+        return state, _split(nbrs, *state, cells, len(cells))
+    n = len(adj)
+    groups: dict[tuple, list[int]] = {}
+    for x, a in enumerate(adj):
+        groups.setdefault(tuple(sorted(a.values())), []).append(x)
+    order, pos, cell, first = state = [], [0] * n, [0] * n, [0] * n
+    queue, big, i = [], max(map(len, groups.values())), 0
+    for key in sorted(groups) if len(groups) > 1 else groups:
+        xs = groups[key]
+        b = i + len(xs) - 1
+        first[b] = i
+        for x in xs:
+            pos[x], cell[x] = i, b
+            i += 1
+        order += xs
+        if len(xs) == big:
+            big = 0
+        else:
+            queue.append(b)
+    return state, _split(nbrs, *state, queue, len(groups))
 
 
 def _cells(colour: list[int]) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -182,13 +222,13 @@ def _individualize(nbrs, state, cells: int, v: int):
     return state, _split(nbrs, *state, [a], cells + 1)
 
 
-def _uniform_refine(graph: Graph) -> list[int]:
-    """_refine of graph from the single-cell colouring; commutes with relabelling.
+def _uniform_refine(graph: Graph) -> tuple[tuple[list[int], ...], int]:
+    """_refined_state of graph from the single-cell colouring; its cell list commutes with relabelling.
 
     Raises GraphError below 2 nodes, where no signature exists.
     """
     _require_two_nodes(graph)
-    return _refine([a.items() for a in graph.adj], [0] * graph.n)
+    return _refined_state(graph.adj, [a.items() for a in graph.adj], [0] * graph.n)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -265,7 +305,9 @@ class _Analysis:
     Built once per graph, as the cached view Graph._analysis; it keeps no
     reference to the graph, so the cache makes no reference cycle.  P[x - 1]
     is the residue row of L+ for node x, and r[k] the weight of
-    graph.edges[k] mod p.
+    graph.edges[k] mod p.  start, node_order and classes are _row_classes
+    of the node rows: the colouring by signature class that roots the
+    canonical search, and the order of orbit classes and canonical positions.
     """
 
     def __init__(self, graph: Graph):
@@ -273,13 +315,24 @@ class _Analysis:
         self.P, self.p, self.r = _pinv_mod(graph)
         self.node_rows = np.concatenate([self.P.diagonal()[:, None], np.sort(self.P, axis=1)],
                                         axis=1)
-        # Colouring by signature class, in signature order: the root of the
-        # canonical search, and the order of orbit classes and canonical positions.
-        _, start, sizes = np.unique(_row_keys(self.node_rows), return_inverse=True,
-                                    return_counts=True)
-        self.start, self.node_order = start.tolist(), np.argsort(start, kind="stable")
-        ids, ends = (self.node_order + 1).tolist(), np.cumsum(sizes).tolist()
-        self.classes = [ids[i:j] for i, j in zip([0] + ends, ends)]
+        self.start, self.node_order, self.classes = _row_classes(self.node_rows)
+
+
+def _row_classes(rows: np.ndarray) -> tuple[list[int], np.ndarray, list[list[int]]]:
+    """(start, order, classes) of an int64 matrix, one class per distinct row, in row order.
+
+    order is the stable argsort of the rows' keys (_row_keys); classes lists
+    the ids (index + 1) of each run of equal rows in it, and start[x] is the
+    index of the class of row x.  Runs are found by comparing adjacent sorted
+    rows as int64, which numpy does faster than it compares the void keys.
+    """
+    order = np.argsort(_row_keys(rows), kind="stable")
+    ranked = rows[order]
+    new = (ranked[1:] != ranked[:-1]).any(axis=1)  # row k + 1 opens a class
+    start = np.empty_like(order)
+    start[order] = np.concatenate(([0], np.cumsum(new)))
+    ids, ends = (order + 1).tolist(), (np.flatnonzero(new) + 1).tolist() + [len(rows)]
+    return start.tolist(), order, [ids[i:j] for i, j in zip([0] + ends, ends)]
 
 
 def orbit_partition(graph: Graph) -> OrbitPartition:
@@ -346,12 +399,14 @@ def iso_screen(
     """Refinement, fingerprint, then canonical-form screen; never certifies without proof.
 
     After the node and edge counts, each graph is refined from one cell by
-    exact weighted colour refinement (_refine), which commutes with
+    exact weighted colour refinement (_uniform_refine), which commutes with
     relabelling and costs no factorization.  When g1's colouring is discrete,
     an isomorphism must match colours, so the colour mapping is the only
     candidate: the pair is distinct unless g2's colouring is discrete too and
     that mapping keeps every edge and weight, and the mapping is certified
-    only after verify_mapping.  Otherwise differing refinement invariants
+    only after verify_mapping.  A discrete refined order lists the nodes by
+    colour, so the mapping zips the two orders, and the cell counts tell
+    discreteness.  Otherwise differing refinement invariants
     (sorted colours, sorted (colour, colour, weight) edge triples) prove the
     pair distinct, differing fingerprints do too, and so do certified
     canonical forms that differ; equal forms give a mapping that must pass
@@ -363,10 +418,11 @@ def iso_screen(
         return IsoVerdict(IsoVerdict.DISTINCT, reason="node counts differ")
     if g1.m != g2.m:
         return IsoVerdict(IsoVerdict.DISTINCT, reason="edge counts differ")
-    k1, k2 = _uniform_refine(g1), _uniform_refine(g2)
-    if len(set(k1)) == g1.n:
-        mapping = dict(zip(*[sorted(range(1, g1.n + 1), key=lambda x: k[x - 1]) for k in (k1, k2)]))
-        if len(set(k2)) < g2.n or not _maps_edges(g1, g2, mapping):
+    (order1, _, k1, _), cells1 = _uniform_refine(g1)
+    (order2, _, k2, _), cells2 = _uniform_refine(g2)
+    if cells1 == g1.n:
+        mapping = {x + 1: y + 1 for x, y in zip(order1, order2)}
+        if cells2 < g2.n or not _maps_edges(g1, g2, mapping):
             return IsoVerdict(IsoVerdict.DISTINCT, reason="colour refinement differs")
     elif _refinement_invariant(g1, k1) != _refinement_invariant(g2, k2):
         return IsoVerdict(IsoVerdict.DISTINCT, reason="colour refinement differs")
@@ -513,8 +569,9 @@ def _canonical(adj, start: list[int], budget: int) -> CanonicalLabeling:
     twins off the path fixes it), and adds each automorphism found by a leaf
     once, as it arrives.  Each tree node is a generator on an explicit stack,
     so the depth of a path is not bounded by Python's recursion limit.  The
-    root refines start, the colouring by signature class of the graph whose
-    Graph.adj is adj.  Node indices are id - 1.  Leaves compare by
+    root is _refined_state of start, the colouring by signature class of the
+    graph whose Graph.adj is adj; it is one cell whenever the signature
+    classes are, as for every vertex-transitive graph.  Node indices are id - 1.  Leaves compare by
     _edge_key, and the form is built for the winning leaf alone.
     """
     n = len(adj)
@@ -583,8 +640,7 @@ def _canonical(adj, start: list[int], budget: int) -> CanonicalLabeling:
             explored.add(_find(rep, v))
         return len(path) - 1
 
-    state = _cells(_refine(nbrs, start))
-    cells = len(set(state[2]))
+    state, cells = _refined_state(adj, nbrs, start)
     if cells == n:
         leaf(state, [])
     else:

@@ -181,11 +181,19 @@ def _primes():
 
 
 def _residues(w: np.ndarray, p: int) -> np.ndarray:
-    """Each finite float weight M * 2**E (M integer) as M * 2**E mod p, int64."""
+    """Each finite float weight M * 2**E (M integer) as M * 2**E mod p, int64.
+
+    2**E mod p comes from a table over the range of the binary exponents,
+    with one pow per exponent present; finite floats span about 2,100
+    exponents, so the table stays small.
+    """
     mantissa, exponent = np.frexp(w)
-    exponents, which = np.unique(exponent, return_inverse=True)
-    power = np.array([pow(2, int(e) - 53, p) for e in exponents], dtype=np.int64)
-    return np.ldexp(mantissa, 53).astype(np.int64) % p * power[which] % p
+    low = int(exponent.min())
+    exponent -= low
+    present = np.flatnonzero(np.bincount(exponent))
+    power = np.zeros(present[-1] + 1, dtype=np.int64)
+    power[present] = [pow(2, int(e) + low - 53, p) for e in present]
+    return np.ldexp(mantissa, 53).astype(np.int64) % p * power[exponent] % p
 
 
 # Inverses of at most this many rows are computed by Gauss-Jordan elimination;

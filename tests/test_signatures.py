@@ -32,7 +32,9 @@ from kcanon.signatures import (
     _form,
     _individualize,
     _refine,
+    _refined_state,
     _refinement_invariant,
+    _row_classes,
     _row_keys,
     _split,
     _twins,
@@ -314,6 +316,25 @@ class TestAnalysis:
                 assert a.start == [distinct.index(row) for row in rows]
                 assert (a.node_order + 1).tolist() == [x for c in a.classes for x in c]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_row_classes_match_unique(self, data):
+        # np.unique over the row keys, which _row_classes replaced, is the
+        # reference; rows are drawn from a few base rows, so many repeat.
+        values = data.draw(st.sampled_from([st.integers(-2**63, 2**63 - 1),
+                                            st.sampled_from([-2**63, 0, 1])]))
+        shape = st.tuples(st.integers(1, 8), st.integers(1, 12))
+        base = data.draw(hnp.arrays(np.int64, shape, elements=values))
+        pick = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=30))
+        rows = base[pick]
+        _, inverse, sizes = np.unique(_row_keys(rows), return_inverse=True, return_counts=True)
+        order = np.argsort(inverse, kind="stable")
+        ids, ends = (order + 1).tolist(), np.cumsum(sizes).tolist()
+        start, got_order, classes = _row_classes(rows)
+        assert start == inverse.tolist()
+        assert got_order.dtype == order.dtype and got_order.tolist() == order.tolist()
+        assert classes == [ids[i:j] for i, j in zip([0] + ends, ends)]
+
 
 class TestExactResidues:
     """The residue L+ against the exact Fraction oracle and the paper's rows."""
@@ -439,7 +460,7 @@ class TestIsoScreen:
     def test_unverified_discrete_mapping_is_not_certified(self, rng, monkeypatch):
         monkeypatch.setattr(signatures, "verify_mapping", lambda g1, g2, mapping: False)
         g = weighted_graph(12, 0)
-        assert len(set(_uniform_refine(g))) == g.n
+        assert _uniform_refine(g)[1] == g.n
         verdict = iso_screen(g, relabel(g, random_permutation(12, rng)))
         assert verdict.kind == IsoVerdict.POSSIBLE
         assert verdict.reason == "mapping failed verification"
@@ -487,7 +508,7 @@ class TestIsoScreen:
         g = weighted_graph(20, 0)
         relabelled, perm = shuffled_copy(g, random.Random(1))
         swapped = double_edge_swap(g, random.Random(2))
-        assert all(len(set(_uniform_refine(h))) == 20 for h in (g, relabelled, swapped))
+        assert all(_uniform_refine(h)[1] == 20 for h in (g, relabelled, swapped))
         monkeypatch.setattr(signatures, "_refinement_invariant", refuse)
         monkeypatch.setattr(signatures, "_pinv_mod", refuse_to_factorize)
         verdict = iso_screen(g, swapped)
@@ -497,10 +518,28 @@ class TestIsoScreen:
         assert (verdict.kind, verdict.reason, verdict.mapping) == (
             IsoVerdict.ISOMORPHIC, "verified mapping", perm)
 
+    def test_discrete_mapping_sorts_both_graphs_by_colour(self):
+        # The mapping zips the two refined orders; it must be the one that
+        # lists each graph's nodes by colour, insertion order included.
+        discrete = 0
+        for seed in range(12):
+            g = weighted_graph(10 + 3 * seed, seed)
+            h, _ = shuffled_copy(g, random.Random(seed))
+            k1, k2 = (_refine([a.items() for a in x.adj], [0] * x.n) for x in (g, h))
+            if len(set(k1)) < g.n:
+                continue
+            discrete += 1
+            by_colour = [sorted(range(1, g.n + 1), key=lambda x: k[x - 1]) for k in (k1, k2)]
+            verdict = iso_screen(g, h)
+            assert verdict.kind == IsoVerdict.ISOMORPHIC
+            assert list(verdict.mapping.items()) == list(zip(*by_colour))
+        assert discrete >= 8
+
     def test_pair_refinement_cannot_split_reaches_fingerprints(self, monkeypatch):
         g, h = complete_bipartite(3), prism(3)
-        k, l = _uniform_refine(g), _uniform_refine(h)
-        assert len(set(k)) == 1 and _refinement_invariant(g, k) == _refinement_invariant(h, l)
+        (_, _, k, _), cells = _uniform_refine(g)
+        l = _uniform_refine(h)[0][2]
+        assert cells == 1 and _refinement_invariant(g, k) == _refinement_invariant(h, l)
         monkeypatch.setattr(signatures, "_canonical", refuse_to_search)
         verdict = iso_screen(g, h)
         assert (verdict.kind, verdict.reason) == (IsoVerdict.DISTINCT, "fingerprints differ")
@@ -525,7 +564,7 @@ class TestIsoScreen:
             return sorted(colour), edges
 
         for h in filter(None, [g, shuffled_copy(g, rng)[0], double_edge_swap(g, rng)]):
-            for colour in (_uniform_refine(h), [rng.randrange(3) for _ in range(h.n)]):
+            for colour in (_uniform_refine(h)[0][2], [rng.randrange(3) for _ in range(h.n)]):
                 assert _refinement_invariant(h, colour) == reference(h, colour)
 
     def test_c6_vs_p6_edge_count(self):
@@ -690,6 +729,7 @@ class TestCanonicalLabeling:
 
         monkeypatch.setattr(signatures, "_pinv_mod", refuse)
         monkeypatch.setattr(signatures, "_refine", refuse)
+        monkeypatch.setattr(signatures, "_refined_state", refuse)
         for call in (lambda: canonical_labeling(cycle(4), budget=budget),
                      lambda: iso_screen(cycle(4), cycle(4), node_budget=budget),
                      lambda: iso_screen(cycle(4), path(5), node_budget=budget)):
@@ -884,6 +924,19 @@ def check_individualized(g, colour, rng):
         check_in_place(g, state, cells, v, expected)
 
 
+def check_state(g, colour):
+    """_refined_state against _refine: equal cells, a consistent state, and its cell count."""
+    nbrs = [tuple(a.items()) for a in g.adj]
+    (order, pos, cell, first), cells = _refined_state(g.adj, nbrs, colour)
+    assert cell == _refine(nbrs, colour)
+    assert sorted(order) == list(range(g.n)) and all(pos[x] == i for i, x in enumerate(order))
+    # Each cell c is exactly the interval of positions first[c]..c.
+    for c in set(cell):
+        assert [cell[x] for x in order[first[c]:c + 1]] == [c] * (c + 1 - first[c])
+    assert sum(c + 1 - first[c] for c in set(cell)) == g.n
+    assert cells == len(set(cell))
+
+
 class TestRefine:
     """Splitter-queue refinement gives the referee's partition, keeps input
     cells as intervals in order, and commutes with relabelling."""
@@ -943,6 +996,25 @@ class TestRefine:
                 state, cells = _individualize(nbrs, state, cells, v)
                 digest.update(repr(state[2]).encode())
         assert digest.hexdigest() == "6b74304812b0028017db98251e33e6e06460cd1a5f1bb1fe99431f126fa0bcfe"
+
+    def test_refined_state_matches_refine(self):
+        # Every connected graph on <= 6 nodes, plain and weighted, and
+        # SYMMETRIC, from one cell (the direct first split) and from a
+        # random colouring (_cells, then _split).
+        rng = random.Random(29)
+        graphs = list(SYMMETRIC.values())
+        for n in range(2, 7):
+            for g in oracle.enumerate_connected_graphs(n):
+                graphs += [g, Graph(n, [(u, v, rng.choice((1.0, 2.0))) for u, v, _ in g.edges])]
+        for g in graphs:
+            for colour in ([0] * g.n, [rng.randrange(3) for _ in range(g.n)]):
+                check_state(g, colour)
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_graphs(), st.randoms(use_true_random=False))
+    def test_refined_state_of_weighted_graphs(self, g, rng):
+        for colour in ([0] * g.n, [rng.randrange(2) for _ in range(g.n)]):
+            check_state(g, colour)
 
     def test_equal_weight_sums_split_by_multiset(self):
         # Nodes 1-4 carry weights {1, 3, 5}, nodes 5-8 {2, 2, 5}: equal sums.
@@ -1010,7 +1082,7 @@ class TestFactorizations:
     def test_iso_screen_discrete_pair(self):
         g = weighted_graph(20, 0)
         h, _ = shuffled_copy(g, random.Random(1))
-        assert len(set(_uniform_refine(g))) == g.n
+        assert _uniform_refine(g)[1] == g.n
         before = factorization_count()
         assert iso_screen(g, h).kind == IsoVerdict.ISOMORPHIC
         assert factorization_count() - before == 0

@@ -431,8 +431,13 @@ class TestModularInverse:
         assert ((lap @ pinv.astype(object) - centring) % p == 0).all()
 
     def test_weight_residues_are_exact(self):
-        w = np.array([0.5, 3.0, 0.1, 1e-300, 1e300, 5e-324, 2.0**-1074 * 3])
+        # The least subnormal, the least normal and the greatest finite float
+        # span the whole exponent range, and 500 draws fill it in.
+        w = np.concatenate([[0.5, 3.0, 0.1, 1e-300, 1e300, 5e-324, 2.0**-1074 * 3,
+                             2.2250738585072014e-308, 1.7976931348623157e308],
+                            10.0 ** np.random.default_rng(29).uniform(-300, 300, 500)])
         r = solver._residues(w, P)
+        assert r.dtype == np.int64
         for x, got in zip(w.tolist(), r.tolist()):
             exact = Fraction(x)
             assert got == exact.numerator * pow(exact.denominator, -1, P) % P
