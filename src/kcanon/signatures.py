@@ -9,8 +9,10 @@ classes seed the individualization-refinement search behind canonical
 labeling.
 
 iso_screen decides in three stages, cheapest first: exact weighted colour
-refinement from one cell (no factorization; a discrete refinement gives the
-only candidate mapping), then fingerprints, then canonical forms.
+refinement from one cell (no factorization; the two graphs' first splits, by
+the weights of each node's edges, are compared before either refines further,
+and a discrete refinement gives the only candidate mapping), then
+fingerprints, then canonical forms.
 
 Every voltage is a difference of two entries of one row of the Laplacian
 pseudoinverse: v_ab[x] = L+[x,a] - L+[x,b].  Every float weight is a dyadic
@@ -70,7 +72,9 @@ def _refine(nbrs, colour: list[int], splitters: list[int] | None = None) -> list
     (neighbour, weight) pairs of Graph.adj[x], such as adj[x].items(); nbrs
     and colour are indexed by node id - 1.  This is _cells, then _split, the
     generic path of _refined_state, which keeps the state and lays out the
-    first split of a one-cell colouring directly; the tests hold the two equal.
+    first split of a one-cell colouring directly (_weight_groups), where
+    iso_screen compares two graphs before it refines on; the tests hold the
+    two equal.
     """
     state = _cells(colour)
     cells = sorted(set(state[2]))
@@ -82,24 +86,44 @@ def _refined_state(adj, nbrs, colour: list[int]) -> tuple[tuple[list[int], ...],
     """(state, cells): _refine's refined state (order, pos, cell, first) of colour, and its cell count.
 
     adj is Graph.adj and nbrs its (neighbour, weight) pairs, as for _refine.
-    From one cell, _split's first pop, of the whole node set, keys each node
-    by the sorted weights of all its edges, and those are the values of
-    adj[x]; so the fragments are laid out here directly, in key order, and
-    every fragment but the first largest is queued, as _split queues them,
-    before _split goes on from that queue.  This assumes that every node has
-    an edge, as in every Graph of two or more nodes; _split would put an
-    edgeless node last.  Nodes of one fragment keep ascending ids, where
-    _split may swap them: only the sequence of splits decides cell.  Any
-    other colouring goes through _cells and _split.
+    One cell is refined in two pieces: its first split, _weight_groups, and
+    _refine_groups, which goes on from there; iso_screen compares two graphs'
+    first splits between the pieces.  Any other colouring goes through
+    _cells and _split.
     """
     if len(set(colour)) > 1:
         state = _cells(colour)
         cells = sorted(set(state[2]))
         return state, _split(nbrs, *state, cells, len(cells))
-    n = len(adj)
+    return _refine_groups(nbrs, _weight_groups(adj))
+
+
+def _weight_groups(adj) -> dict[tuple, list[int]]:
+    """Refinement's first split from one cell: node indices by the sorted weights of their edges.
+
+    From one cell, _split's first pop, of the whole node set, keys each node
+    by the sorted weights of all its edges, and those are the values of
+    adj[x].  Indices ascend within each group.  Relabelling renames the
+    nodes of each group and keeps its key, so isomorphic graphs have equal
+    maps of key to group size.
+    """
     groups: dict[tuple, list[int]] = {}
     for x, a in enumerate(adj):
         groups.setdefault(tuple(sorted(a.values())), []).append(x)
+    return groups
+
+
+def _refine_groups(nbrs, groups: dict[tuple, list[int]]) -> tuple[tuple[list[int], ...], int]:
+    """_refined_state from one cell, refined on from its first split, groups (_weight_groups).
+
+    The groups are laid out directly, in key order, and every one but the
+    first largest is queued, as _split queues fragments, before _split goes
+    on from that queue.  This assumes that every node has an edge, as in
+    every Graph of two or more nodes; _split would put an edgeless node
+    last.  Nodes of one fragment keep ascending ids, where _split may swap
+    them: only the sequence of splits decides cell.
+    """
+    n = len(nbrs)
     order, pos, cell, first = state = [], [0] * n, [0] * n, [0] * n
     queue, big, i = [], max(map(len, groups.values())), 0
     for key in sorted(groups) if len(groups) > 1 else groups:
@@ -225,7 +249,9 @@ def _individualize(nbrs, state, cells: int, v: int):
 def _uniform_refine(graph: Graph) -> tuple[tuple[list[int], ...], int]:
     """_refined_state of graph from the single-cell colouring; its cell list commutes with relabelling.
 
-    Raises GraphError below 2 nodes, where no signature exists.
+    iso_screen runs the same two pieces, _weight_groups and _refine_groups,
+    and compares the two graphs' first splits between them.  Raises
+    GraphError below 2 nodes, where no signature exists.
     """
     _require_two_nodes(graph)
     return _refined_state(graph.adj, [a.items() for a in graph.adj], [0] * graph.n)
@@ -386,8 +412,14 @@ def verify_mapping(g1: Graph, g2: Graph, mapping: dict[int, int]) -> bool:
 
 
 def _maps_edges(g1: Graph, g2: Graph, mapping: dict[int, int]) -> bool:
-    """Whether mapping, defined on every id of g1, sends each edge of g1 to one of g2 of equal weight."""
-    return all(g2.weight(mapping[u], mapping[v]) == w for u, v, w in g1.edges)
+    """Whether mapping sends each edge of g1 to one of g2 of equal weight.
+
+    mapping must be a bijection from the ids of g1 onto 1..g2.n, as both
+    callers ensure: iso_screen zips two refined orders, and verify_mapping
+    checks _is_bijection first.
+    """
+    adj = g2.adj
+    return all(adj[mapping[u] - 1].get(mapping[v] - 1) == w for u, v, w in g1.edges)
 
 
 def iso_screen(
@@ -399,8 +431,12 @@ def iso_screen(
     """Refinement, fingerprint, then canonical-form screen; never certifies without proof.
 
     After the node and edge counts, each graph is refined from one cell by
-    exact weighted colour refinement (_uniform_refine), which commutes with
-    relabelling and costs no factorization.  When g1's colouring is discrete,
+    exact weighted colour refinement (_uniform_refine's two pieces), which
+    commutes with relabelling and costs no factorization.  Its first split
+    groups the nodes by the sorted weights of their edges (_weight_groups);
+    when the two graphs' maps of key to group size differ, the pair is
+    distinct before either graph refines further, and otherwise both go on
+    from the groups already built.  When g1's colouring is discrete,
     an isomorphism must match colours, so the colour mapping is the only
     candidate: the pair is distinct unless g2's colouring is discrete too and
     that mapping keeps every edge and weight, and the mapping is certified
@@ -418,8 +454,13 @@ def iso_screen(
         return IsoVerdict(IsoVerdict.DISTINCT, reason="node counts differ")
     if g1.m != g2.m:
         return IsoVerdict(IsoVerdict.DISTINCT, reason="edge counts differ")
-    (order1, _, k1, _), cells1 = _uniform_refine(g1)
-    (order2, _, k2, _), cells2 = _uniform_refine(g2)
+    _require_two_nodes(g1)
+    groups1, groups2 = _weight_groups(g1.adj), _weight_groups(g2.adj)
+    if ({key: len(xs) for key, xs in groups1.items()}
+            != {key: len(xs) for key, xs in groups2.items()}):
+        return IsoVerdict(IsoVerdict.DISTINCT, reason="colour refinement differs")
+    (order1, _, k1, _), cells1 = _refine_groups([a.items() for a in g1.adj], groups1)
+    (order2, _, k2, _), cells2 = _refine_groups([a.items() for a in g2.adj], groups2)
     if cells1 == g1.n:
         mapping = {x + 1: y + 1 for x, y in zip(order1, order2)}
         if cells2 < g2.n or not _maps_edges(g1, g2, mapping):

@@ -70,6 +70,39 @@ def random_cubic(n, rng):
                 pass
 
 
+def cfi(base, twist):
+    """The Cai-Furer-Immerman graph of base, with its first edge twisted when twist is true.
+
+    Each base node v gets one gadget: two ends (v, e, 0) and (v, e, 1) per
+    base edge e at v, and one middle node per even subset S of v's edges,
+    joined to (v, e, 1) for e in S and to (v, e, 0) for the others.  Each
+    base edge e = uv joins (u, e, i) to (v, e, i), or to (v, e, 1 - i) when
+    e is twisted.  A cubic base gives 10 nodes per base node, each with three
+    unit-weight edges.  On a connected base the twisted and untwisted graphs
+    are not isomorphic (Cai, Furer & Immerman, "An optimal lower bound on the
+    number of variables for graph identification", Combinatorica 12, 1992).
+    """
+    ids = {}
+
+    def node(key):
+        return ids.setdefault(key, len(ids) + 1)
+
+    incident = {v: [] for v in range(1, base.n + 1)}
+    for e, (u, v, _) in enumerate(base.edges):
+        incident[u].append(e)
+        incident[v].append(e)
+    edges = []
+    for v, es in incident.items():
+        for size in range(0, len(es) + 1, 2):
+            for subset in itertools.combinations(es, size):
+                middle = node(("middle", v, subset))
+                edges += [(middle, node((v, e, int(e in subset))), 1.0) for e in es]
+    for e, (u, v, _) in enumerate(base.edges):
+        for i in (0, 1):
+            edges.append((node((u, e, i)), node((v, e, i ^ (twist and e == 0))), 1.0))
+    return Graph(len(ids), edges)
+
+
 def random_permutation(n, rng):
     ids = list(range(1, n + 1))
     rng.shuffle(ids)

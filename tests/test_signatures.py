@@ -39,6 +39,7 @@ from kcanon.signatures import (
     _split,
     _twins,
     _uniform_refine,
+    _weight_groups,
 )
 from kcanon.solver import factorization_count
 
@@ -46,6 +47,7 @@ from conftest import (
     ROOK_4X4,
     SHRIKHANDE,
     caterpillar,
+    cfi,
     complete,
     complete_bipartite,
     cycle,
@@ -79,6 +81,10 @@ def expected_rows(g, p):
 
 def refuse_to_factorize(graph):
     raise AssertionError("factorized a pair that colour refinement decides")
+
+
+def refuse_to_refine(*args):
+    raise AssertionError("refined a pair that the first split decides")
 
 
 def refuse_to_search(*args):
@@ -487,6 +493,32 @@ class TestIsoScreen:
             assert (verdict.kind, verdict.reason) == (IsoVerdict.DISTINCT, "colour refinement differs")
             assert verdict.mapping is None
 
+    def test_first_split_decides_a_swap_before_refining(self, monkeypatch):
+        # Swapping edges of unequal weight changes two nodes' weight
+        # multisets, so the first splits differ and nothing refines further.
+        g = weighted_graph(20, 0)
+        h = double_edge_swap(g, random.Random(2))
+        monkeypatch.setattr(signatures, "_split", refuse_to_refine)
+        monkeypatch.setattr(signatures, "_pinv_mod", refuse_to_factorize)
+        monkeypatch.setattr(signatures, "_canonical", refuse_to_search)
+        verdict = iso_screen(g, h)
+        assert (verdict.kind, verdict.reason, verdict.mapping) == (
+            IsoVerdict.DISTINCT, "colour refinement differs", None)
+
+    def test_equal_first_splits_refine_on(self, monkeypatch):
+        # A swap of two unit-weight edges keeps every weight multiset.
+        g = Graph(20, [(u, v, 1.0) for u, v, _ in weighted_graph(20, 0).edges])
+        h = double_edge_swap(g, random.Random(2))
+        assert ({k: len(xs) for k, xs in _weight_groups(g.adj).items()}
+                == {k: len(xs) for k, xs in _weight_groups(h.adj).items()})
+        splits = []
+        split = signatures._split
+        monkeypatch.setattr(signatures, "_split", lambda *args: splits.append(1) or split(*args))
+        verdict = iso_screen(g, h)
+        assert (verdict.kind, verdict.reason, verdict.mapping) == (
+            IsoVerdict.DISTINCT, "colour refinement differs", None)
+        assert len(splits) == 2
+
     def test_discrete_refinement_gives_the_mapping_without_factorizing(self, monkeypatch):
         # A discrete refinement leaves no automorphism, so the relabelling is
         # the only isomorphism.
@@ -620,6 +652,42 @@ class TestIsoScreen:
         verdict = iso_screen(g, swapped)
         assert verdict.kind == IsoVerdict.DISTINCT
         assert verdict.reason == "fingerprints differ"
+
+
+class TestCFI:
+    """Cai-Furer-Immerman pairs: equal signatures, told apart by the search alone."""
+
+    @pytest.fixture(params=[10, 20], ids=["base10", "base20"])
+    def pair(self, request):
+        base = random_cubic(request.param, random.Random(request.param))
+        return base, cfi(base, False), cfi(base, True)
+
+    def test_every_node_has_three_unit_weight_edges(self, pair):
+        # Ten nodes per base node, all in one cell of the first split, so
+        # the pair refines on past it.
+        base, *graphs = pair
+        for g in graphs:
+            assert (g.n, g.m) == (10 * base.n, 15 * base.n)
+            assert list(_weight_groups(g.adj)) == [(1.0, 1.0, 1.0)]
+
+    def test_fingerprints_are_equal(self, pair):
+        # A documented limit of the paper's signatures, whose L+ the
+        # 2-dimensional Weisfeiler-Leman colouring already determines.
+        _, g, h = pair
+        assert fingerprint(g) == fingerprint(h)
+
+    def test_twisted_pair_decided_by_canonical_form(self, pair):
+        _, g, h = pair
+        verdict = iso_screen(g, h)
+        assert (verdict.kind, verdict.reason, verdict.mapping) == (
+            IsoVerdict.DISTINCT, "canonical forms differ", None)
+
+    def test_relabelled_copy_certified(self, pair):
+        for g in pair[1:]:
+            h, _ = shuffled_copy(g, random.Random(g.n))
+            verdict = iso_screen(g, h)
+            assert (verdict.kind, verdict.reason) == (IsoVerdict.ISOMORPHIC, "verified mapping")
+            assert verify_mapping(g, h, verdict.mapping)
 
 
 class TestCanonicalLabeling:
