@@ -16,7 +16,6 @@ import sys
 
 import click
 
-from . import oracle as oracle_mod
 from . import signatures as sig_mod
 from . import solver as solver_mod
 from .errors import (
@@ -158,6 +157,7 @@ def orbits(graph_file, verify, fmt):
         f"  {c['nodes']} sig {c['signature_sha256'][:16]}" for c in classes
     ]
     if verify:
+        from . import oracle as oracle_mod
         report = oracle_mod.brute_force_automorphisms(g)
         oracle_classes = [list(o) for o in report.orbits]
         candidate_classes = sorted(analysis.classes)
@@ -250,6 +250,7 @@ def oracle():
 @format_option
 def oracle_solve(graph_file, a, b, fmt):
     """Exact rational voltages for unit current A -> B."""
+    from . import oracle as oracle_mod
     g = load_graph(graph_file)
     v = oracle_mod.exact_solve_pair(g, a, b)
     doc = {
@@ -267,6 +268,7 @@ def oracle_solve(graph_file, a, b, fmt):
 @format_option
 def oracle_autos(graph_file, fmt):
     """Exhaustive automorphism group order and orbits."""
+    from . import oracle as oracle_mod
     g = load_graph(graph_file)
     report = oracle_mod.brute_force_automorphisms(g)
     doc = {
@@ -286,6 +288,7 @@ def oracle_autos(graph_file, fmt):
 @format_option
 def oracle_iso(file1, file2, fmt):
     """Exhaustive isomorphism check; exit 0 isomorphic / 1 proven distinct."""
+    from . import oracle as oracle_mod
     g1 = load_graph(file1)
     g2 = load_graph(file2)
     mapping = oracle_mod.brute_force_isomorphic(g1, g2)

@@ -15,6 +15,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -41,6 +42,12 @@ class Graph:
     number that is not a bool; anything else is a GraphError, never coerced.
     edges holds them as (int, int, float).
 
+    Construction makes two passes.  The conversion pass turns every entry
+    into an (int, int, float) triple, so each type fault comes before any
+    graph fault; the structural pass, _build, then checks the graph and
+    fills adj in one loop.  parse_edge_list reads (int, int, float) edges
+    already and calls _build alone.
+
     adj, built while the edges are validated, and the cached views arrays and
     _analysis (the signature analysis, built at most once) are shared:
     read-only by convention.  adj[x - 1] maps each neighbour y - 1 of node x
@@ -55,15 +62,24 @@ class Graph:
             n = _index(n)
         except TypeError:
             raise GraphError(f"node count must be an integer, got {n!r}")
-        object.__setattr__(self, "n", n)
         try:
             entries = iter(edges)
         except TypeError:
             raise GraphError(f"edges must be iterable, got {type(edges).__name__}")
-        # Entries that are already (int, int, float) tuples are kept as they are.
-        edges = tuple(e if type(e) is tuple and len(e) == 3 and type(e[0]) is int
-                      and type(e[1]) is int and type(e[2]) is float else _edge(e)
-                      for e in entries)
+        # The conversion pass.  Entries that are already (int, int, float)
+        # tuples are kept as they are.
+        self._build(n, tuple(e if type(e) is tuple and len(e) == 3 and type(e[0]) is int
+                             and type(e[1]) is int and type(e[2]) is float else _edge(e)
+                             for e in entries))
+
+    def _build(self, n: int, edges: tuple[tuple[int, int, float], ...]) -> None:
+        """The structural pass: check n and the (int, int, float) edges, fill adj.
+
+        Graph faults come in edge order: an endpoint outside 1..n, a
+        self-loop, a duplicate, a weight that is not positive, then one that
+        is infinite; a disconnected graph last.
+        """
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         if n < 1:
             raise GraphError(f"node count must be >= 1, got {n}")
@@ -71,23 +87,25 @@ class Graph:
         # adj then holds only the nodes that edges name, so rejecting a huge
         # node id costs time and memory bounded by the input, not by n.
         named_only = n > 1 and n > 2 * len(edges)
-        adj = defaultdict(dict) if named_only else tuple({} for _ in range(n))
+        adj = defaultdict(dict) if named_only else tuple([{} for _ in range(n)])
         for u, v, w in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphError(f"edge ({u},{v}) endpoint outside 1..{n}")
             if u == v:
                 raise SelfLoopError(f"self-loop at node {u}")
-            nbrs = adj[u - 1]
-            if v - 1 in nbrs:
+            a, b = u - 1, v - 1
+            nbrs = adj[a]
+            if b in nbrs:
                 raise DuplicateEdgeError(f"duplicate edge {min(u, v)}-{max(u, v)}")
-            if not (w > 0.0):  # catches zero, negative, and NaN
-                raise NonPositiveWeightError(f"edge ({u},{v}) has non-positive weight {w}")
-            if w == _INF:
+            if not (0.0 < w < _INF):
+                if not (w > 0.0):  # catches zero, negative, and NaN
+                    raise NonPositiveWeightError(f"edge ({u},{v}) has non-positive weight {w}")
                 raise NonFiniteWeightError(f"edge ({u},{v}) has infinite weight")
-            nbrs[v - 1] = adj[v - 1][u - 1] = w
-        comps = _components(adj, list(adj) if named_only else range(n))
-        if named_only or len(comps) > 1:
-            raise DisconnectedError(comps, n)
+            nbrs[b] = adj[b][a] = w
+        if named_only:
+            raise DisconnectedError(_components(adj, list(adj)), n)
+        if not _connected(adj):
+            raise DisconnectedError(_components(adj, range(n)), n)
         object.__setattr__(self, "adj", adj)
 
     @property
@@ -97,7 +115,7 @@ class Graph:
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (u, v, w) edge arrays in stored edge order; ids 0-based."""
-        e = np.array(self.edges, dtype=float).reshape(-1, 3)
+        e = np.fromiter(chain.from_iterable(self.edges), float, 3 * len(self.edges)).reshape(-1, 3)
         arrays = (e[:, 0].astype(np.intp) - 1, e[:, 1].astype(np.intp) - 1, e[:, 2].copy())
         for a in arrays:
             a.flags.writeable = False
@@ -159,10 +177,23 @@ def _edge(e) -> tuple[int, int, float]:
     return u, v, _weight(w)
 
 
+def _connected(adj) -> bool:
+    """Whether every node index of the sequence adj is reached from index 0."""
+    seen = {0}
+    reached = [0]
+    for k in reached:  # grows as the walk goes
+        for j in adj[k]:
+            if j not in seen:
+                seen.add(j)
+                reached.append(j)
+    return len(reached) == len(adj)
+
+
 def _components(adj, nodes):
     """Node-id lists of the components that hold the node indices nodes.
 
-    adj[k] iterates the neighbour indices of node index k.
+    adj[k] iterates the neighbour indices of node index k.  Only a
+    DisconnectedError needs them: _connected tells whether a graph is.
     """
     seen = set()
     comps = []
@@ -189,6 +220,11 @@ def parse_edge_list(text: str) -> Graph:
     Lines starting with '#' and blank lines are ignored.  A missing weight
     defaults to 1.0 (unit resistors).  N is the largest node id seen.  text
     must be a str; decoding bytes is load_graph's job.
+
+    Every line is read before any graph fault is looked for.  The edges
+    read are (int, int, float) already, so they go straight to Graph's
+    structural pass, without its conversion pass; the outcome is that of
+    Graph(N, edges).
     """
     if not isinstance(text, str):
         raise GraphError(f"edge-list text must be a str, got {type(text).__name__}")
@@ -196,10 +232,11 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     max_id = 0
     for line_no, parts in enumerate(map(str.split, lines), start=1):
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) not in (2, 3):
-            raise MalformedLineError(line_no, f"expected 2 or 3 fields, got {len(parts)}")
+        fields = len(parts)
+        if fields != 3 and fields != 2 or parts[0][0] == "#":
+            if not parts or parts[0][0] == "#":
+                continue
+            raise MalformedLineError(line_no, f"expected 2 or 3 fields, got {fields}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
@@ -209,7 +246,7 @@ def parse_edge_list(text: str) -> Graph:
             raise MalformedLineError(
                 line_no, f"node ids must be positive: {lines[line_no - 1].strip()!r}")
         w = 1.0
-        if len(parts) == 3:
+        if fields == 3:
             try:
                 w = float(parts[2])
             except ValueError:
@@ -221,7 +258,9 @@ def parse_edge_list(text: str) -> Graph:
             max_id = v
     if max_id == 0:
         raise GraphError("no edges found")
-    return Graph(max_id, edges)
+    graph = object.__new__(Graph)
+    graph._build(max_id, tuple(edges))
+    return graph
 
 
 def parse_json(text: str) -> Graph:

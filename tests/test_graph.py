@@ -14,7 +14,7 @@ from kcanon.errors import (
     NonPositiveWeightError,
     SelfLoopError,
 )
-from kcanon import oracle
+from kcanon import graph as graph_mod, oracle
 from kcanon.graph import (
     Graph,
     load_graph,
@@ -205,6 +205,19 @@ class TestConstructionFaults:
         assert exc.value.isolated == 10**9 - len(head)
 
 
+    def test_connected_graph_never_lists_components(self, monkeypatch):
+        # One walk from node 1 tells a connected graph; only the error lists components.
+        def refuse(adj, nodes):
+            raise AssertionError("components listed")
+
+        monkeypatch.setattr(graph_mod, "_components", refuse)
+        assert parse_edge_list("1 2\n2 3 0.5\n3 1").n == 3
+        assert Graph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 2.0)]).m == 3
+        assert Graph(1, []).n == 1
+        with pytest.raises(AssertionError, match="components listed"):
+            parse_edge_list("1 2\n3 4")
+
+
 class TestJsonFormat:
     def test_round_trip(self):
         g = parse_edge_list("1 2 0.25\n2 3 4.0")
@@ -376,3 +389,88 @@ def test_parsed_graph_matches_an_independent_build(case):
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert not got.flags.writeable
     assert parse_edge_list(to_edge_list(g)) == g
+
+
+def test_arrays_of_a_graph_without_edges():
+    arrays = Graph(1, []).arrays
+    assert [a.dtype for a in arrays] == [np.intp, np.intp, np.float64]
+    for a in arrays:
+        assert a.shape == (0,) and not a.flags.writeable
+
+
+# Fields of arbitrary edge-list lines: ids that are valid, out of order, past
+# every other id (a gap), zero, negative or not integers; weights that are
+# valid, zero, negative, nan, infinite, too large or not numbers; comments.
+LINE_TOKENS = st.sampled_from([
+    "1", "2", "3", "4", "5", "0", "-1", "x", "1.5", "+2", "1000000000",
+    "0.5", "2.5e-3", "7", "0.0", "-2", "nan", "inf", "-inf", "1e400", "abc", "#", "#c",
+])
+
+
+@st.composite
+def any_edge_list_texts(draw):
+    """Edge-list text, valid or faulty: the lines of a connected graph on
+    nodes 1..n in random order, perhaps less one, with lines put in among
+    them: random fields, 0-4 of them; edges on ids -1..n + 2 (self-loops,
+    repeats, gaps, ids below 1) with any weight; reversed repeats; comment
+    and blank lines."""
+    n = draw(st.integers(1, 5))
+    pairs = {(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)}
+    weight = st.sampled_from(["", " 1", " 0.5", " 3e-2"])
+    lines = [f"{u} {v}{draw(weight)}" for u, v in draw(st.permutations(sorted(pairs)))]
+    cut = draw(st.integers(0, 2 * len(lines)))  # below len(lines): a tree edge is left out
+    del lines[cut:cut + 1]
+    any_weight = st.sampled_from(["", "1", "0.5", "0", "-2", "nan", "inf", "-inf", "1e400", "abc"])
+    extra = st.one_of(
+        st.lists(LINE_TOKENS, max_size=4).map(" ".join),
+        st.tuples(st.integers(-1, n + 2), st.integers(-1, n + 2), any_weight).map(
+            lambda e: "{} {} {}".format(*e)),
+        st.sampled_from(lines or ["1 2"]).map(lambda line: " ".join(reversed(line.split()[:2]))),
+        st.sampled_from(["", "  ", "#c", "# 1 2", "#1 2 3", "\t# 1 2 3"]),
+    )
+    for line in draw(st.lists(extra, max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
+
+
+def read_edge_list(text):
+    """Graph(N, edges) from the edge-list lines as the format defines them,
+    or the MalformedLineError of the first line that is not an edge."""
+    edges = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) not in (2, 3):
+            raise MalformedLineError(line_no, f"expected 2 or 3 fields, got {len(parts)}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise MalformedLineError(line_no, f"node ids must be integers: {line.strip()!r}")
+        if u < 1 or v < 1:
+            raise MalformedLineError(line_no, f"node ids must be positive: {line.strip()!r}")
+        try:
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise MalformedLineError(line_no, f"bad weight: {parts[2]!r}")
+        edges.append((u, v, w))
+    if not edges:
+        raise GraphError("no edges found")
+    return Graph(max(max(u, v) for u, v, _ in edges), edges)
+
+
+def build_outcome(build, text):
+    """The error's type, message and line_no, or the graph's n, edges (by
+    repr, so that a weight 1 is not 1.0), adj and arrays."""
+    try:
+        g = build(text)
+    except GraphError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return g.n, repr(g.edges), g.adj, [(a.dtype, a.tolist(), a.flags.writeable) for a in g.arrays]
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_edge_list_texts())
+def test_parse_edge_list_builds_as_graph_does(text):
+    # parse_edge_list skips Graph's conversion pass; that must change no outcome.
+    assert build_outcome(parse_edge_list, text) == build_outcome(read_edge_list, text)
