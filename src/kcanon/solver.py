@@ -20,10 +20,15 @@ Two kinds of factor serve them:
                 N >= 10^4.  solve_pair, the grounded solve, uses it.
 * _pinv_mod:    the pseudoinverse L+ = (L + J/n)^-1 - J/n modulo a prime
                 p < 2^21, J the all-ones matrix; the signature analysis
-                reads it.  The inverse splits the matrix into 2 x 2 blocks
-                and recurses on the leading block and its Schur complement,
-                down to blocks of at most 32 rows, which pivoted Gauss-Jordan
-                elimination inverts on int64 residues.  Each block product
+                reads it.  L + J/n is symmetric, and so is every Schur
+                complement of it, so the inverse splits the matrix into
+                symmetric 2 x 2 blocks and recurses on the leading block and
+                its Schur complement with four block products a level, down
+                to blocks of at most 32 rows, which the symmetric sweep
+                operator inverts on int64 residues.  Gauss-Jordan
+                elimination with row pivoting is the one fallback, for a
+                zero pivot or a singular leading block, so neither moves p
+                to another prime.  Each block product
                 is one float64 matrix product through numpy's BLAS: residues
                 below 2^21 over an inner dimension of at most 2047 sum below
                 2^53, exactly in any order, so the BLAS thread count changes
@@ -196,8 +201,8 @@ def _residues(w: np.ndarray, p: int) -> np.ndarray:
     return np.ldexp(mantissa, 53).astype(np.int64) % p * power[exponent] % p
 
 
-# Inverses of at most this many rows are computed by Gauss-Jordan elimination;
-# larger ones split into 2 x 2 blocks.
+# Inverses of at most this many rows are computed by the sweep; larger ones
+# split into 2 x 2 blocks, which pays from 33 rows on.
 _BASE = 32
 
 # (2**21)**2 * 2047 < 2**53: a float64 product of residues below 2**21 over
@@ -216,6 +221,10 @@ def _gauss_jordan(a: np.ndarray, p: int) -> np.ndarray:
     reduced, so other entries grow by less than p**2 a step and stay exact in
     int64 for any k below 2**21; the whole matrix is reduced once, at the
     end.  Raises FactorizationFailedError when a is singular mod p.
+
+    The one fallback of _inverse_mod, for any square matrix, symmetric or
+    not: it inverts a block whose sweep meets a zero pivot or whose leading
+    block is singular mod p.
     """
     a = a.astype(np.int64)
     swaps = []
@@ -243,6 +252,39 @@ def _gauss_jordan(a: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
+def _sweep(a: np.ndarray, p: int) -> np.ndarray | None:
+    """-a^-1 mod p, in [0, p), of a symmetric matrix by the sweep operator; None at a zero pivot.
+
+    Entries are integers in (-p, p), int64 or float64, and a need only be
+    symmetric mod p.  Sweeping pivot j with d = a[j, j] sets a[j, j] to
+    -d^-1, scales the pivot row and column by d^-1 and subtracts
+    a[i, j] a[j, l] d^-1 from every other entry, which keeps the matrix
+    symmetric; after the last pivot it holds -a^-1 (Goodnight 1979).  So
+    the reduced pivot row serves as the pivot column, and as in
+    _gauss_jordan each sweep is one rank-1 update whose other entries grow by
+    less than p**2, reduced once at the end.  There is no pivoting: a leading
+    principal minor that is 0 mod p gives a zero pivot, and the caller then
+    turns to _gauss_jordan.
+    """
+    a = a.astype(np.int64)
+    for j in range(len(a)):
+        col = a[j] % p
+        d = int(col[j])
+        if not d:
+            return None
+        d_inv = pow(d, -1, p)
+        row = col * d_inv
+        row %= p
+        # a[j, l] - (d - 1) * row[l] = row[l], a[i, j] - col[i] * (1 - d^-1)
+        # = col[i] * d^-1; the pivot itself is set after the update.
+        row[j] = 1 - d_inv
+        col[j] = d - 1
+        a -= col[:, None] * row
+        a[j, j] = -d_inv
+    a %= p
+    return a
+
+
 def _mul_mod(x: np.ndarray, y: np.ndarray, p: int, z: np.ndarray | None = None) -> np.ndarray:
     """z + x @ y mod p, as residues in (-p, p), for float64 residues in (-p, p).
 
@@ -264,48 +306,52 @@ def _mul_mod(x: np.ndarray, y: np.ndarray, p: int, z: np.ndarray | None = None) 
 
 
 def _block_inverse(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p of float64 residues in (-p, p), as residues in (-p, p).
+    """-a^-1 mod p of a symmetric matrix a, both as float64 residues in (-p, p).
 
-    a = [[A, B], [C, D]] with A the leading half: for M = -A^-1 B,
-    N = -C A^-1 and S = D + C M (the Schur complement, invertible when a is),
-    a^-1 = [[A^-1 + M S^-1 N, M S^-1], [S^-1 N, S^-1]].  When A is singular
-    mod p, Gauss-Jordan elimination inverts a instead.
+    a = [[A, B], [B^T, D]] with A the leading half: with G = -A^-1 from the
+    recursion, M = G B = -A^-1 B, S = D + B^T M (the Schur complement,
+    invertible when a is) and H = -S^-1, also from the recursion, the
+    symmetric Schur step gives -a^-1 = [[G + U M^T, U], [U^T, H]] with
+    U = M H = -M S^-1: four products.  a need only be symmetric mod p, as S
+    is; the lower-left block C, congruent to B^T, stands in for it.  Up to
+    _BASE rows the sweep inverts a, and when A is singular mod p or a pivot of
+    the sweep is 0 mod p, Gauss-Jordan elimination inverts a instead.
     """
     k = len(a)
     if k <= _BASE:
-        return _gauss_jordan(a, p).astype(float)
+        x = _sweep(a, p)
+        return (-_gauss_jordan(a, p) if x is None else x).astype(float)
     h = k // 2
     try:
-        ai = _block_inverse(a[:h, :h], p)
+        g = _block_inverse(a[:h, :h], p)
     except FactorizationFailedError:
-        return _gauss_jordan(a, p).astype(float)
-    b, c = a[:h, h:], a[h:, :h]
-    neg = -ai
-    m, n = _mul_mod(neg, b, p), _mul_mod(c, neg, p)
-    si = _block_inverse(_mul_mod(c, m, p, a[h:, h:]), p)
+        return (-_gauss_jordan(a, p)).astype(float)
+    m = _mul_mod(g, a[:h, h:], p)
     x = np.empty_like(a)
-    x[h:, :h] = _mul_mod(si, n, p)
-    x[:h, :h] = _mul_mod(m, x[h:, :h], p, ai)
-    x[:h, h:] = _mul_mod(m, si, p)
-    x[h:, h:] = si
+    x[h:, h:] = _block_inverse(_mul_mod(a[h:, :h], m, p, a[h:, h:]), p)
+    x[:h, h:] = _mul_mod(m, x[h:, h:], p)
+    x[:h, :h] = _mul_mod(x[:h, h:], m.T, p, g)
+    x[h:, :h] = x[:h, h:].T
     return x
 
 
 def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p, as int64 in [0, p), of int64 or float64 residues in (-p, p).
+    """Inverse mod p, as int64 in [0, p), of a symmetric matrix of residues in (-p, p).
 
-    Up to _BASE = 32 rows by Gauss-Jordan elimination; above, by the 2 x 2
-    block recursion of _block_inverse over float64 residues.  Its products go
-    through BLAS: products of residues below 2**21 over at most _INNER = 2047
-    terms, plus a residue, stay below 2**53, so they are exact integers in any
-    summation order; _mul_mod splits longer inner dimensions, which occur
-    only above 4094 rows.  The inverse is unique, so the result equals
-    elimination's.  Raises FactorizationFailedError when a is singular mod p.
+    Entries are int64 or float64.  _block_inverse inverts a on float64
+    residues: up to _BASE rows by the sweep, above by the symmetric 2 x 2
+    block recursion.  Its products go through BLAS: products of residues
+    below 2**21 over at most _INNER = 2047 terms, plus a residue, stay below
+    2**53, so they are exact integers in any summation order; _mul_mod splits
+    longer inner dimensions, which occur only above 4094 rows.  Gauss-Jordan
+    elimination, the one fallback, takes over a block when a pivot is 0 mod p
+    or its leading block is singular.  The inverse is unique, so the result
+    does not depend on which path computed it.  Raises
+    FactorizationFailedError when a is singular mod p.
     """
-    if len(a) <= _BASE:
-        return _gauss_jordan(a, p)
     x = _block_inverse(a.astype(float, copy=False), p)
-    x[x < 0] += p
+    x[x > 0] -= p
+    np.negative(x, out=x)
     return x.astype(np.int64)
 
 

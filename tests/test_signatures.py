@@ -280,6 +280,29 @@ class TestFingerprint:
             data += b"".join(struct.pack("<q", k) for row in nodes + edges for k in row)
             assert fingerprint(g).digest() == hashlib.sha256(data).hexdigest()
 
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_graphs(max_n=8))
+    def test_parts_match_exact_rows(self, g):
+        fp = fingerprint(g)
+        assert (fp.node_part.tolist(), fp.edge_part.tolist()) == expected_rows(g, fp.p)
+
+    @pytest.mark.parametrize("n", [33, 40])
+    def test_parts_match_exact_rows_through_block_recursion(self, n):
+        g = weighted_graph(n, n)
+        fp = fingerprint(g)
+        assert (fp.node_part.tolist(), fp.edge_part.tolist()) == expected_rows(g, fp.p)
+
+    @pytest.mark.parametrize("n, digest", [
+        (33, "0c0b48efe1a6df3bdf1b445e8178ad8b071e790830f9e4d351db7d854a6c18a3"),
+        (65, "149c469c5f1a093d16bbe7a56aa015b6d63180236200e428eb8742be31dd63fe"),
+        (130, "24eea3d72c2a54848c44c4c97b414d25bb4d45f9261228def246d654ba436eab"),
+        (300, "b4cac454530766305f037859907f7c251bcea6c00d39e87250120e109b1c2a88"),
+    ], ids=["n33", "n65", "n130", "n300"])
+    def test_digest_pinned_through_block_recursion(self, n, digest):
+        # 1 to 4 levels of the modular inverse's block recursion, whatever the
+        # BLAS thread count of its products.
+        assert fingerprint(weighted_graph(n, n)).digest() == digest
+
 
 class TestLexSort:
     def test_matches_sorted_tuples(self):

@@ -340,33 +340,75 @@ def inverse_or_none(inverse, a, p):
         return None
 
 
+def symmetric(rng, k, high):
+    """A random symmetric k x k matrix of integers in [0, high)."""
+    a = rng.integers(0, high, size=(k, k))
+    return np.triu(a) + np.triu(a, 1).T
+
+
+def spy_gauss_jordan(monkeypatch):
+    """The sizes of the matrices _gauss_jordan inverts from now on."""
+    sizes = []
+    gauss_jordan = solver._gauss_jordan
+    monkeypatch.setattr(solver, "_gauss_jordan", lambda b, p: sizes.append(len(b)) or gauss_jordan(b, p))
+    return sizes
+
+
 class TestModularInverse:
     @pytest.mark.parametrize("k", [1, 2, 7, 33, 63, 65, 97, 300, 1000])
     def test_random_residue_matrices(self, k):
-        a = np.random.default_rng(k).integers(0, P, size=(k, k))
+        a = symmetric(np.random.default_rng(k), k, P)
         x = solver._inverse_mod(a, P)
         assert x.dtype == np.int64 and ((0 <= x) & (x < P)).all()
         assert is_inverse_mod(a, x)
         assert (x == solver._gauss_jordan(a, P)).all()
 
+    @pytest.mark.parametrize("k", [1, 2, 7, 33, 65])
+    def test_gauss_jordan_inverts_non_symmetric_matrices(self, k):
+        # The fallback is general elimination with row pivoting.
+        a = np.random.default_rng(k).integers(0, P, size=(k, k))
+        x = solver._gauss_jordan(a, P)
+        assert x.dtype == np.int64 and ((0 <= x) & (x < P)).all()
+        assert is_inverse_mod(a, x)
+
     @pytest.mark.parametrize("k", [65, 130])
     def test_singular_leading_block_keeps_the_prime(self, k, monkeypatch):
-        a = np.random.default_rng(k).integers(0, P, size=(k, k))
-        a[0, :k // 2] = 0  # the leading half has a zero row
+        a = symmetric(np.random.default_rng(k), k, P)
+        a[0, :k // 2] = a[:k // 2, 0] = 0  # the leading half has a zero row and column
         with pytest.raises(FactorizationFailedError):
             solver._inverse_mod(a[:k // 2, :k // 2], P)
-        sizes = []
-        gauss_jordan = solver._gauss_jordan
-        monkeypatch.setattr(solver, "_gauss_jordan", lambda b, p: sizes.append(len(b)) or gauss_jordan(b, p))
+        sizes = spy_gauss_jordan(monkeypatch)
         assert is_inverse_mod(a, solver._inverse_mod(a, P))
         assert k in sizes  # the whole matrix, by elimination
+
+    @pytest.mark.parametrize("k, p", [(2, 13), (40, P)], ids=["k2-mod13", "k40"])
+    def test_zero_pivot_keeps_the_prime(self, k, p, monkeypatch):
+        # a[0, 0] = 0 stops the sweep at its first pivot, though a is invertible.
+        a = np.array([[0, 1], [1, 0]]) if k == 2 else symmetric(np.random.default_rng(k), k, p)
+        a[0, 0] = 0
+        sizes = spy_gauss_jordan(monkeypatch)
+        x = solver._inverse_mod(a, p)
+        assert is_inverse_mod(a, x, p)
+        assert sizes  # elimination took over
+
+    def test_zero_pivot_keeps_the_prime_of_the_pseudoinverse(self, monkeypatch):
+        # Node 1 of the 12-node path has degree 1 and 1 + 12^-1 = 13 = 0 mod
+        # 13, so the first pivot of L + J/n is 0 mod 13; the pivot depends on
+        # the labels, and n * tau = 12 does not vanish, so 13 must stay.
+        monkeypatch.setattr(solver, "_primes", lambda: (13, 11))
+        sizes = spy_gauss_jordan(monkeypatch)
+        pinv, p, _ = solver._pinv_mod(path(12))
+        assert p == 13 and sizes == [12]
+        lap = np.array(laplacian(path(12)), dtype=np.int64)
+        assert ((lap @ pinv - np.eye(12, dtype=np.int64) + pow(12, -1, 13)) % 13 == 0).all()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 80), st.sampled_from([13, 101, P]), st.sampled_from([3, None]),
            st.integers(0, 2**32 - 1))
     def test_block_recursion_matches_gauss_jordan(self, k, p, alphabet, seed):
-        # Small primes and a 0/1/2 alphabet make singular leading blocks common.
-        a = np.random.default_rng(seed).integers(0, alphabet or p, size=(k, k))
+        # Small primes and a 0/1/2 alphabet make singular leading blocks and
+        # zero pivots common.
+        a = symmetric(np.random.default_rng(seed), k, alphabet or p)
         x = inverse_or_none(solver._inverse_mod, a, p)
         want = inverse_or_none(solver._gauss_jordan, a, p)
         assert (x is None) == (want is None)
@@ -386,7 +428,7 @@ class TestModularInverse:
         assert (np.abs(z) < P).all()
 
     def test_singular_mod_p_only(self):
-        a = np.array([[1, 2], [3, 6 + 11]])  # determinant 11
+        a = np.array([[1, 2], [2, 4 + 11]])  # determinant 11
         with pytest.raises(FactorizationFailedError):
             solver._inverse_mod(a, 11)
         assert is_inverse_mod(a, solver._inverse_mod(a, 13), 13)
