@@ -37,6 +37,7 @@ Fingerprint.digest() hashes the parts' int64 bytes under the header tag gfp/1.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import deque
@@ -331,9 +332,12 @@ class _Analysis:
     Built once per graph, as the cached view Graph._analysis; it keeps no
     reference to the graph, so the cache makes no reference cycle.  P[x - 1]
     is the residue row of L+ for node x, and r[k] the weight of
-    graph.edges[k] mod p.  start, node_order and classes are _row_classes
-    of the node rows: the colouring by signature class that roots the
-    canonical search, and the order of orbit classes and canonical positions.
+    graph.edges[k] mod p.  node_order, the node rows' order (_row_order), is
+    computed at once; start and classes (_row_classes), the colouring by
+    signature class that roots the canonical search and the orbit classes
+    in row order, are built together on the first read of either, which
+    orbit_partition, canonical_labeling and the CLI's orbits make and
+    fingerprint never does.
     """
 
     def __init__(self, graph: Graph):
@@ -341,24 +345,45 @@ class _Analysis:
         self.P, self.p, self.r = _pinv_mod(graph)
         self.node_rows = np.concatenate([self.P.diagonal()[:, None], np.sort(self.P, axis=1)],
                                         axis=1)
-        self.start, self.node_order, self.classes = _row_classes(self.node_rows)
+        self.node_order = _row_order(self.node_rows)
+
+    @functools.cached_property
+    def _classes(self) -> tuple[list[int], list[list[int]]]:
+        return _row_classes(self.node_rows, self.node_order)
+
+    @property
+    def start(self) -> list[int]:
+        return self._classes[0]
+
+    @property
+    def classes(self) -> list[list[int]]:
+        return self._classes[1]
 
 
-def _row_classes(rows: np.ndarray) -> tuple[list[int], np.ndarray, list[list[int]]]:
-    """(start, order, classes) of an int64 matrix, one class per distinct row, in row order.
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    """The stable argsort of an int64 matrix's rows in lexicographic order, by their keys (_row_keys)."""
+    return np.argsort(_row_keys(rows), kind="stable")
 
-    order is the stable argsort of the rows' keys (_row_keys); classes lists
-    the ids (index + 1) of each run of equal rows in it, and start[x] is the
-    index of the class of row x.  Runs are found by comparing adjacent sorted
-    rows as int64, which numpy does faster than it compares the void keys.
+
+def _row_classes(rows: np.ndarray, order: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """(start, classes) of an int64 matrix, one class per distinct row, in row order.
+
+    order is the rows' _row_order.  classes lists the ids (index + 1) of each
+    run of equal rows in it, and start[x] is the index of the class of row
+    x, both from one pass over order.  Runs are found by comparing adjacent
+    sorted rows as int64, which numpy does faster than it compares the void
+    keys.
     """
-    order = np.argsort(_row_keys(rows), kind="stable")
     ranked = rows[order]
-    new = (ranked[1:] != ranked[:-1]).any(axis=1)  # row k + 1 opens a class
-    start = np.empty_like(order)
-    start[order] = np.concatenate(([0], np.cumsum(new)))
-    ids, ends = (order + 1).tolist(), (np.flatnonzero(new) + 1).tolist() + [len(rows)]
-    return start.tolist(), order, [ids[i:j] for i, j in zip([0] + ends, ends)]
+    opens = (ranked[1:] != ranked[:-1]).any(axis=1).tolist()  # row k + 1 opens a class
+    start, classes, k = [0] * len(order), [], -1
+    for x, new in zip(order.tolist(), [True, *opens]):
+        if new:
+            classes.append([])
+            k += 1
+        classes[k].append(x + 1)
+        start[x] = k
+    return start, classes
 
 
 def orbit_partition(graph: Graph) -> OrbitPartition:
@@ -390,8 +415,7 @@ def fingerprint(graph: Graph) -> Fingerprint:
     pick = np.arange(len(rows))
     smaller = negated[pick, first] < rows[pick, first]
     rows[smaller] = negated[smaller]
-    order = np.argsort(_row_keys(rows), kind="stable")
-    return Fingerprint(graph.n, graph.m, p, a.node_rows[a.node_order], rows[order])
+    return Fingerprint(graph.n, graph.m, p, a.node_rows[a.node_order], rows[_row_order(rows)])
 
 
 @dataclass(frozen=True)

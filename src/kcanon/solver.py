@@ -33,6 +33,9 @@ Two kinds of factor serve them:
                 below 2^21 over an inner dimension of at most 2047 sum below
                 2^53, exactly in any order, so the BLAS thread count changes
                 no bit.  Longer products, above 4094 rows, are split.
+                The weights' residues are read from one table of powers of
+                two per prime, built on the prime's first use, and L+ is
+                mapped from the recursion's -(L + J/n)^-1 in one pass.
 
 SciPy loads only when a sparse factor is built, so the signature analysis,
 whose products use numpy's own BLAS, never loads it.  All voltage vectors are
@@ -185,20 +188,28 @@ def _primes():
     return (q for q in range(_PRIME_BOUND - 1, 2, -2) if _is_odd_prime(q))
 
 
-def _residues(w: np.ndarray, p: int) -> np.ndarray:
-    """Each finite float weight M * 2**E (M integer) as M * 2**E mod p, int64.
+# frexp writes a positive finite float as m * 2**e, 0.5 <= m < 1, with e from
+# -1073 (the least subnormal) to 1024; so it is M * 2**E with M = m * 2**53 an
+# integer and E = e - 53 from -1126 to 971.
+_FREXP_LOW, _FREXP_HIGH = -1073, 1024
 
-    2**E mod p comes from a table over the range of the binary exponents,
-    with one pow per exponent present; finite floats span about 2,100
-    exponents, so the table stays small.
+
+@functools.cache
+def _powers_of_two(p: int) -> np.ndarray:
+    """2**(e - 53) mod p for every frexp exponent e of a positive finite float, at e + 1073, int64."""
+    return np.array([pow(2, e - 53, p) for e in range(_FREXP_LOW, _FREXP_HIGH + 1)], dtype=np.int64)
+
+
+def _residues(w: np.ndarray, p: int) -> np.ndarray:
+    """Each positive finite float weight M * 2**E (M integer) as M * 2**E mod p, int64.
+
+    2**E mod p is read from one table per prime over every exponent a
+    positive finite float can have, about 2,100 of them (_powers_of_two),
+    built on the prime's first use and kept.
     """
     mantissa, exponent = np.frexp(w)
-    low = int(exponent.min())
-    exponent -= low
-    present = np.flatnonzero(np.bincount(exponent))
-    power = np.zeros(present[-1] + 1, dtype=np.int64)
-    power[present] = [pow(2, int(e) + low - 53, p) for e in present]
-    return np.ldexp(mantissa, 53).astype(np.int64) % p * power[exponent] % p
+    exponent -= _FREXP_LOW
+    return np.ldexp(mantissa, 53).astype(np.int64) % p * _powers_of_two(p)[exponent] % p
 
 
 # Inverses of at most this many rows are computed by the sweep; larger ones
@@ -222,7 +233,7 @@ def _gauss_jordan(a: np.ndarray, p: int) -> np.ndarray:
     int64 for any k below 2**21; the whole matrix is reduced once, at the
     end.  Raises FactorizationFailedError when a is singular mod p.
 
-    The one fallback of _inverse_mod, for any square matrix, symmetric or
+    The one fallback of _block_inverse, for any square matrix, symmetric or
     not: it inverts a block whose sweep meets a zero pivot or whose leading
     block is singular mod p.
     """
@@ -315,7 +326,13 @@ def _block_inverse(a: np.ndarray, p: int) -> np.ndarray:
     U = M H = -M S^-1: four products.  a need only be symmetric mod p, as S
     is; the lower-left block C, congruent to B^T, stands in for it.  Up to
     _BASE rows the sweep inverts a, and when A is singular mod p or a pivot of
-    the sweep is 0 mod p, Gauss-Jordan elimination inverts a instead.
+    the sweep is 0 mod p, Gauss-Jordan elimination inverts a instead.  The
+    inverse is unique, so the result does not depend on which path computed
+    it.  The products go through BLAS: products of residues below 2**21 over
+    at most _INNER = 2047 terms, plus a residue, stay below 2**53, so they
+    are exact integers in any summation order; _mul_mod splits longer inner
+    dimensions, which occur only above 4094 rows.  Raises
+    FactorizationFailedError when a is singular mod p.
     """
     k = len(a)
     if k <= _BASE:
@@ -335,26 +352,6 @@ def _block_inverse(a: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p, as int64 in [0, p), of a symmetric matrix of residues in (-p, p).
-
-    Entries are int64 or float64.  _block_inverse inverts a on float64
-    residues: up to _BASE rows by the sweep, above by the symmetric 2 x 2
-    block recursion.  Its products go through BLAS: products of residues
-    below 2**21 over at most _INNER = 2047 terms, plus a residue, stay below
-    2**53, so they are exact integers in any summation order; _mul_mod splits
-    longer inner dimensions, which occur only above 4094 rows.  Gauss-Jordan
-    elimination, the one fallback, takes over a block when a pivot is 0 mod p
-    or its leading block is singular.  The inverse is unique, so the result
-    does not depend on which path computed it.  Raises
-    FactorizationFailedError when a is singular mod p.
-    """
-    x = _block_inverse(a.astype(float, copy=False), p)
-    x[x > 0] -= p
-    np.negative(x, out=x)
-    return x.astype(np.int64)
-
-
 def _pinv_mod(graph: Graph) -> tuple[np.ndarray, int, np.ndarray]:
     """The Laplacian pseudoinverse L+ modulo a prime p, p, and the weights mod p.
 
@@ -364,12 +361,14 @@ def _pinv_mod(graph: Graph) -> tuple[np.ndarray, int, np.ndarray]:
     weighted spanning-tree count, so p is the largest odd prime below 2**21
     that divides neither n nor tau; neither depends on labels, and a valid
     graph's tau is a nonzero rational, so the walk ends.  Each prime tried
-    counts as one factorization.  Entries are int64 in [0, p).
+    counts as one factorization.  The weights' residues come from the prime's
+    table of powers of two (_residues), L + J/n is built as float64 residues,
+    and _block_inverse returns y = -(L + J/n)^-1; L+ = -y - n^-1 is mapped from
+    it in one pass to int64 entries in [0, p).
     """
     global _factorization_count
     n = graph.n
     u, v, w = graph.arrays
-    diagonal = np.arange(n)
     for p in _primes():
         if n % p == 0:
             continue
@@ -378,13 +377,15 @@ def _pinv_mod(graph: Graph) -> tuple[np.ndarray, int, np.ndarray]:
         # float64, which the block recursion reads without a copy
         a = np.full((n, n), float(n_inv))
         a[u, v] = a[v, u] = n_inv - r
-        a[diagonal, diagonal] = (np.bincount(u, r, n) + np.bincount(v, r, n) + n_inv) % p
+        a.flat[::n + 1] = (np.bincount(u, r, n) + np.bincount(v, r, n) + n_inv) % p
         try:
-            x = _inverse_mod(a, p)
+            y = _block_inverse(a, p)
         except FactorizationFailedError:
             continue
-        x -= n_inv
-        x[x < 0] += p
+        # L+ = a^-1 - n^-1 = -y - n^-1, and p - n^-1 - y lies in (-p, 2p).
+        x = y.astype(np.int64)
+        np.subtract(p - n_inv, x, out=x)
+        x %= p
         return x, p, r
     raise FactorizationFailedError("every prime tried divides n or the weighted spanning-tree count")
 

@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from kcanon import oracle, signatures, solver
 from kcanon.errors import FactorizationFailedError, InvalidBudgetError
-from kcanon.graph import Graph, relabel
+from kcanon.graph import Graph, parse_edge_list, relabel, to_edge_list
 from kcanon.signatures import (
     Fingerprint,
     canonical_labeling,
@@ -36,6 +36,7 @@ from kcanon.signatures import (
     _refinement_invariant,
     _row_classes,
     _row_keys,
+    _row_order,
     _split,
     _twins,
     _uniform_refine,
@@ -359,10 +360,46 @@ class TestAnalysis:
         _, inverse, sizes = np.unique(_row_keys(rows), return_inverse=True, return_counts=True)
         order = np.argsort(inverse, kind="stable")
         ids, ends = (order + 1).tolist(), np.cumsum(sizes).tolist()
-        start, got_order, classes = _row_classes(rows)
+        got_order = _row_order(rows)
+        start, classes = _row_classes(rows, got_order)
         assert start == inverse.tolist()
         assert got_order.dtype == order.dtype and got_order.tolist() == order.tolist()
         assert classes == [ids[i:j] for i, j in zip([0] + ends, ends)]
+
+    @pytest.mark.parametrize("g", [path(7), prism(5), SHRIKHANDE, weighted_graph(20, 3)],
+                             ids=["path7", "prism5", "shrikhande", "weighted20"])
+    def test_fingerprint_builds_no_classes(self, g, monkeypatch):
+        # The classes are built on their first read, once, from the cached
+        # analysis, and equal those of a graph that never had a fingerprint.
+        calls = []
+        row_classes = signatures._row_classes
+        monkeypatch.setattr(signatures, "_row_classes",
+                            lambda *args: calls.append(args) or row_classes(*args))
+        text = to_edge_list(g)
+        g = parse_edge_list(text)
+        fingerprint(g)
+        assert calls == []
+        part, labeling = orbit_partition(g), canonical_labeling(g)
+        assert len(calls) == 1
+        fresh = parse_edge_list(text)
+        assert (orbit_partition(fresh), canonical_labeling(fresh)) == (part, labeling)
+
+
+class TestSeparation:
+    """What the signatures tell apart, against one-cell colour refinement (1-WL)."""
+
+    def test_connected_graphs_up_to_seven_nodes(self):
+        # One graph per isomorphism class: the fingerprints separate them all,
+        # and the one-cell refinement invariant merges some.  Its count is
+        # pinned as measured.
+        graphs = [g for n in range(2, 8) for g in oracle.enumerate_connected_graphs(n)]
+        invariants = set()
+        for g in graphs:
+            (_, _, cell, _), _ = _uniform_refine(g)
+            colours, edges = _refinement_invariant(g, cell)
+            invariants.add((tuple(colours), tuple(edges)))
+        assert len(graphs) == len({fingerprint(g).digest() for g in graphs}) == 995
+        assert len(invariants) == 975
 
 
 class TestExactResidues:
@@ -680,7 +717,7 @@ class TestIsoScreen:
 class TestCFI:
     """Cai-Furer-Immerman pairs: equal signatures, told apart by the search alone."""
 
-    @pytest.fixture(params=[10, 20], ids=["base10", "base20"])
+    @pytest.fixture(params=[10, 20, 40], ids=["base10", "base20", "base40"])
     def pair(self, request):
         base = random_cubic(request.param, random.Random(request.param))
         return base, cfi(base, False), cfi(base, True)

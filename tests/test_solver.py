@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kcanon
 from kcanon import oracle, solver
@@ -333,6 +333,11 @@ def is_inverse_mod(a, x, p=P):
     return ((a.astype(float) @ x.astype(float)) % p == np.eye(len(a))).all()
 
 
+def inverse_mod(a, p):
+    """a^-1 mod p as int64 in [0, p), from the -a^-1 that _block_inverse returns."""
+    return -solver._block_inverse(a.astype(float), p).astype(np.int64) % p
+
+
 def inverse_or_none(inverse, a, p):
     try:
         return inverse(a, p)
@@ -358,7 +363,7 @@ class TestModularInverse:
     @pytest.mark.parametrize("k", [1, 2, 7, 33, 63, 65, 97, 300, 1000])
     def test_random_residue_matrices(self, k):
         a = symmetric(np.random.default_rng(k), k, P)
-        x = solver._inverse_mod(a, P)
+        x = inverse_mod(a, P)
         assert x.dtype == np.int64 and ((0 <= x) & (x < P)).all()
         assert is_inverse_mod(a, x)
         assert (x == solver._gauss_jordan(a, P)).all()
@@ -376,9 +381,9 @@ class TestModularInverse:
         a = symmetric(np.random.default_rng(k), k, P)
         a[0, :k // 2] = a[:k // 2, 0] = 0  # the leading half has a zero row and column
         with pytest.raises(FactorizationFailedError):
-            solver._inverse_mod(a[:k // 2, :k // 2], P)
+            inverse_mod(a[:k // 2, :k // 2], P)
         sizes = spy_gauss_jordan(monkeypatch)
-        assert is_inverse_mod(a, solver._inverse_mod(a, P))
+        assert is_inverse_mod(a, inverse_mod(a, P))
         assert k in sizes  # the whole matrix, by elimination
 
     @pytest.mark.parametrize("k, p", [(2, 13), (40, P)], ids=["k2-mod13", "k40"])
@@ -387,7 +392,7 @@ class TestModularInverse:
         a = np.array([[0, 1], [1, 0]]) if k == 2 else symmetric(np.random.default_rng(k), k, p)
         a[0, 0] = 0
         sizes = spy_gauss_jordan(monkeypatch)
-        x = solver._inverse_mod(a, p)
+        x = inverse_mod(a, p)
         assert is_inverse_mod(a, x, p)
         assert sizes  # elimination took over
 
@@ -409,7 +414,7 @@ class TestModularInverse:
         # Small primes and a 0/1/2 alphabet make singular leading blocks and
         # zero pivots common.
         a = symmetric(np.random.default_rng(seed), k, alphabet or p)
-        x = inverse_or_none(solver._inverse_mod, a, p)
+        x = inverse_or_none(inverse_mod, a, p)
         want = inverse_or_none(solver._gauss_jordan, a, p)
         assert (x is None) == (want is None)
         if x is not None:
@@ -430,8 +435,8 @@ class TestModularInverse:
     def test_singular_mod_p_only(self):
         a = np.array([[1, 2], [2, 4 + 11]])  # determinant 11
         with pytest.raises(FactorizationFailedError):
-            solver._inverse_mod(a, 11)
-        assert is_inverse_mod(a, solver._inverse_mod(a, 13), 13)
+            inverse_mod(a, 11)
+        assert is_inverse_mod(a, inverse_mod(a, 13), 13)
 
     def test_primes_walk_down_without_gaps(self):
         primes = list(itertools.islice(solver._primes(), 20))
@@ -483,6 +488,23 @@ class TestModularInverse:
         for x, got in zip(w.tolist(), r.tolist()):
             exact = Fraction(x)
             assert got == exact.numerator * pow(exact.denominator, -1, P) % P
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=5e-324, allow_infinity=False), st.sampled_from([P, 13]))
+    # The least subnormal, the least normal, a deep normal and the greatest
+    # finite float: the ends of the table of powers of two and a point inside.
+    @example(5e-324, P)
+    @example(2.2250738585072014e-308, P)
+    @example(1e-300, P)
+    @example(1.7976931348623157e308, P)
+    @example(5e-324, 13)
+    @example(2.2250738585072014e-308, 13)
+    @example(1e-300, 13)
+    @example(1.7976931348623157e308, 13)
+    def test_residue_of_every_positive_finite_float(self, w, p):
+        exact = Fraction(w)
+        assert solver._residues(np.array([w]), p).tolist() == [
+            exact.numerator * pow(exact.denominator, -1, p) % p]
 
 
 def torus(rows, cols):
