@@ -127,7 +127,14 @@ class Graph:
         return _Analysis(self)
 
     def weight(self, u: int, v: int) -> float | None:
-        """Weight of edge {u,v}, or None if absent or an id is outside 1..n."""
+        """Weight of edge {u,v}, or None if absent or an id is outside 1..n.
+
+        GraphError unless both ids are integers, as _index takes them.
+        """
+        try:
+            u, v = _index(u), _index(v)
+        except TypeError:
+            raise GraphError(f"node ids ({u!r},{v!r}) must be integers")
         return self.adj[u - 1].get(v - 1) if 1 <= u <= self.n else None
 
     def degree_sequence(self) -> tuple[int, ...]:

@@ -638,17 +638,17 @@ def _canonical(adj, start: list[int], budget: int) -> CanonicalLabeling:
     earlier leaf's branch at the common ancestor onto the later leaf's.  The
     earlier branch is finished, so the search resumes at the common
     ancestor.  At every tree node, children in one orbit of the automorphisms
-    known to fix the node's prefix are equivalent: one per orbit is explored,
-    in ascending node index.  Such an automorphism maps the target cell onto
-    itself, so each tree node keeps the orbits of its target cell alone, in
-    one union-find seeded with the cell's twin classes (_twins: a swap of two
-    twins off the path fixes it), and adds each automorphism found by a leaf
-    once, as it arrives.  Each tree node is a generator on an explicit stack,
-    so the depth of a path is not bounded by Python's recursion limit.  The
-    root is _refined_state of start, the colouring by signature class of the
-    graph whose Graph.adj is adj; it is one cell whenever the signature
-    classes are, as for every vertex-transitive graph.  Node indices are id - 1.  Leaves compare by
-    _edge_key, and the form is built for the winning leaf alone.
+    known to fix the node's prefix are equivalent: _orbit_leads yields one
+    per orbit, in ascending node index.  The tree nodes being explored are
+    frames (state, cells, path, children) on an explicit stack, one per
+    depth, so the depth of a path is not bounded by Python's recursion
+    limit; resuming at depth r truncates the stack to its first r + 1
+    frames, and a discrete node, the root included, is a leaf.  The root is
+    _refined_state of start, the colouring by signature class of the graph
+    whose Graph.adj is adj; it is one cell whenever the signature classes
+    are, as for every vertex-transitive graph.  Node indices are id - 1.
+    Leaves compare by _edge_key, and the form is built for the winning leaf
+    alone.
     """
     n = len(adj)
     # _split's hot loop iterates tuples faster than dict views.
@@ -657,86 +657,82 @@ def _canonical(adj, start: list[int], budget: int) -> CanonicalLabeling:
     autos: list[list[int]] = []
     first = best = None  # leaves: (key, order, path)
     expansions, exhausted = 1, False
-
-    def leaf(state, path: list[int]) -> int:
-        """Compare a discrete leaf with the first and best ones; return the depth to resume at."""
-        nonlocal first, best
-        order, pos = state[:2]
-        key = _edge_key(edges, pos)
-        if first is None:
-            first = best = (key, order, path)
-            return len(path) - 1
-        for ref_key, ref_order, ref_path in (first, best):
-            if key == ref_key:
-                gamma = [0] * n
-                for x, y in zip(ref_order, order):
-                    gamma[x] = y
-                autos.append(gamma)
-                common = 0
-                while path[common] == ref_path[common]:
-                    common += 1
-                return common
-        if key < best[0]:
-            best = (key, order, path)
-        return len(path) - 1
-
-    def search(state, cells: int, path: list[int]):
-        """Yield each child of the tree node at path, sent back the depth to resume at; return it."""
-        nonlocal expansions, exhausted
-        order, _, cell, first_pos = state
-        target, i = -1, 0
-        while i < n:
-            c = cell[order[i]]
-            if c > i and (target < 0 or c - i < target - first_pos[target]):
-                target = c
-            i = c + 1
-        children = sorted(order[first_pos[target]:target + 1])
-        lead: dict[int, int] = {}
-        rep = {x: lead.setdefault(twin[x], x) for x in children}
-        known, explored = 0, set()  # explored: the roots of the orbits explored
-        for v in lead.values():  # the first child of each twin class, ascending
-            if known < len(autos):
-                for gamma in autos[known:]:
-                    if all(gamma[x] == x for x in path):
-                        for x in children:
-                            a, b = _find(rep, x), _find(rep, gamma[x])
-                            if a != b:
-                                rep[max(a, b)] = min(a, b)
-                known = len(autos)
-                explored = {_find(rep, u) for u in explored}
-            if _find(rep, v) in explored:
-                continue
-            if first is not None and expansions >= budget:
-                exhausted = True
-                return -1
-            expansions += 1
-            resume = yield _individualize(nbrs, state, cells, v), path + [v]
-            if resume < len(path):
-                return resume
-            explored.add(_find(rep, v))
-        return len(path) - 1
-
     state, cells = _refined_state(adj, nbrs, start)
-    if cells == n:
-        leaf(state, [])
-    else:
-        twin = _twins(adj)
-        stack, resume = [search(state, cells, [])], None
-        while stack:
-            try:
-                (state, cells), path = stack[-1].send(resume)
-            except StopIteration as stop:
-                stack.pop()
-                resume = stop.value
-                continue
-            if cells == n:
-                resume = leaf(state, path)
+    twin = _twins(adj) if cells < n else None
+    path, stack = [], []  # stack[d]: the frame (state, cells, path, children) at depth d
+    while True:
+        if cells < n:
+            order, _, cell, first_pos = state
+            target, i = -1, 0
+            while i < n:
+                c = cell[order[i]]
+                if c > i and (target < 0 or c - i < target - first_pos[target]):
+                    target = c
+                i = c + 1
+            leads = _orbit_leads(order[first_pos[target]:target + 1], path, twin, autos)
+            stack.append((state, cells, path, leads))
+        else:  # a leaf: resume at its parent, or at the common ancestor of an equal leaf
+            order, pos = state[:2]
+            key, depth = _edge_key(edges, pos), len(path) - 1
+            if first is None:
+                first = best = (key, order, path)
+            elif key < best[0]:
+                best = (key, order, path)
             else:
-                stack.append(search(state, cells, path))
-                resume = None
+                for ref_key, ref_order, ref_path in (first, best):
+                    if key == ref_key:
+                        gamma = [0] * n
+                        for x, y in zip(ref_order, order):
+                            gamma[x] = y
+                        autos.append(gamma)
+                        depth = 0
+                        while path[depth] == ref_path[depth]:
+                            depth += 1
+                        break
+            del stack[depth + 1:]
+        while stack and (v := next(stack[-1][3], None)) is None:
+            stack.pop()
+        if not stack:
+            break
+        if first is not None and expansions >= budget:
+            exhausted = True
+            break
+        state, cells, path, _ = stack[-1]
+        expansions += 1
+        (state, cells), path = _individualize(nbrs, state, cells, v), path + [v]
     order = best[1]
     return CanonicalLabeling(tuple(x + 1 for x in order), _form(adj, order), not exhausted,
                              expansions)
+
+
+def _orbit_leads(cell: list[int], path: list[int], twin: list[int], autos: list[list[int]]):
+    """Yield each node of cell, ascending, in no orbit explored so far; autos may grow meanwhile.
+
+    The orbits are those of the automorphisms in autos that fix every node
+    of path, kept in one union-find over cell.  Twin classes seed it (_twins:
+    a swap of two twins off the path fixes it), and each automorphism in
+    autos is folded in once, before the next node is chosen.  Such an
+    automorphism maps cell, the target cell of the tree node at path, onto
+    itself.  The orbit of a yielded node counts as explored once the caller
+    asks for the next node.
+    """
+    cell = sorted(cell)
+    lead: dict[int, int] = {}
+    rep = {x: lead.setdefault(twin[x], x) for x in cell}
+    known, explored = 0, set()  # explored: the roots of the orbits explored
+    for v in lead.values():  # the first node of each twin class, ascending
+        if known < len(autos):
+            for gamma in autos[known:]:
+                if all(gamma[x] == x for x in path):
+                    for x in cell:
+                        a, b = _find(rep, x), _find(rep, gamma[x])
+                        if a != b:
+                            rep[max(a, b)] = min(a, b)
+            known = len(autos)
+            explored = {_find(rep, u) for u in explored}
+        if _find(rep, v) not in explored:
+            yield v
+            explored.add(_find(rep, v))
 
 
 def _form(adj, order: list[int]) -> tuple[float, ...]:

@@ -294,6 +294,15 @@ def test_adj_and_weight(rng):
             assert g.weight(u, v) is None
 
 
+def test_weight_takes_integer_ids_only():
+    g = path(3, 2.5)
+    assert g.weight(np.int64(1), np.uint8(2)) == g.weight(2, np.int32(3)) == 2.5
+    assert g.weight(np.int64(4), 1) is None
+    for u, v in [(1.5, 2), (1, 2.0), (2.0, 1), (True, 2), (1, False), ("1", 2), (1, None), (None, None)]:
+        with pytest.raises(GraphError, match=r"must be integers"):
+            g.weight(u, v)
+
+
 def test_edge_list_round_trip_exact():
     g = parse_edge_list("1 2 0.1\n2 3 0.30000000000000004\n1 3 7")
     g2 = parse_edge_list(to_edge_list(g))

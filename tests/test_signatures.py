@@ -19,6 +19,7 @@ from kcanon import oracle, signatures, solver
 from kcanon.errors import FactorizationFailedError, InvalidBudgetError
 from kcanon.graph import Graph, parse_edge_list, relabel, to_edge_list
 from kcanon.signatures import (
+    DEFAULT_BUDGET,
     Fingerprint,
     canonical_labeling,
     fingerprint,
@@ -941,6 +942,100 @@ class TestCanonicalLabeling:
         other = canonical_labeling(relabel(g, random_permutation(g.n, rng)))
         assert other.certified
         assert other.digest() == lab.digest()
+
+
+def unpruned_form(g, start, most=10**4):
+    """The least form over every leaf of the IR tree from start; None past most leaves.
+
+    The search's referee: it branches on the same target cell, the first
+    smallest non-singleton one, but visits every child of every tree node,
+    with no pruning by twins or automorphisms and no resuming at a common
+    ancestor, and keeps the leaf with the least _edge_key.
+    """
+    nbrs = [tuple(a.items()) for a in g.adj]
+    edges = [(u - 1, v - 1, w) for u, v, w in g.edges]
+    best, leaves = None, 0
+    stack = [_refined_state(g.adj, nbrs, start)]
+    while stack:
+        state, cells = stack.pop()
+        order, pos, cell, first = state
+        if cells < g.n:
+            target = min((c for c in set(cell) if first[c] < c), key=lambda c: (c - first[c], c))
+            stack += (_individualize(nbrs, state, cells, v) for v in order[first[target]:target + 1])
+            continue
+        leaves += 1
+        if leaves > most:
+            return None
+        key = _edge_key(edges, pos)
+        if best is None or key < best[0]:
+            best = key, order
+    return _form(g.adj, best[1])
+
+
+@pytest.fixture(scope="module")
+def small_graphs():
+    """Every connected graph on 2..7 nodes, one per isomorphism class; analyses cached across tests."""
+    return [g for n in range(2, 8) for g in oracle.enumerate_connected_graphs(n)]
+
+
+class TestSearchContract:
+    """The pruned search against the unpruned referee, its budget and its tree-node counts."""
+
+    def test_referee_on_connected_graphs_up_to_seven_nodes(self, small_graphs):
+        rng = random.Random(15)
+        reweighted = [Graph(g.n, [(u, v, rng.choice((0.5, 1.0, 2.0))) for u, v, _ in g.edges])
+                      for g in rng.sample(small_graphs, 300)]
+        for g in small_graphs + reweighted:
+            one_cell = [0] * g.n
+            assert _canonical(g.adj, one_cell, DEFAULT_BUDGET).form == unpruned_form(g, one_cell)
+            form = unpruned_form(g, g._analysis.start)
+            for h in (g, shuffled_copy(g, rng)[0]):
+                lab = canonical_labeling(h)
+                assert lab.certified
+                assert lab.form == form
+
+    @pytest.mark.parametrize("name", SYMMETRIC)
+    def test_referee_on_symmetric_graphs(self, name, rng):
+        g = SYMMETRIC[name]
+        form = unpruned_form(g, g._analysis.start)
+        # Every unpruned tree here has at most 3,840 leaves (Q5), except
+        # K8,8's, whose first child alone has 8! * 7! leaves.
+        assert (form is None) == (name == "K8,8")
+        if form is not None:
+            for h in (g, relabel(g, random_permutation(g.n, rng))):
+                assert canonical_labeling(h).form == form
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_referee_on_cfi_pairs(self, n):
+        base = random_cubic(n, random.Random(n))
+        forms = []
+        for g in (cfi(base, False), cfi(base, True)):
+            forms.append(unpruned_form(g, g._analysis.start))
+            assert canonical_labeling(g).form == forms[-1]
+        assert forms[0] != forms[1]
+
+    def test_budget_contract(self):
+        # E tree nodes finish the search and F reach its first leaf, which
+        # every budget reaches; a budget of B stops at max(B, F).
+        graphs = [cycle(6), cycle(12), prism(5), complete_bipartite(4), star(6)]
+        graphs += [random_cubic(16, random.Random(seed)) for seed in range(5)]
+        graphs += oracle.enumerate_connected_graphs(6)
+        for g in graphs:
+            for start in ([0] * g.n, g._analysis.start):
+                full = _canonical(g.adj, start, DEFAULT_BUDGET)
+                e, f = full.expansions, _canonical(g.adj, start, 1).expansions
+                for budget in range(1, e + 2):
+                    lab = _canonical(g.adj, start, budget)
+                    assert lab.expansions == min(e, max(budget, f))
+                    assert lab.certified == (budget >= e or e == f)
+                    if lab.certified:
+                        assert lab.order == full.order
+
+    def test_tree_node_totals_pinned(self, small_graphs):
+        # As built.  The referee catches a wrong form, not a search that
+        # prunes less, which these totals catch.
+        assert sum(_canonical(g.adj, [0] * g.n, DEFAULT_BUDGET).expansions for g in small_graphs) == 3171
+        assert sum(canonical_labeling(g).expansions for g in small_graphs) == 3145
 
 
 def brute_force_twins(g):
