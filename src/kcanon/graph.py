@@ -8,6 +8,7 @@ otherwise.
 
 from __future__ import annotations
 
+import codecs
 import json
 import numbers
 import operator
@@ -301,9 +302,13 @@ def parse_graph(text: str) -> Graph:
 
 
 def load_graph(path: str) -> Graph:
-    """Read a graph file as UTF-8; a byte that is not UTF-8 is a MalformedLineError."""
+    """Read a graph file as UTF-8; a byte that is not UTF-8 is a MalformedLineError.
+
+    One leading UTF-8 byte-order mark is dropped from the bytes before they
+    are decoded, so a decoding error still names the bad byte and its line.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

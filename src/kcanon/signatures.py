@@ -52,41 +52,10 @@ from .solver import _pinv_mod, _require_two_nodes
 DEFAULT_BUDGET = 10**6
 
 
-def _refine(nbrs, colour: list[int], splitters: list[int] | None = None) -> list[int]:
-    """Exact weighted colour refinement of colour, to the coarsest equitable one.
-
-    Splitter-queue refinement (Paige & Tarjan, "Three partition refinement
-    algorithms", SIAM J. Comput. 16, 1987; McKay & Piperno, "Practical graph
-    isomorphism, II", 2014).  Cells are intervals of the order by colour, and
-    a node's colour is the last position of its cell, so a cell splits in
-    place and every input cell stays one interval of the order.  Popping a
-    splitter cell S keys each node x of a non-singleton cell by the sorted
-    multiset of the weights of x's edges into S: exact weights, never a float
-    sum, whose rounding could depend on the labels.  Each touched cell splits
-    by key, in sorted key order, and its untouched nodes come last and keep
-    their colour, so a split costs time in the touched nodes alone.  The new
-    fragments join the queue, except the first largest when the parent cell
-    was not queued: equitability to the parent and to the others implies it
-    to that one.  The queue starts with splitters, given as output colours,
-    or with every cell; splitters=[s] suffices when colour is equitable but
-    for a node moved to the first position s of its cell.  nbrs[x] holds the
-    (neighbour, weight) pairs of Graph.adj[x], such as adj[x].items(); nbrs
-    and colour are indexed by node id - 1.  This is _cells, then _split, the
-    generic path of _refined_state, which keeps the state and lays out the
-    first split of a one-cell colouring directly (_weight_groups), where
-    iso_screen compares two graphs before it refines on; the tests hold the
-    two equal.
-    """
-    state = _cells(colour)
-    cells = sorted(set(state[2]))
-    _split(nbrs, *state, cells if splitters is None else splitters, len(cells))
-    return state[2]
-
-
 def _refined_state(adj, nbrs, colour: list[int]) -> tuple[tuple[list[int], ...], int]:
-    """(state, cells): _refine's refined state (order, pos, cell, first) of colour, and its cell count.
+    """(state, cells): the refined state (order, pos, cell, first) of colour, and its cell count.
 
-    adj is Graph.adj and nbrs its (neighbour, weight) pairs, as for _refine.
+    adj is Graph.adj and nbrs its (neighbour, weight) pairs, as for _split.
     One cell is refined in two pieces: its first split, _weight_groups, and
     _refine_groups, which goes on from there; iso_screen compares two graphs'
     first splits between the pieces.  Any other colouring goes through
@@ -162,15 +131,36 @@ def _cells(colour: list[int]) -> tuple[list[int], list[int], list[int], list[int
 
 
 def _split(nbrs, order, pos, cell, first, splitters: list[int], cells: int) -> int:
-    """_refine's splitter loop: refine a state of cells cells in place; return the new count.
+    """Exact weighted colour refinement of a state of cells cells, in place, to the coarsest equitable one.
+
+    Returns the new cell count.  Splitter-queue refinement (Paige & Tarjan,
+    "Three partition refinement algorithms", SIAM J. Comput. 16, 1987; McKay
+    & Piperno, "Practical graph isomorphism, II", 2014).  Cells are intervals
+    of the order by colour, and a node's colour, cell[x], is the last
+    position of its cell, so a cell splits in place and every input cell
+    stays one interval of the order.  Popping a splitter cell S keys each
+    node x of a non-singleton cell by the sorted multiset of the weights of
+    x's edges into S: exact weights, never a float sum, whose rounding could
+    depend on the labels.  Each touched cell splits by key, in sorted key
+    order, and its untouched nodes come last and keep their colour, so a
+    split costs time in the touched nodes alone.  The new fragments join the
+    queue, except the first largest when the parent cell was not queued:
+    equitability to the parent and to the others implies it to that one.
+    The queue starts with splitters, given as cells: every cell of a
+    colouring's state (_cells) refines that colouring, and splitters=[s]
+    suffices when the state is equitable but for a node moved to the first
+    position s of its cell (_individualize).  nbrs[x] holds the (neighbour,
+    weight) pairs of Graph.adj[x], such as adj[x].items(), indexed by node
+    id - 1.
 
     A touched node has one edge into a singleton splitter, so its key is that
     weight alone, which orders as the 1-tuple multiset does.  Keys and cells
     are sorted only when there are two or more, and each touched node is
-    swapped into its fragment.  The splits and their order are as _refine
-    describes.  Only that sequence of splits decides cell, never the order
-    of the nodes inside a cell, so any state of one colouring refines to the
-    same cell.
+    swapped into its fragment.  Only the sequence of splits decides cell,
+    never the order of the nodes inside a cell, so any state of one
+    colouring refines to the same cell: _refined_state lays out the first
+    split of one cell directly (_weight_groups), and the tests hold it equal
+    to _cells, then _split.
     """
     n = len(order)
     queue = deque(splitters)
@@ -235,7 +225,8 @@ def _individualize(nbrs, state, cells: int, v: int):
 
     v moves to the first position a of its cell and {v} becomes the cell a;
     the rest of the old cell keeps its last position.  Refining from [a]
-    alone gives what _refine gives from the colouring with v at a.
+    alone gives what refining the colouring with v at a from all its cells
+    gives.
     """
     order, pos, cell, first = state = tuple(map(list.copy, state))
     c = cell[v]
@@ -245,17 +236,6 @@ def _individualize(nbrs, state, cells: int, v: int):
     order[a], pos[v], cell[v] = v, a, a
     first[a], first[c] = a, a + 1
     return state, _split(nbrs, *state, [a], cells + 1)
-
-
-def _uniform_refine(graph: Graph) -> tuple[tuple[list[int], ...], int]:
-    """_refined_state of graph from the single-cell colouring; its cell list commutes with relabelling.
-
-    iso_screen runs the same two pieces, _weight_groups and _refine_groups,
-    and compares the two graphs' first splits between them.  Raises
-    GraphError below 2 nodes, where no signature exists.
-    """
-    _require_two_nodes(graph)
-    return _refined_state(graph.adj, [a.items() for a in graph.adj], [0] * graph.n)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -466,7 +446,7 @@ def iso_screen(
     """Refinement, fingerprint, then canonical-form screen; never certifies without proof.
 
     After the node and edge counts, each graph is refined from one cell by
-    exact weighted colour refinement (_uniform_refine's two pieces), which
+    exact weighted colour refinement (_refined_state's two pieces), which
     commutes with relabelling and costs no factorization.  Its first split
     groups the nodes by the sorted weights of their edges (_weight_groups);
     when the two graphs' maps of key to group size differ, the pair is

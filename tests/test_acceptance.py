@@ -32,6 +32,7 @@ from kcanon.solver import (
 )
 
 from conftest import complete, cycle, path, random_permutation
+from corpus import enumerate_connected_graphs, random_connected_graph
 
 SEED = 20260823
 
@@ -41,7 +42,7 @@ def corpus7():
     """Every connected graph on 2..7 nodes, up to isomorphism (995 graphs)."""
     graphs = []
     for n in range(2, 8):
-        graphs.extend(oracle.enumerate_connected_graphs(n))
+        graphs.extend(enumerate_connected_graphs(n))
     assert len(graphs) == 995
     return graphs
 
@@ -51,7 +52,7 @@ def random_corpus():
     """100 random connected weighted graphs, n <= 30, weights in [0.1, 10]."""
     rng = random.Random(SEED)
     return [
-        oracle.random_connected_graph(rng.randint(2, 30), rng, weight_range=(0.1, 10.0))
+        random_connected_graph(rng.randint(2, 30), rng, weight_range=(0.1, 10.0))
         for _ in range(100)
     ]
 
@@ -147,12 +148,12 @@ def test_criterion_5_isomorphism_soundness():
     rng = random.Random(SEED)
     iso_pairs = []
     while len(iso_pairs) < 100:
-        g = oracle.random_connected_graph(rng.randint(4, 8), rng, extra_edge_prob=0.35)
+        g = random_connected_graph(rng.randint(4, 8), rng, extra_edge_prob=0.35)
         h = relabel(g, random_permutation(g.n, rng))
         iso_pairs.append((g, h))
     noniso_pairs = []
     while len(noniso_pairs) < 100:
-        g = oracle.random_connected_graph(rng.randint(5, 8), rng, extra_edge_prob=0.35)
+        g = random_connected_graph(rng.randint(5, 8), rng, extra_edge_prob=0.35)
         h = _double_edge_swap(g, rng)
         if h is None:
             continue
@@ -173,10 +174,10 @@ def test_criterion_5_isomorphism_soundness():
 
 def test_criterion_6_canonical_form_stability():
     rng = random.Random(SEED)
-    graphs = [oracle.random_connected_graph(rng.randint(4, 9), rng, extra_edge_prob=0.0)
+    graphs = [random_connected_graph(rng.randint(4, 9), rng, extra_edge_prob=0.0)
               for _ in range(20)]
     graphs += [
-        oracle.random_connected_graph(rng.randint(4, 9), rng, extra_edge_prob=0.3)
+        random_connected_graph(rng.randint(4, 9), rng, extra_edge_prob=0.3)
         for _ in range(20)
     ]
     for g in graphs:
@@ -192,7 +193,7 @@ def test_criterion_6_canonical_form_stability():
 
 def test_criterion_7_performance_n100():
     rng = random.Random(SEED)
-    g = oracle.random_connected_graph(100, rng, extra_edge_prob=0.1)
+    g = random_connected_graph(100, rng, extra_edge_prob=0.1)
     before = factorization_count()
     start = time.perf_counter()
     fp = fingerprint(g)

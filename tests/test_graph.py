@@ -1,3 +1,4 @@
+import codecs
 import time
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from kcanon.errors import (
     NonPositiveWeightError,
     SelfLoopError,
 )
-from kcanon import graph as graph_mod, oracle
+from kcanon import graph as graph_mod
 from kcanon.graph import (
     Graph,
     load_graph,
@@ -27,6 +28,7 @@ from kcanon.graph import (
 )
 
 from conftest import complete, cycle, path, random_permutation, shuffled_copy
+from corpus import random_connected_graph
 
 
 class TestParseEdgeList:
@@ -263,6 +265,22 @@ class TestLoadGraph:
             load_graph(str(f))
         assert exc.value.line_no == line_no
 
+    @pytest.mark.parametrize("text", ["1 2 0.5\n2 3\n", '{"n":3,"edges":[[1,2,0.5],[2,3]]}'],
+                             ids=["edge-list", "json"])
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path, text):
+        f = tmp_path / "g.txt"
+        f.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert load_graph(str(f)) == Graph(3, [(1, 2, 0.5), (2, 3, 1.0)])
+
+    def test_bad_byte_after_a_byte_order_mark_names_its_line_and_byte(self, tmp_path):
+        # Decoding as utf-8-sig would count offsets without the mark and
+        # blame byte 0x20 on line 2.
+        f = tmp_path / "g.txt"
+        f.write_bytes(b"\xef\xbb\xbf1 2\n2 3\n\xff 4\n")
+        with pytest.raises(MalformedLineError) as exc:
+            load_graph(str(f))
+        assert str(exc.value) == "line 3: byte 0xff is not UTF-8"
+
 
 def test_numpy_and_other_real_arguments_accepted():
     g = Graph(np.int64(3), [(np.int32(1), np.uint8(2), np.float32(0.5)),
@@ -280,7 +298,7 @@ def weights(g):
 
 def test_adj_and_weight(rng):
     graphs = [cycle(4)] + [
-        oracle.random_connected_graph(rng.randint(2, 12), rng, weight_range=(0.1, 10))
+        random_connected_graph(rng.randint(2, 12), rng, weight_range=(0.1, 10))
         for _ in range(20)
     ]
     for g0 in graphs:

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from kcanon.graph import Graph, relabel
 from kcanon.solver import build_system, solve_pair, solve_pair_pseudoinverse
 
 from conftest import complete, cycle, path, random_permutation, star
+from corpus import enumerate_connected_graphs, random_connected_graph
 
 
 class TestExactSolve:
@@ -55,7 +58,7 @@ class TestExactSolve:
 
     def test_matches_float_solver(self, rng):
         for _ in range(20):
-            g = oracle.random_connected_graph(
+            g = random_connected_graph(
                 rng.randint(3, 8), rng, weight_range=(0.1, 10.0)
             )
             system = build_system(g)
@@ -66,8 +69,8 @@ class TestExactSolve:
 
 class TestExactPinv:
     def test_differences_are_exact_solves(self, rng):
-        graphs = [g for n in range(2, 6) for g in oracle.enumerate_connected_graphs(n)]
-        graphs += [oracle.random_connected_graph(rng.randint(2, 7), rng, weight_range=(0.01, 100.0))
+        graphs = [g for n in range(2, 6) for g in enumerate_connected_graphs(n)]
+        graphs += [random_connected_graph(rng.randint(2, 7), rng, weight_range=(0.01, 100.0))
                    for _ in range(5)]
         for g in graphs:
             pinv = oracle.exact_pinv(g)
@@ -105,7 +108,7 @@ class TestBruteForceAutomorphisms:
 
     def test_group_order_divides_factorial(self, rng):
         for _ in range(10):
-            g = oracle.random_connected_graph(rng.randint(3, 7), rng)
+            g = random_connected_graph(rng.randint(3, 7), rng)
             report = oracle.brute_force_automorphisms(g)
             assert math.factorial(g.n) % report.order == 0
 
@@ -136,35 +139,51 @@ class TestBruteForceIsomorphic:
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 2), (4, 6), (5, 21), (6, 112), (7, 853)])
     def test_counts(self, n, count):
-        assert len(oracle.enumerate_connected_graphs(n)) == count
+        assert len(enumerate_connected_graphs(n)) == count
 
     def test_n3_is_p3_and_k3(self):
-        graphs = oracle.enumerate_connected_graphs(3)
+        graphs = enumerate_connected_graphs(3)
         assert {g.m for g in graphs} == {2, 3}
 
     def test_pairwise_nonisomorphic(self):
-        graphs = oracle.enumerate_connected_graphs(5)
+        graphs = enumerate_connected_graphs(5)
         for g, h in itertools.combinations(graphs, 2):
             assert oracle.brute_force_isomorphic(g, h) is None
 
+    def test_edge_lists_pinned(self):
+        # Every graph the enumerator gives for n = 2..6, in order, edges in order.
+        digest = hashlib.sha256()
+        for n in range(2, 7):
+            digest.update(repr([g.edges for g in enumerate_connected_graphs(n)]).encode())
+        assert digest.hexdigest() == "08e3809844fc910fed5ac14ade8cf1ab1e82a8ac74b1f5fe0237c03a9d7e5a96"
+
     def test_out_of_range(self):
         with pytest.raises(TooLargeError):
-            oracle.enumerate_connected_graphs(8)
+            enumerate_connected_graphs(8)
         with pytest.raises(TooLargeError):
-            oracle.enumerate_connected_graphs(1)
+            enumerate_connected_graphs(1)
 
 
 class TestRandomGraphs:
     def test_connected_and_valid(self, rng):
         for _ in range(20):
-            g = oracle.random_connected_graph(rng.randint(2, 15), rng)
+            g = random_connected_graph(rng.randint(2, 15), rng)
             assert g.m >= g.n - 1  # construction guarantees a spanning tree
 
     def test_tree_edge_count(self, rng):
         for _ in range(10):
             n = rng.randint(2, 12)
-            assert oracle.random_connected_graph(n, rng, extra_edge_prob=0.0).m == n - 1
+            assert random_connected_graph(n, rng, extra_edge_prob=0.0).m == n - 1
 
     def test_weight_range(self, rng):
-        g = oracle.random_connected_graph(10, rng, weight_range=(0.1, 10.0))
+        g = random_connected_graph(10, rng, weight_range=(0.1, 10.0))
         assert all(0.1 <= w <= 10.0 for _, _, w in g.edges)
+
+    def test_draws_pinned(self):
+        # The edges and weights that fixed seeds draw, so every corpus keeps its graphs.
+        digest = hashlib.sha256()
+        for n, seed, weight_range in [(2, 0, None), (8, 1, None), (10, 1, (0.5, 4.0)),
+                                      (30, 2, (0.1, 10.0)), (60, 3, (0.01, 100.0))]:
+            g = random_connected_graph(n, random.Random(seed), weight_range=weight_range)
+            digest.update(repr(g.edges).encode())
+        assert digest.hexdigest() == "95e13b8837e8b3d6e2026bfe8579acfd5f8f159b57be8c664daca61a55da78da"

@@ -32,7 +32,6 @@ from kcanon.signatures import (
     _edge_key,
     _form,
     _individualize,
-    _refine,
     _refined_state,
     _refinement_invariant,
     _row_classes,
@@ -40,7 +39,6 @@ from kcanon.signatures import (
     _row_order,
     _split,
     _twins,
-    _uniform_refine,
     _weight_groups,
 )
 from kcanon.solver import factorization_count
@@ -62,6 +60,7 @@ from conftest import (
     star,
     unit_graph,
 )
+from corpus import enumerate_connected_graphs, random_connected_graph
 
 
 def residue(frac, p):
@@ -79,6 +78,19 @@ def expected_rows(g, p):
         d = [residue(Fraction(w) * (a - b), p) for a, b in zip(pinv[u - 1], pinv[v - 1])]
         edges.append(min(sorted(d), sorted(-x % p for x in d)))
     return nodes, sorted(edges)
+
+
+def _refine(nbrs, colour, splitters=None):
+    """colour refined from splitters, by default from each of its cells: _cells, then _split."""
+    state = _cells(colour)
+    cells = sorted(set(state[2]))
+    _split(nbrs, *state, cells if splitters is None else splitters, len(cells))
+    return state[2]
+
+
+def _uniform_refine(g):
+    """(state, cells) of g refined from one cell: _weight_groups, then _refine_groups."""
+    return _refined_state(g.adj, [a.items() for a in g.adj], [0] * g.n)
 
 
 def refuse_to_factorize(graph):
@@ -338,7 +350,7 @@ class TestLexSort:
 class TestAnalysis:
     def test_classes_and_start_group_equal_node_rows_in_row_order(self):
         for n in range(2, 7):
-            for g in oracle.enumerate_connected_graphs(n):
+            for g in enumerate_connected_graphs(n):
                 a = g._analysis
                 rows = [tuple(row) for row in a.node_rows.tolist()]
                 distinct = sorted(set(rows))
@@ -393,7 +405,7 @@ class TestSeparation:
         # One graph per isomorphism class: the fingerprints separate them all,
         # and the one-cell refinement invariant merges some.  Its count is
         # pinned as measured.
-        graphs = [g for n in range(2, 8) for g in oracle.enumerate_connected_graphs(n)]
+        graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
         invariants = set()
         for g in graphs:
             (_, _, cell, _), _ = _uniform_refine(g)
@@ -408,7 +420,7 @@ class TestExactResidues:
 
     def test_pinv_matches_exact_solves(self):
         for n in range(2, 6):
-            for g in oracle.enumerate_connected_graphs(n):
+            for g in enumerate_connected_graphs(n):
                 P, p = g._analysis.P, g._analysis.p
                 for a in range(1, n + 1):
                     for b in range(1, n + 1):
@@ -423,7 +435,7 @@ class TestExactResidues:
         # L+[x,a] - L+[x,b] over all ordered pairs (a, b), here times the
         # common denominator d of L+, which keeps order and equality.
         for n in range(2, 8):
-            for g in oracle.enumerate_connected_graphs(n):
+            for g in enumerate_connected_graphs(n):
                 classes = orbit_partition(g).classes
                 pinv = oracle.exact_pinv(g)
                 d = math.lcm(*(x.denominator for row in pinv for x in row))
@@ -537,7 +549,7 @@ class TestIsoScreen:
         # Also C4 and K3 against themselves, and a relabelled random tree.
         g = cycle(4)
         pairs = [(g, relabel(g, random_permutation(4, rng))), (g, g), (complete(3), complete(3))]
-        tree = oracle.random_connected_graph(9, rng, extra_edge_prob=0.0)
+        tree = random_connected_graph(9, rng, extra_edge_prob=0.0)
         pairs.append((tree, relabel(tree, random_permutation(9, rng))))
         for g, h in pairs:
             verdict = iso_screen(g, h)
@@ -667,8 +679,8 @@ class TestIsoScreen:
     def test_same_degree_sequence_distinct(self, rng):
         # Find two degree-matched non-isomorphic graphs on 8 nodes.
         while True:
-            g = oracle.random_connected_graph(8, rng)
-            h = oracle.random_connected_graph(8, rng)
+            g = random_connected_graph(8, rng)
+            h = random_connected_graph(8, rng)
             if g.degree_sequence() != h.degree_sequence():
                 continue
             if oracle.brute_force_isomorphic(g, h) is None:
@@ -785,7 +797,7 @@ class TestCanonicalLabeling:
         rng = random.Random(7)
         forms = set()
         for n in range(2, 8):
-            for g in oracle.enumerate_connected_graphs(n):
+            for g in enumerate_connected_graphs(n):
                 lab = canonical_labeling(g)
                 assert lab.certified
                 forms.add(lab.form)
@@ -857,8 +869,8 @@ class TestCanonicalLabeling:
             raise AssertionError("analysed a graph despite an invalid budget")
 
         monkeypatch.setattr(signatures, "_pinv_mod", refuse)
-        monkeypatch.setattr(signatures, "_refine", refuse)
-        monkeypatch.setattr(signatures, "_refined_state", refuse)
+        monkeypatch.setattr(signatures, "_weight_groups", refuse)
+        monkeypatch.setattr(signatures, "_split", refuse)
         for call in (lambda: canonical_labeling(cycle(4), budget=budget),
                      lambda: iso_screen(cycle(4), cycle(4), node_budget=budget),
                      lambda: iso_screen(cycle(4), path(5), node_budget=budget)):
@@ -975,7 +987,7 @@ def unpruned_form(g, start, most=10**4):
 @pytest.fixture(scope="module")
 def small_graphs():
     """Every connected graph on 2..7 nodes, one per isomorphism class; analyses cached across tests."""
-    return [g for n in range(2, 8) for g in oracle.enumerate_connected_graphs(n)]
+    return [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
 
 
 class TestSearchContract:
@@ -1019,7 +1031,7 @@ class TestSearchContract:
         # every budget reaches; a budget of B stops at max(B, F).
         graphs = [cycle(6), cycle(12), prism(5), complete_bipartite(4), star(6)]
         graphs += [random_cubic(16, random.Random(seed)) for seed in range(5)]
-        graphs += oracle.enumerate_connected_graphs(6)
+        graphs += enumerate_connected_graphs(6)
         for g in graphs:
             for start in ([0] * g.n, g._analysis.start):
                 full = _canonical(g.adj, start, DEFAULT_BUDGET)
@@ -1063,7 +1075,7 @@ class TestTwins:
     def test_small_graphs_against_definition(self):
         rng = random.Random(4)
         for n in range(2, 7):
-            for g in oracle.enumerate_connected_graphs(n):
+            for g in enumerate_connected_graphs(n):
                 weighted = Graph(n, [(u, v, rng.choice((1.0, 2.0))) for u, v, _ in g.edges])
                 for h in (g, weighted):
                     assert _twins(h.adj) == brute_force_twins(h)
@@ -1167,7 +1179,7 @@ class TestRefine:
     def test_small_graphs(self):
         rng = random.Random(3)
         for n in range(2, 7):
-            for g in oracle.enumerate_connected_graphs(n):
+            for g in enumerate_connected_graphs(n):
                 weighted = Graph(n, [(u, v, rng.choice((1.0, 2.0))) for u, v, _ in g.edges])
                 for h in (g, weighted):
                     check_individualized(h, [0] * n, rng)
@@ -1204,7 +1216,7 @@ class TestRefine:
         rng = random.Random(27)
         graphs = list(SYMMETRIC.values())
         for n in range(2, 7):
-            for g in oracle.enumerate_connected_graphs(n):
+            for g in enumerate_connected_graphs(n):
                 graphs += [g, Graph(n, [(u, v, rng.choice((1.0, 2.0))) for u, v, _ in g.edges])]
         digest = hashlib.sha256()
         for g in graphs:
@@ -1227,7 +1239,7 @@ class TestRefine:
         rng = random.Random(29)
         graphs = list(SYMMETRIC.values())
         for n in range(2, 7):
-            for g in oracle.enumerate_connected_graphs(n):
+            for g in enumerate_connected_graphs(n):
                 graphs += [g, Graph(n, [(u, v, rng.choice((1.0, 2.0))) for u, v, _ in g.edges])]
         for g in graphs:
             for colour in ([0] * g.n, [rng.randrange(3) for _ in range(g.n)]):

@@ -36,6 +36,7 @@ from kcanon.solver import (
 )
 
 from conftest import complete, cycle, path, random_cubic
+from corpus import random_connected_graph
 
 
 def grounded_block(g):
@@ -58,7 +59,7 @@ class TestBuildSystem:
 
     def test_laplacian_is_degree_minus_adjacency_bytewise(self, rng):
         graphs = [Graph(1, [])] + [
-            oracle.random_connected_graph(rng.randint(2, 120), rng, weight_range=(0.01, 100.0))
+            random_connected_graph(rng.randint(2, 120), rng, weight_range=(0.01, 100.0))
             for _ in range(30)
         ]
         for g in graphs:
@@ -235,7 +236,7 @@ class TestUniversalSink:
 
     def test_matches_dense_solve(self, rng):
         for _ in range(20):
-            g = oracle.random_connected_graph(rng.randint(2, 30), rng, weight_range=(0.1, 10.0))
+            g = random_connected_graph(rng.randint(2, 30), rng, weight_range=(0.1, 10.0))
             a, b = rng.sample(range(1, g.n + 1), 2)
             s = rng.uniform(0.1, 2.0)
             rhs = np.zeros(g.n)
@@ -275,7 +276,7 @@ class TestCurrents:
         assert bal == pytest.approx(expected, abs=1e-9)
 
     def test_equals_per_edge_expression(self, rng):
-        g = oracle.random_connected_graph(40, rng, weight_range=(0.1, 10.0))
+        g = random_connected_graph(40, rng, weight_range=(0.1, 10.0))
         p = solve_pair(build_system(g), 3, 17)
         cur = pair_currents(g, p).currents
         assert len(cur) == g.m
@@ -460,7 +461,7 @@ class TestModularInverse:
         if family == "cubic":
             g = random_cubic(n, rng)
         else:
-            g = oracle.random_connected_graph(n, rng, extra_edge_prob=4 / n, weight_range=(0.1, 10))
+            g = random_connected_graph(n, rng, extra_edge_prob=4 / n, weight_range=(0.1, 10))
         pinv, p, residues = solver._pinv_mod(g)
         lap = np.zeros((n, n), dtype=object)
         for (u, v, w), got in zip(g.edges, residues.tolist()):
