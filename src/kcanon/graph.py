@@ -276,22 +276,37 @@ def parse_json(text: str) -> Graph:
 
     N and the node ids must be JSON integers, weights JSON numbers (booleans
     are neither); anything else is a GraphError, never coerced.  text must be
-    a str, as for parse_edge_list.
+    a str, as for parse_edge_list.  An integer of more digits than int()
+    converts (sys.get_int_max_str_digits()) is beyond every float too, so it
+    reads as the float it overflows to, +-inf: a NonFiniteWeightError as a
+    weight, as for 1e400, and no integer as N or a node id.  Nesting too deep
+    for the JSON decoder is a GraphError as well.
     """
     if not isinstance(text, str):
         raise GraphError(f"JSON text must be a str, got {type(text).__name__}")
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise MalformedLineError(exc.lineno, f"invalid JSON: {exc.msg}")
-    if not (isinstance(obj, dict) and type(obj.get("n")) is int
-            and isinstance(obj.get("edges"), list)):
-        raise GraphError('JSON graph must be an object with integer "n" and list "edges"')
+    except RecursionError:
+        raise GraphError("JSON nesting is too deep to read")
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if not (type(n) is int and isinstance(obj.get("edges"), list)):
+        raise GraphError('JSON graph must be an object with integer "n" and list "edges"'
+                         + (f', got "n": {n}' if type(n) is float else ""))
     for e in obj["edges"]:
         if not (isinstance(e, list) and len(e) in (2, 3) and type(e[0]) is type(e[1]) is int
                 and type(e[-1]) in (int, float)):
             raise GraphError(f"bad edge entry: {e!r}")
-    return Graph(obj["n"], [(e[0], e[1], e[2] if len(e) == 3 else 1.0) for e in obj["edges"]])
+    return Graph(n, [(e[0], e[1], e[2] if len(e) == 3 else 1.0) for e in obj["edges"]])
+
+
+def _json_int(digits: str) -> int | float:
+    """A JSON integer as an int, or as +-inf when it has more digits than int() converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        return float(digits)
 
 
 def parse_graph(text: str) -> Graph:

@@ -29,9 +29,10 @@ The paper's node and edge vectors are functions of these rows, so classes
 are equal or finer, and still contain every automorphism orbit.  Isomorphic
 graphs get identical residues by construction; differing residues prove the
 exact values differ, and a residue collision can only merge classes.  Rows
-are int64 matrices from L+ to the fingerprint.  Rows are ordered and grouped
-lexicographically, by one fixed-width bytes key per row (_row_keys): node
-classes are the runs of equal keys in key order, ids ascending within each.
+are int64 matrices from L+ to the fingerprint.  Rows are ordered
+lexicographically, by one fixed-width bytes key per row (_row_keys), and
+node classes are the runs of equal int64 rows in that order, ids ascending
+within each.
 Fingerprint.digest() hashes the parts' int64 bytes under the header tag gfp/1.
 """
 
@@ -52,19 +53,19 @@ from .solver import _pinv_mod, _require_two_nodes
 DEFAULT_BUDGET = 10**6
 
 
-def _refined_state(adj, nbrs, colour: list[int]) -> tuple[tuple[list[int], ...], int]:
-    """(state, cells): the refined state (order, pos, cell, first) of colour, and its cell count.
+def _refined_state(adj, nbrs, groups: list[list[int]]) -> tuple[tuple[list[int], ...], int]:
+    """(state, cells): the refined state (order, pos, cell, first) of groups, and its cell count.
 
+    groups lists the cells of a colouring as node indices, in colour order;
     adj is Graph.adj and nbrs its (neighbour, weight) pairs, as for _split.
-    One cell is refined in two pieces: its first split, _weight_groups, and
+    One group is refined in two pieces: its first split, _weight_groups, and
     _refine_groups, which goes on from there; iso_screen compares two graphs'
-    first splits between the pieces.  Any other colouring goes through
-    _cells and _split.
+    first splits between the pieces.  Several groups are laid out as given
+    (_layout), and every cell is a splitter.
     """
-    if len(set(colour)) > 1:
-        state = _cells(colour)
-        cells = sorted(set(state[2]))
-        return state, _split(nbrs, *state, cells, len(cells))
+    if len(groups) > 1:
+        state, lasts = _layout(groups)
+        return state, _split(nbrs, *state, lasts, len(lasts))
     return _refine_groups(nbrs, _weight_groups(adj))
 
 
@@ -86,48 +87,39 @@ def _weight_groups(adj) -> dict[tuple, list[int]]:
 def _refine_groups(nbrs, groups: dict[tuple, list[int]]) -> tuple[tuple[list[int], ...], int]:
     """_refined_state from one cell, refined on from its first split, groups (_weight_groups).
 
-    The groups are laid out directly, in key order, and every one but the
+    The groups are laid out in key order (_layout), and every one but the
     first largest is queued, as _split queues fragments, before _split goes
     on from that queue.  This assumes that every node has an edge, as in
     every Graph of two or more nodes; _split would put an edgeless node
     last.  Nodes of one fragment keep ascending ids, where _split may swap
     them: only the sequence of splits decides cell.
     """
-    n = len(nbrs)
+    ordered = [groups[key] for key in sorted(groups)]
+    state, lasts = _layout(ordered)
+    del lasts[ordered.index(max(ordered, key=len))]
+    return state, _split(nbrs, *state, lasts, len(groups))
+
+
+def _layout(groups: list[list[int]]) -> tuple[tuple[list[int], ...], list[int]]:
+    """(state, lasts): the refinement state (order, pos, cell, first) of groups, and each one's last position.
+
+    order lists the groups' node indices in the given order, and pos[x] is
+    x's position in it; cell[x] is the last position of x's group, and
+    first[c] the first position of the group whose last is c.  lasts holds
+    those last positions, ascending.
+    """
+    n = sum(map(len, groups))
     order, pos, cell, first = state = [], [0] * n, [0] * n, [0] * n
-    queue, big, i = [], max(map(len, groups.values())), 0
-    for key in sorted(groups) if len(groups) > 1 else groups:
-        xs = groups[key]
+    lasts, i = [], 0
+    for xs in groups:
         b = i + len(xs) - 1
         first[b] = i
         for x in xs:
             pos[x], cell[x] = i, b
             i += 1
         order += xs
-        if len(xs) == big:
-            big = 0
-        else:
-            queue.append(b)
-    return state, _split(nbrs, *state, queue, len(groups))
-
-
-def _cells(colour: list[int]) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Refinement state (order, pos, cell, first) of colour.
-
-    order lists the nodes by colour, ids ascending within a colour, and
-    pos[x] is x's position in it; cell[x] is the last position of x's cell,
-    and first[c] the first position of the cell whose last is c.
-    """
-    n = len(colour)
-    order = sorted(range(n), key=colour.__getitem__)
-    pos, cell, first = [0] * n, [0] * n, [0] * n
-    last = n - 1
-    for i in range(n - 1, -1, -1):
-        x = order[i]
-        if i < last and colour[x] != colour[order[i + 1]]:
-            last = i
-        pos[x], cell[x], first[last] = i, last, i
-    return order, pos, cell, first
+        lasts.append(b)
+    return state, lasts
 
 
 def _split(nbrs, order, pos, cell, first, splitters: list[int], cells: int) -> int:
@@ -147,7 +139,7 @@ def _split(nbrs, order, pos, cell, first, splitters: list[int], cells: int) -> i
     queue, except the first largest when the parent cell was not queued:
     equitability to the parent and to the others implies it to that one.
     The queue starts with splitters, given as cells: every cell of a
-    colouring's state (_cells) refines that colouring, and splitters=[s]
+    colouring's state (_layout) refines that colouring, and splitters=[s]
     suffices when the state is equitable but for a node moved to the first
     position s of its cell (_individualize).  nbrs[x] holds the (neighbour,
     weight) pairs of Graph.adj[x], such as adj[x].items(), indexed by node
@@ -160,7 +152,7 @@ def _split(nbrs, order, pos, cell, first, splitters: list[int], cells: int) -> i
     never the order of the nodes inside a cell, so any state of one
     colouring refines to the same cell: _refined_state lays out the first
     split of one cell directly (_weight_groups), and the tests hold it equal
-    to _cells, then _split.
+    to the layout of one cell, then _split.
     """
     n = len(order)
     queue = deque(splitters)
@@ -313,11 +305,10 @@ class _Analysis:
     reference to the graph, so the cache makes no reference cycle.  P[x - 1]
     is the residue row of L+ for node x, and r[k] the weight of
     graph.edges[k] mod p.  node_order, the node rows' order (_row_order), is
-    computed at once; start and classes (_row_classes), the colouring by
-    signature class that roots the canonical search and the orbit classes
-    in row order, are built together on the first read of either, which
-    orbit_partition, canonical_labeling and the CLI's orbits make and
-    fingerprint never does.
+    computed at once; classes (_row_classes), the ids of each signature
+    class in row order, are built on their first read, which
+    orbit_partition, canonical_labeling (whose search they root) and the
+    CLI's orbits make and fingerprint never does.
     """
 
     def __init__(self, graph: Graph):
@@ -328,16 +319,8 @@ class _Analysis:
         self.node_order = _row_order(self.node_rows)
 
     @functools.cached_property
-    def _classes(self) -> tuple[list[int], list[list[int]]]:
-        return _row_classes(self.node_rows, self.node_order)
-
-    @property
-    def start(self) -> list[int]:
-        return self._classes[0]
-
-    @property
     def classes(self) -> list[list[int]]:
-        return self._classes[1]
+        return _row_classes(self.node_rows, self.node_order)
 
 
 def _row_order(rows: np.ndarray) -> np.ndarray:
@@ -345,25 +328,20 @@ def _row_order(rows: np.ndarray) -> np.ndarray:
     return np.argsort(_row_keys(rows), kind="stable")
 
 
-def _row_classes(rows: np.ndarray, order: np.ndarray) -> tuple[list[int], list[list[int]]]:
-    """(start, classes) of an int64 matrix, one class per distinct row, in row order.
+def _row_classes(rows: np.ndarray, order: np.ndarray) -> list[list[int]]:
+    """The ids (index + 1) of each run of equal rows of an int64 matrix, in its _row_order, order.
 
-    order is the rows' _row_order.  classes lists the ids (index + 1) of each
-    run of equal rows in it, and start[x] is the index of the class of row
-    x, both from one pass over order.  Runs are found by comparing adjacent
-    sorted rows as int64, which numpy does faster than it compares the void
-    keys.
+    Runs are found by comparing adjacent sorted rows as int64, which numpy
+    does faster than it compares the void keys.
     """
     ranked = rows[order]
     opens = (ranked[1:] != ranked[:-1]).any(axis=1).tolist()  # row k + 1 opens a class
-    start, classes, k = [0] * len(order), [], -1
+    classes = []
     for x, new in zip(order.tolist(), [True, *opens]):
         if new:
             classes.append([])
-            k += 1
-        classes[k].append(x + 1)
-        start[x] = k
-    return start, classes
+        classes[-1].append(x + 1)
+    return classes
 
 
 def orbit_partition(graph: Graph) -> OrbitPartition:
@@ -551,7 +529,7 @@ def canonical_labeling(
     before the graph is analysed.
     """
     budget = _check_budget(budget)
-    return _canonical(graph.adj, graph._analysis.start, budget)
+    return _canonical(graph.adj, [[x - 1 for x in c] for c in graph._analysis.classes], budget)
 
 
 def _check_budget(budget) -> int:
@@ -604,7 +582,7 @@ def _twins(adj) -> list[int]:
     return twin
 
 
-def _canonical(adj, start: list[int], budget: int) -> CanonicalLabeling:
+def _canonical(adj, groups: list[list[int]], budget: int) -> CanonicalLabeling:
     """Depth-first IR search for the leaf with the least form.
 
     A child individualizes one node v of its parent's first smallest
@@ -624,9 +602,10 @@ def _canonical(adj, start: list[int], budget: int) -> CanonicalLabeling:
     depth, so the depth of a path is not bounded by Python's recursion
     limit; resuming at depth r truncates the stack to its first r + 1
     frames, and a discrete node, the root included, is a leaf.  The root is
-    _refined_state of start, the colouring by signature class of the graph
-    whose Graph.adj is adj; it is one cell whenever the signature classes
-    are, as for every vertex-transitive graph.  Node indices are id - 1.
+    _refined_state of groups, the signature classes, as node indices in
+    signature order, of the graph whose Graph.adj is adj; it starts from one
+    cell whenever they are one class, as for every vertex-transitive graph.
+    Node indices are id - 1.
     Leaves compare by _edge_key, and the form is built for the winning leaf
     alone.
     """
@@ -637,7 +616,7 @@ def _canonical(adj, start: list[int], budget: int) -> CanonicalLabeling:
     autos: list[list[int]] = []
     first = best = None  # leaves: (key, order, path)
     expansions, exhausted = 1, False
-    state, cells = _refined_state(adj, nbrs, start)
+    state, cells = _refined_state(adj, nbrs, groups)
     twin = _twins(adj) if cells < n else None
     path, stack = [], []  # stack[d]: the frame (state, cells, path, children) at depth d
     while True:

@@ -24,7 +24,12 @@ from conftest import (
     random_permutation,
     shuffled_copy,
     star,
+    unit_graph,
 )
+
+
+PETERSEN = unit_graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
 
 
 def schema(name):
@@ -188,6 +193,27 @@ class TestOrbits:
     def test_c4(self, runner, write):
         _, doc = run_json(runner, ["orbits", write(cycle(4))])
         assert [c["nodes"] for c in doc["classes"]] == [[1, 2, 3, 4]]
+
+    @pytest.mark.parametrize("g, classes", [
+        (path(3), [([2], "fa4149c9fc0292c7c088ab9e7d75f72f27b0d3f9dd949895b03860d6dbadce84"),
+                   ([1, 3], "8096a3cd213428dd441062816c105e14f1e622418e2cb5a6692b12c3452cab6f")]),
+        (star(3), [([2, 3, 4], "a03bfec1fbe5b8518ea1256919410bd5a84c9135b6efcd9da5cc45b78da32784"),
+                   ([1], "c3d99577062e5313764f38fe62fd698bd7bd9b549fdde8c3817b4984fd5b2b7a")]),
+        (PETERSEN, [(list(range(1, 11)),
+                     "1b88c579f5bed5770586a3a981caa53f50b71c6d723fa025b0d14c4fb269a2bb")]),
+        (Graph(5, [(1, 2, 0.5), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 0.5)]),
+         [([2, 4], "b0d8f30e44dbbf0e5942cdfa285eb02320af315f94b34003339cc4c17193ea2e"),
+          ([3], "4612a2d1f2e55c17832fa2f226a960ba96a3f5c3b529d44b4cad18d721859f0a"),
+          ([1, 5], "6b9b519a96b3dc51fab6d8fcfa3561d04df8ebc5d4afbabbd1d708f77c91f66d")]),
+    ], ids=["P3", "K1,3", "petersen", "weighted-P5"])
+    def test_json_output_pinned(self, runner, write, g, classes):
+        # signature_sha256 is sha256 of the JSON list of the class's first
+        # node's row [L+[x,x], sorted L+[x,:]] mod p; pinned as built.
+        result = runner.invoke(main, ["orbits", write(g), "--format", "json"])
+        assert result.exit_code == 0
+        doc = {"classes": [{"nodes": nodes, "signature_sha256": sha} for nodes, sha in classes],
+               "m": g.m, "n": g.n}
+        assert result.stdout == json.dumps(doc, separators=(",", ":")) + "\n"
 
     def test_verify(self, runner, write):
         result, doc = run_json(runner, ["orbits", write(cycle(5)), "--verify"])
@@ -481,6 +507,19 @@ class TestErrorBoundary:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "is a directory" in result.stderr
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"n": 2, "edges": ' + "[" * 100000, "Graph"),
+        ('{"n": 2, "edges": [[1, 2, ' + "1" * 5000 + "]]}", "NonFiniteWeight"),
+    ], ids=["nested", "5000-digit-weight"])
+    def test_json_the_decoder_cannot_read_exit_2(self, runner, write, text, error):
+        # json.loads raises RecursionError and, past 4,300 digits, a bare ValueError.
+        result = runner.invoke(main, ["fingerprint", write(text)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == error
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     @pytest.mark.parametrize("command", [["canon", "FILE"], ["iso", "FILE", "FILE"]])

@@ -239,6 +239,36 @@ class TestJsonFormat:
     def test_sniffing(self):
         assert parse_graph('{"n":2,"edges":[[1,2,1.0]]}') == parse_graph("1 2")
 
+    @pytest.mark.parametrize("text", ['{"n": 2, "edges": ' + "[" * 100000, "[" * 100000 + "]" * 100000],
+                             ids=["unclosed", "closed"])
+    def test_nesting_too_deep_is_a_graph_error(self, text):
+        # json.loads raises RecursionError here, before it finds the end.
+        with pytest.raises(GraphError) as exc:
+            parse_json(text)
+        assert type(exc.value) is GraphError
+        assert str(exc.value) == "JSON nesting is too deep to read"
+
+    @pytest.mark.parametrize("text, error, message", [
+        ('{"n": 2, "edges": [[1, 2, BIG]]}', NonFiniteWeightError, "edge (1,2) has infinite weight"),
+        ('{"n": 2, "edges": [[1, 2, -BIG]]}', NonPositiveWeightError,
+         "edge (1,2) has non-positive weight -inf"),
+        ('{"n": BIG, "edges": [[1, 2]]}', GraphError,
+         'JSON graph must be an object with integer "n" and list "edges", got "n": inf'),
+        ('{"n": 2, "edges": [[1, BIG]]}', GraphError, "bad edge entry: [1, inf]"),
+    ], ids=["weight", "negative-weight", "n", "id"])
+    def test_integer_past_the_digit_limit(self, text, error, message):
+        # int() refuses more digits than sys.get_int_max_str_digits(), 4,300
+        # by default, with a bare ValueError; such an integer reads as the
+        # infinite float it overflows to, as 1e400 does.
+        with pytest.raises(GraphError) as exc:
+            parse_json(text.replace("BIG", "1" * 5000))
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_integer_past_the_digit_limit_in_an_unread_key(self):
+        text = '{"n": 2, "edges": [[1, 2]], "note": ' + "1" * 5000 + "}"
+        assert parse_json(text) == Graph(2, [(1, 2, 1.0)])
+
     @pytest.mark.parametrize("text", [b'{"n":2,"edges":[[1,2]]}', bytearray(b'{"n":2,"edges":[[1,2]]}'),
                                       3, None], ids=["bytes", "bytearray", "int", "None"])
     def test_text_must_be_a_str(self, text):

@@ -28,10 +28,10 @@ from kcanon.signatures import (
     verify_mapping,
     IsoVerdict,
     _canonical,
-    _cells,
     _edge_key,
     _form,
     _individualize,
+    _layout,
     _refined_state,
     _refinement_invariant,
     _row_classes,
@@ -80,17 +80,29 @@ def expected_rows(g, p):
     return nodes, sorted(edges)
 
 
+def colour_groups(colour):
+    """The node indices of each colour, colours ascending, indices ascending within each."""
+    groups = {}
+    for x in sorted(range(len(colour)), key=colour.__getitem__):
+        groups.setdefault(colour[x], []).append(x)
+    return list(groups.values())
+
+
+def signature_groups(g):
+    """g's signature classes as node indices, as canonical_labeling hands them to _canonical."""
+    return [[x - 1 for x in c] for c in g._analysis.classes]
+
+
 def _refine(nbrs, colour, splitters=None):
-    """colour refined from splitters, by default from each of its cells: _cells, then _split."""
-    state = _cells(colour)
-    cells = sorted(set(state[2]))
-    _split(nbrs, *state, cells if splitters is None else splitters, len(cells))
+    """colour refined from splitters, by default from each of its cells: _layout of its groups, then _split."""
+    state, lasts = _layout(colour_groups(colour))
+    _split(nbrs, *state, lasts if splitters is None else splitters, len(lasts))
     return state[2]
 
 
 def _uniform_refine(g):
     """(state, cells) of g refined from one cell: _weight_groups, then _refine_groups."""
-    return _refined_state(g.adj, [a.items() for a in g.adj], [0] * g.n)
+    return _refined_state(g.adj, [a.items() for a in g.adj], [list(range(g.n))])
 
 
 def refuse_to_factorize(graph):
@@ -356,7 +368,6 @@ class TestAnalysis:
                 distinct = sorted(set(rows))
                 assert a.classes == [[x for x in range(1, n + 1) if rows[x - 1] == row]
                                      for row in distinct]
-                assert a.start == [distinct.index(row) for row in rows]
                 assert (a.node_order + 1).tolist() == [x for c in a.classes for x in c]
 
     @settings(max_examples=200, deadline=None)
@@ -374,8 +385,7 @@ class TestAnalysis:
         order = np.argsort(inverse, kind="stable")
         ids, ends = (order + 1).tolist(), np.cumsum(sizes).tolist()
         got_order = _row_order(rows)
-        start, classes = _row_classes(rows, got_order)
-        assert start == inverse.tolist()
+        classes = _row_classes(rows, got_order)
         assert got_order.dtype == order.dtype and got_order.tolist() == order.tolist()
         assert classes == [ids[i:j] for i, j in zip([0] + ends, ends)]
 
@@ -821,7 +831,7 @@ class TestCanonicalLabeling:
         forms = set()
         for seed in range(10):
             h = relabel(g, random_permutation(g.n, random.Random(seed)))
-            lab = _canonical(h.adj, [0] * g.n, 10**6)  # no help from signatures
+            lab = _canonical(h.adj, [list(range(g.n))], 10**6)  # no help from signatures
             assert lab.certified
             forms.add(lab.form)
         assert len(forms) == 1
@@ -956,8 +966,8 @@ class TestCanonicalLabeling:
         assert other.digest() == lab.digest()
 
 
-def unpruned_form(g, start, most=10**4):
-    """The least form over every leaf of the IR tree from start; None past most leaves.
+def unpruned_form(g, groups, most=10**4):
+    """The least form over every leaf of the IR tree from groups; None past most leaves.
 
     The search's referee: it branches on the same target cell, the first
     smallest non-singleton one, but visits every child of every tree node,
@@ -967,7 +977,7 @@ def unpruned_form(g, start, most=10**4):
     nbrs = [tuple(a.items()) for a in g.adj]
     edges = [(u - 1, v - 1, w) for u, v, w in g.edges]
     best, leaves = None, 0
-    stack = [_refined_state(g.adj, nbrs, start)]
+    stack = [_refined_state(g.adj, nbrs, groups)]
     while stack:
         state, cells = stack.pop()
         order, pos, cell, first = state
@@ -998,9 +1008,9 @@ class TestSearchContract:
         reweighted = [Graph(g.n, [(u, v, rng.choice((0.5, 1.0, 2.0))) for u, v, _ in g.edges])
                       for g in rng.sample(small_graphs, 300)]
         for g in small_graphs + reweighted:
-            one_cell = [0] * g.n
+            one_cell = [list(range(g.n))]
             assert _canonical(g.adj, one_cell, DEFAULT_BUDGET).form == unpruned_form(g, one_cell)
-            form = unpruned_form(g, g._analysis.start)
+            form = unpruned_form(g, signature_groups(g))
             for h in (g, shuffled_copy(g, rng)[0]):
                 lab = canonical_labeling(h)
                 assert lab.certified
@@ -1009,7 +1019,7 @@ class TestSearchContract:
     @pytest.mark.parametrize("name", SYMMETRIC)
     def test_referee_on_symmetric_graphs(self, name, rng):
         g = SYMMETRIC[name]
-        form = unpruned_form(g, g._analysis.start)
+        form = unpruned_form(g, signature_groups(g))
         # Every unpruned tree here has at most 3,840 leaves (Q5), except
         # K8,8's, whose first child alone has 8! * 7! leaves.
         assert (form is None) == (name == "K8,8")
@@ -1022,7 +1032,7 @@ class TestSearchContract:
         base = random_cubic(n, random.Random(n))
         forms = []
         for g in (cfi(base, False), cfi(base, True)):
-            forms.append(unpruned_form(g, g._analysis.start))
+            forms.append(unpruned_form(g, signature_groups(g)))
             assert canonical_labeling(g).form == forms[-1]
         assert forms[0] != forms[1]
 
@@ -1033,11 +1043,11 @@ class TestSearchContract:
         graphs += [random_cubic(16, random.Random(seed)) for seed in range(5)]
         graphs += enumerate_connected_graphs(6)
         for g in graphs:
-            for start in ([0] * g.n, g._analysis.start):
-                full = _canonical(g.adj, start, DEFAULT_BUDGET)
-                e, f = full.expansions, _canonical(g.adj, start, 1).expansions
+            for groups in ([list(range(g.n))], signature_groups(g)):
+                full = _canonical(g.adj, groups, DEFAULT_BUDGET)
+                e, f = full.expansions, _canonical(g.adj, groups, 1).expansions
                 for budget in range(1, e + 2):
-                    lab = _canonical(g.adj, start, budget)
+                    lab = _canonical(g.adj, groups, budget)
                     assert lab.expansions == min(e, max(budget, f))
                     assert lab.certified == (budget >= e or e == f)
                     if lab.certified:
@@ -1046,7 +1056,8 @@ class TestSearchContract:
     def test_tree_node_totals_pinned(self, small_graphs):
         # As built.  The referee catches a wrong form, not a search that
         # prunes less, which these totals catch.
-        assert sum(_canonical(g.adj, [0] * g.n, DEFAULT_BUDGET).expansions for g in small_graphs) == 3171
+        assert sum(_canonical(g.adj, [list(range(g.n))], DEFAULT_BUDGET).expansions
+                   for g in small_graphs) == 3171
         assert sum(canonical_labeling(g).expansions for g in small_graphs) == 3145
 
 
@@ -1105,6 +1116,32 @@ def reference_refine(nbrs, colour):
         count = len(rank)
 
 
+def colour_sorted_layout(colour):
+    """Refinement state (order, pos, cell, first) of colour, by sorting the nodes by colour: _layout's referee.
+
+    order lists the nodes by colour, ids ascending within a colour, and
+    pos[x] is x's position in it; cell[x] is the last position of x's cell,
+    and first[c] the first position of the cell whose last is c.
+    """
+    n = len(colour)
+    order = sorted(range(n), key=colour.__getitem__)
+    pos, cell, first = [0] * n, [0] * n, [0] * n
+    last = n - 1
+    for i in range(n - 1, -1, -1):
+        x = order[i]
+        if i < last and colour[x] != colour[order[i + 1]]:
+            last = i
+        pos[x], cell[x], first[last] = i, last, i
+    return order, pos, cell, first
+
+
+def check_layout(colour):
+    """_layout of colour's groups against the colour-sorted layout, and its lasts against the cells."""
+    state, lasts = _layout(colour_groups(colour))
+    assert state == colour_sorted_layout(colour)
+    assert lasts == sorted(set(state[2]))
+
+
 def cells_of(colour):
     cells = {}
     for x, c in enumerate(colour):
@@ -1152,9 +1189,8 @@ def check_individualized(g, colour, rng):
         child = equitable.copy()
         child[v] = sum(c < equitable[v] for c in equitable)
         expected = check_refine(g, child, rng, [child[v]])
-        state = _cells(colour)
-        ids = sorted(set(state[2]))
-        cells = _split([tuple(a.items()) for a in g.adj], *state, ids, len(ids))
+        state, lasts = _layout(colour_groups(colour))
+        cells = _split([tuple(a.items()) for a in g.adj], *state, lasts, len(lasts))
         assert state[2] == equitable
         check_in_place(g, state, cells, v, expected)
 
@@ -1162,7 +1198,7 @@ def check_individualized(g, colour, rng):
 def check_state(g, colour):
     """_refined_state against _refine: equal cells, a consistent state, and its cell count."""
     nbrs = [tuple(a.items()) for a in g.adj]
-    (order, pos, cell, first), cells = _refined_state(g.adj, nbrs, colour)
+    (order, pos, cell, first), cells = _refined_state(g.adj, nbrs, colour_groups(colour))
     assert cell == _refine(nbrs, colour)
     assert sorted(order) == list(range(g.n)) and all(pos[x] == i for i, x in enumerate(order))
     # Each cell c is exactly the interval of positions first[c]..c.
@@ -1197,8 +1233,8 @@ class TestRefine:
         # Individualize random nodes down to a discrete leaf, each child
         # refined in place from its parent's state.
         g = relabel(SYMMETRIC[name], random_permutation(SYMMETRIC[name].n, rng))
-        state = _cells([0] * g.n)
-        cells = _split([tuple(a.items()) for a in g.adj], *state, [g.n - 1], 1)
+        state, lasts = _layout([list(range(g.n))])
+        cells = _split([tuple(a.items()) for a in g.adj], *state, lasts, 1)
         while cells < g.n:
             cell, first = state[2], state[3]
             v = rng.choice([x for x in range(g.n) if first[cell[x]] < cell[x]])
@@ -1223,8 +1259,8 @@ class TestRefine:
             nbrs = [tuple(a.items()) for a in g.adj]
             for colour in ([0] * g.n, [rng.randrange(3) for _ in range(g.n)]):
                 digest.update(repr(_refine(nbrs, colour)).encode())
-            state = _cells(_refine(nbrs, [0] * g.n))
-            cells = len(set(state[2]))
+            state, lasts = _layout(colour_groups(_refine(nbrs, [0] * g.n)))
+            cells = len(lasts)
             while cells < g.n:
                 cell, first = state[2], state[3]
                 v = rng.choice([x for x in range(g.n) if first[cell[x]] < cell[x]])
@@ -1235,7 +1271,7 @@ class TestRefine:
     def test_refined_state_matches_refine(self):
         # Every connected graph on <= 6 nodes, plain and weighted, and
         # SYMMETRIC, from one cell (the direct first split) and from a
-        # random colouring (_cells, then _split).
+        # random colouring (_layout of its groups, then _split).
         rng = random.Random(29)
         graphs = list(SYMMETRIC.values())
         for n in range(2, 7):
@@ -1250,6 +1286,29 @@ class TestRefine:
     def test_refined_state_of_weighted_graphs(self, g, rng):
         for colour in ([0] * g.n, [rng.randrange(2) for _ in range(g.n)]):
             check_state(g, colour)
+
+    def test_layout_matches_colour_sorted_layout(self):
+        # Every connected graph on <= 6 nodes, plain and weighted: random
+        # colourings, the one-cell refinement and the signature classes, by
+        # class index, the colouring that roots the canonical search.
+        rng = random.Random(31)
+        for n in range(2, 7):
+            for g in enumerate_connected_graphs(n):
+                weighted = Graph(n, [(u, v, rng.choice((1.0, 2.0))) for u, v, _ in g.edges])
+                for h in (g, weighted):
+                    for k in (1, 2, 3, n):
+                        check_layout([rng.randrange(k) for _ in range(n)])
+                    check_layout(_refine([tuple(a.items()) for a in h.adj], [0] * n))
+                    by_class = [0] * n
+                    for k, c in enumerate(signature_groups(h)):
+                        for x in c:
+                            by_class[x] = k
+                    check_layout(by_class)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=40))
+    def test_layout_of_random_colourings(self, colour):
+        check_layout(colour)
 
     def test_equal_weight_sums_split_by_multiset(self):
         # Nodes 1-4 carry weights {1, 3, 5}, nodes 5-8 {2, 2, 5}: equal sums.
