@@ -1,6 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bounded repr of their messages."""
 
 import itertools
+import reprlib
+
+
+class _Bounded(reprlib.Repr):
+    """The repr that error messages echo inputs in, bounded in length.
+
+    Lists and tuples show 12 items, room for a DisconnectedError's components.
+    An integer past 128 bits shows its size, and is never converted: str()
+    refuses one of more than 4,300 digits with a bare ValueError.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.maxlist = self.maxtuple = 12
+
+    def repr_int(self, x, level):
+        bits = x.bit_length()
+        return repr(x) if bits <= 128 else f"<{'negative ' if x < 0 else ''}integer of {bits} bits>"
+
+
+_bounded = _Bounded().repr
 
 
 class KCanonError(Exception):
@@ -37,8 +58,9 @@ class DisconnectedError(GraphError):
     """Graph on nodes 1..n is not connected; carries the node components found.
 
     components may leave out isolated nodes, since n names them.  The
-    components attribute and the message list the isolated nodes one by one
-    up to LISTED_ISOLATED of them; isolated counts them all.
+    components attribute lists the isolated nodes one by one up to
+    LISTED_ISOLATED of them, and the message shows that list in bounded form;
+    isolated counts them all.
     """
 
     LISTED_ISOLATED = 10
@@ -51,8 +73,8 @@ class DisconnectedError(GraphError):
         comps.sort()
         self.isolated = n - len(named)
         more = self.isolated - self.LISTED_ISOLATED
-        super().__init__(f"graph is disconnected; components: {comps}"
-                         + (f" and {more} more isolated nodes" if more > 0 else ""))
+        super().__init__(f"graph is disconnected; components: {_bounded(comps)}"
+                         + (f" and {_bounded(more)} more isolated nodes" if more > 0 else ""))
         self.components = tuple(tuple(c) for c in comps)
 
 

@@ -29,6 +29,7 @@ from .errors import (
     NonPositiveWeightError,
     SameSourceSinkError,
     SelfLoopError,
+    _bounded,
 )
 
 _INF = float("inf")
@@ -62,7 +63,7 @@ class Graph:
         try:
             n = _index(n)
         except TypeError:
-            raise GraphError(f"node count must be an integer, got {n!r}")
+            raise GraphError(f"node count must be an integer, got {_bounded(n)}")
         try:
             entries = iter(edges)
         except TypeError:
@@ -83,7 +84,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         if n < 1:
-            raise GraphError(f"node count must be >= 1, got {n}")
+            raise GraphError(f"node count must be >= 1, got {_bounded(n)}")
         # Above 2m nodes some node has no edge, so the graph is disconnected:
         # adj then holds only the nodes that edges name, so rejecting a huge
         # node id costs time and memory bounded by the input, not by n.
@@ -91,17 +92,20 @@ class Graph:
         adj = defaultdict(dict) if named_only else tuple([{} for _ in range(n)])
         for u, v, w in edges:
             if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphError(f"edge ({u},{v}) endpoint outside 1..{n}")
+                raise GraphError(
+                    f"edge ({_bounded(u)},{_bounded(v)}) endpoint outside 1..{_bounded(n)}")
             if u == v:
-                raise SelfLoopError(f"self-loop at node {u}")
+                raise SelfLoopError(f"self-loop at node {_bounded(u)}")
             a, b = u - 1, v - 1
             nbrs = adj[a]
             if b in nbrs:
-                raise DuplicateEdgeError(f"duplicate edge {min(u, v)}-{max(u, v)}")
+                raise DuplicateEdgeError(
+                    f"duplicate edge {_bounded(min(u, v))}-{_bounded(max(u, v))}")
             if not (0.0 < w < _INF):
+                edge = f"edge ({_bounded(u)},{_bounded(v)})"
                 if not (w > 0.0):  # catches zero, negative, and NaN
-                    raise NonPositiveWeightError(f"edge ({u},{v}) has non-positive weight {w}")
-                raise NonFiniteWeightError(f"edge ({u},{v}) has infinite weight")
+                    raise NonPositiveWeightError(f"{edge} has non-positive weight {w}")
+                raise NonFiniteWeightError(f"{edge} has infinite weight")
             nbrs[b] = adj[b][a] = w
         if named_only:
             raise DisconnectedError(_components(adj, list(adj)), n)
@@ -135,7 +139,7 @@ class Graph:
         try:
             u, v = _index(u), _index(v)
         except TypeError:
-            raise GraphError(f"node ids ({u!r},{v!r}) must be integers")
+            raise GraphError(f"node ids ({_bounded(u)},{_bounded(v)}) must be integers")
         return self.adj[u - 1].get(v - 1) if 1 <= u <= self.n else None
 
     def degree_sequence(self) -> tuple[int, ...]:
@@ -154,18 +158,18 @@ def _source_sink(n: int, a, b) -> tuple[int, int]:
     try:
         a, b = _index(a), _index(b)
     except TypeError:
-        raise SameSourceSinkError(f"node ids ({a!r},{b!r}) must be integers")
+        raise SameSourceSinkError(f"node ids ({_bounded(a)},{_bounded(b)}) must be integers")
     if a == b:
-        raise SameSourceSinkError(f"source and sink are both node {a}")
+        raise SameSourceSinkError(f"source and sink are both node {_bounded(a)}")
     if not (1 <= a <= n and 1 <= b <= n):
-        raise SameSourceSinkError(f"nodes ({a},{b}) outside 1..{n}")
+        raise SameSourceSinkError(f"nodes ({_bounded(a)},{_bounded(b)}) outside 1..{n}")
     return a, b
 
 
 def _weight(w) -> float:
     """w as a float; GraphError unless w is a real number and not a bool."""
     if isinstance(w, bool) or not isinstance(w, numbers.Real):
-        raise GraphError(f"edge weight must be a real number, got {w!r}")
+        raise GraphError(f"edge weight must be a real number, got {_bounded(w)}")
     try:
         return float(w)
     except OverflowError:
@@ -177,11 +181,11 @@ def _edge(e) -> tuple[int, int, float]:
     try:
         u, v, w = e
     except (TypeError, ValueError):
-        raise GraphError(f"edge {e!r} is not a (u, v, w) triple")
+        raise GraphError(f"edge {_bounded(e)} is not a (u, v, w) triple")
     try:
         u, v = _index(u), _index(v)
     except TypeError:
-        raise GraphError(f"edge {e!r} has a node id that is not an integer")
+        raise GraphError(f"edge {_bounded(e)} has a node id that is not an integer")
     return u, v, _weight(w)
 
 
@@ -297,7 +301,7 @@ def parse_json(text: str) -> Graph:
     for e in obj["edges"]:
         if not (isinstance(e, list) and len(e) in (2, 3) and type(e[0]) is type(e[1]) is int
                 and type(e[-1]) in (int, float)):
-            raise GraphError(f"bad edge entry: {e!r}")
+            raise GraphError(f"bad edge entry: {_bounded(e)}")
     return Graph(n, [(e[0], e[1], e[2] if len(e) == 3 else 1.0) for e in obj["edges"]])
 
 

@@ -12,7 +12,9 @@ iso_screen decides in three stages, cheapest first: exact weighted colour
 refinement from one cell (no factorization; the two graphs' first splits, by
 the weights of each node's edges, are compared before either refines further,
 and a discrete refinement gives the only candidate mapping), then
-fingerprints, then canonical forms.
+fingerprints, then canonical forms.  One encoding of a graph under a
+colouring, the sorted edge key _edge_key, compares two refinements, ranks
+the search's leaves and gives the canonical form of the winning leaf.
 
 Every voltage is a difference of two entries of one row of the Laplacian
 pseudoinverse: v_ab[x] = L+[x,a] - L+[x,b].  Every float weight is a dyadic
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBudgetError
+from .errors import InvalidBudgetError, _bounded
 from .graph import Graph, _index, _is_bijection
 from .solver import _pinv_mod, _require_two_nodes
 
@@ -435,12 +437,11 @@ def iso_screen(
     that mapping keeps every edge and weight, and the mapping is certified
     only after verify_mapping.  A discrete refined order lists the nodes by
     colour, so the mapping zips the two orders, and the cell counts tell
-    discreteness.  Otherwise differing refinement invariants
-    (sorted colours, sorted (colour, colour, weight) edge triples) prove the
-    pair distinct, differing fingerprints do too, and so do certified
-    canonical forms that differ; equal forms give a mapping that must pass
-    verify_mapping.  A node_budget that is not an integer of at least 1
-    raises InvalidBudgetError before any of this.
+    discreteness.  Otherwise differing edge keys of the refined colourings
+    (_edge_key) prove the pair distinct, differing fingerprints do too, and
+    so do certified canonical forms that differ; equal forms give a mapping
+    that must pass verify_mapping.  A node_budget that is not an integer of
+    at least 1 raises InvalidBudgetError before any of this.
     """
     _check_budget(node_budget)
     if g1.n != g2.n:
@@ -458,7 +459,7 @@ def iso_screen(
         mapping = {x + 1: y + 1 for x, y in zip(order1, order2)}
         if cells2 < g2.n or not _maps_edges(g1, g2, mapping):
             return IsoVerdict(IsoVerdict.DISTINCT, reason="colour refinement differs")
-    elif _refinement_invariant(g1, k1) != _refinement_invariant(g2, k2):
+    elif _edge_key(g1.edges, [0, *k1]) != _edge_key(g2.edges, [0, *k2]):
         return IsoVerdict(IsoVerdict.DISTINCT, reason="colour refinement differs")
     else:
         if fingerprint(g1) != fingerprint(g2):
@@ -474,17 +475,6 @@ def iso_screen(
     return IsoVerdict(IsoVerdict.ISOMORPHIC, mapping=mapping, reason="verified mapping")
 
 
-def _refinement_invariant(graph: Graph, colour: list[int]) -> tuple[list, list]:
-    """Sorted colours and sorted (min colour, max colour, weight) edge triples."""
-    c = [None, *colour]  # c[x] is the colour of node x
-    edges = []
-    for u, v, w in graph.edges:
-        a, b = c[u], c[v]
-        edges.append((a, b, w) if a <= b else (b, a, w))
-    edges.sort()
-    return sorted(colour), edges
-
-
 @dataclass(frozen=True)
 class CanonicalLabeling:
     """Canonical node order and the adjacency weight sequence it gives.
@@ -494,7 +484,7 @@ class CanonicalLabeling:
     column-incremental upper-triangle weight sequence of the reordered
     adjacency matrix: entries (0,1), (0,2), (1,2), (0,3), ..., the least over
     the leaves of the individualization-refinement search, which ranks leaves
-    by their edges and builds form for the winner alone.  expansions counts
+    by their edge keys and reads form off the winner's key.  expansions counts
     the search's tree nodes, root included.  certified is False when the
     budget of tree nodes ran out before the search finished; order is a full
     permutation either way.
@@ -537,9 +527,9 @@ def _check_budget(budget) -> int:
     try:
         budget = _index(budget)
     except TypeError:
-        raise InvalidBudgetError(f"search budget must be an integer, got {budget!r}")
+        raise InvalidBudgetError(f"search budget must be an integer, got {_bounded(budget)}")
     if budget < 1:
-        raise InvalidBudgetError(f"search budget must be >= 1, got {budget}")
+        raise InvalidBudgetError(f"search budget must be >= 1, got {_bounded(budget)}")
     return budget
 
 
@@ -606,8 +596,9 @@ def _canonical(adj, groups: list[list[int]], budget: int) -> CanonicalLabeling:
     signature order, of the graph whose Graph.adj is adj; it starts from one
     cell whenever they are one class, as for every vertex-transitive graph.
     Node indices are id - 1.
-    Leaves compare by _edge_key, and the form is built for the winning leaf
-    alone.
+    Leaves compare by _edge_key, and the form is read off the winning leaf's
+    key: its entry (-i, -j, w) is the form's entry (j, i), and every entry
+    that no key entry names is 0.0.
     """
     n = len(adj)
     # _split's hot loop iterates tuples faster than dict views.
@@ -659,9 +650,10 @@ def _canonical(adj, groups: list[list[int]], budget: int) -> CanonicalLabeling:
         state, cells, path, _ = stack[-1]
         expansions += 1
         (state, cells), path = _individualize(nbrs, state, cells, v), path + [v]
-    order = best[1]
-    return CanonicalLabeling(tuple(x + 1 for x in order), _form(adj, order), not exhausted,
-                             expansions)
+    form = [0.0] * (n * (n - 1) // 2)
+    for a, b, w in best[0]:  # (-i, -j, w) is the entry (j, i), at i (i - 1) / 2 + j
+        form[a * (a + 1) // 2 - b] = w
+    return CanonicalLabeling(tuple(x + 1 for x in best[1]), tuple(form), not exhausted, expansions)
 
 
 def _orbit_leads(cell: list[int], path: list[int], twin: list[int], autos: list[list[int]]):
@@ -694,23 +686,27 @@ def _orbit_leads(cell: list[int], path: list[int], twin: list[int], autos: list[
             explored.add(_find(rep, v))
 
 
-def _form(adj, order: list[int]) -> tuple[float, ...]:
-    """CanonicalLabeling.form of a node order (indices id - 1) of the graph whose Graph.adj is adj."""
-    return tuple(get(y, 0.0) for k, get in enumerate([adj[x].get for x in order]) for y in order[:k])
-
-
 def _edge_key(edges, pos: list[int]) -> list[tuple]:
-    """A search leaf's key: between orders of one graph it compares as _form does.
+    """The sorted edge key of a graph under a colouring, such as a search leaf's order.
 
-    edges holds the graph's (u, v, w) by node index, and pos[x] is x's
-    position.  An edge at positions i > j becomes (-i, -j, w), and the list
-    is sorted in descending order, so it lists the form's non-zero entries
-    (j, i) in form order.  Two orders of one graph give keys of equal length
-    m.  At their first difference, either both keys hold an edge at one
-    entry, and its weights decide as in the form, or one key has an edge where
-    the other has 0.0 and its next edge, at a later entry, a smaller tuple.
-    Weights are positive, so either way the keys compare as the forms do,
-    in O(m log m) rather than the form's O(n^2).
+    edges holds the graph's (u, v, w), and pos[x] is node x's position or
+    colour, pos indexed as edges are: by node index for a leaf, by id (pos[0]
+    unused) for iso_screen's colourings.  An edge at positions i >= j becomes
+    (-i, -j, w), and the list is sorted in descending order.
+
+    A leaf's key lists the form's non-zero entries (j, i) in form order.  Two
+    orders of one graph give keys of equal length m.  At their first
+    difference, either both keys hold an edge at one entry, and its weights
+    decide as in the form, or one key has an edge where the other has 0.0
+    and its next edge, at a later entry, a smaller tuple.  Weights are
+    positive, so either way the keys compare as the forms do, in O(m log m)
+    rather than the form's O(n^2).
+
+    A refined colour is the last position of its cell, and the cells tile
+    0..n-1.  In a connected graph of n >= 2 nodes every node has an edge, so
+    the key holds every colour, and with them the cell sizes: two such graphs
+    of n nodes have equal keys exactly when their sorted colours and sorted
+    (colour, colour, weight) edge triples are equal.
     """
     key = []
     for u, v, w in edges:

@@ -10,9 +10,12 @@ from kcanon.errors import (
     DisconnectedError,
     DuplicateEdgeError,
     GraphError,
+    InvalidBudgetError,
+    KCanonError,
     MalformedLineError,
     NonFiniteWeightError,
     NonPositiveWeightError,
+    SameSourceSinkError,
     SelfLoopError,
 )
 from kcanon import graph as graph_mod
@@ -26,6 +29,8 @@ from kcanon.graph import (
     to_edge_list,
     to_json,
 )
+from kcanon.signatures import canonical_labeling
+from kcanon.solver import build_system, solve_pair
 
 from conftest import complete, cycle, path, random_permutation, shuffled_copy
 from corpus import random_connected_graph
@@ -218,6 +223,38 @@ class TestConstructionFaults:
         assert Graph(1, []).n == 1
         with pytest.raises(AssertionError, match="components listed"):
             parse_edge_list("1 2\n3 4")
+
+
+# More digits than str() converts (4,300 by default), and a string of 10^5 characters.
+BIG, LONG = 10**5000, "1" * 10**5
+
+
+class TestEchoedInputs:
+    """A message that echoes an input raises the documented type, and stays short."""
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: Graph(LONG, [(1, 2, 1.0)]), GraphError),
+        (lambda: Graph(-BIG, [(1, 2, 1.0)]), GraphError),
+        (lambda: Graph(2, [(1, BIG, 1.0)]), GraphError),
+        (lambda: Graph(BIG, [(BIG - 1, BIG - 1, 1.0)]), SelfLoopError),
+        (lambda: Graph(BIG, [(1, BIG, 1.0), (BIG, 1, 1.0)]), DuplicateEdgeError),
+        (lambda: Graph(BIG, [(1, BIG, -1.0)]), NonPositiveWeightError),
+        (lambda: Graph(BIG, [(1, BIG, float("inf"))]), NonFiniteWeightError),
+        (lambda: Graph(2, [(1, 2, 1.0, BIG)]), GraphError),
+        (lambda: Graph(2, [(1, 2, LONG)]), GraphError),
+        (lambda: Graph(BIG, [(1, 2, 1.0)]), DisconnectedError),
+        (lambda: path(3).weight(BIG, "x"), GraphError),
+        (lambda: parse_json('{"n": 2, "edges": [' + "[" * 900 + "]" * 900 + "]}"), GraphError),
+        (lambda: solve_pair(build_system(path(3)), BIG, 1), SameSourceSinkError),
+        (lambda: canonical_labeling(path(3), budget=-BIG), InvalidBudgetError),
+    ], ids=["Graph-n", "build-n", "build-id", "build-self-loop", "build-duplicate",
+            "build-non-positive", "build-infinite", "edge", "weight", "Disconnected",
+            "Graph.weight", "parse_json", "source_sink", "check_budget"])
+    def test_message_is_short(self, call, error):
+        with pytest.raises(KCanonError) as exc:
+            call()
+        assert type(exc.value) is error
+        assert len(str(exc.value)) <= 300
 
 
 class TestJsonFormat:

@@ -29,11 +29,9 @@ from kcanon.signatures import (
     IsoVerdict,
     _canonical,
     _edge_key,
-    _form,
     _individualize,
     _layout,
     _refined_state,
-    _refinement_invariant,
     _row_classes,
     _row_keys,
     _row_order,
@@ -103,6 +101,28 @@ def _refine(nbrs, colour, splitters=None):
 def _uniform_refine(g):
     """(state, cells) of g refined from one cell: _weight_groups, then _refine_groups."""
     return _refined_state(g.adj, [a.items() for a in g.adj], [list(range(g.n))])
+
+
+def _refinement_invariant(graph, colour):
+    """Sorted colours and sorted (min colour, max colour, weight) edge triples.
+
+    The referee of the edge keys by which iso_screen compares refined colourings.
+    """
+    c = [None, *colour]  # c[x] is the colour of node x
+    edges = []
+    for u, v, w in graph.edges:
+        a, b = c[u], c[v]
+        edges.append((a, b, w) if a <= b else (b, a, w))
+    edges.sort()
+    return sorted(colour), edges
+
+
+def _form(adj, order):
+    """CanonicalLabeling.form of a node order (indices id - 1) of the graph whose Graph.adj is adj.
+
+    The referee of the form that the search reads off its winning leaf's edge key.
+    """
+    return tuple(get(y, 0.0) for k, get in enumerate([adj[x].get for x in order]) for y in order[:k])
 
 
 def refuse_to_factorize(graph):
@@ -413,16 +433,15 @@ class TestSeparation:
 
     def test_connected_graphs_up_to_seven_nodes(self):
         # One graph per isomorphism class: the fingerprints separate them all,
-        # and the one-cell refinement invariant merges some.  Its count is
-        # pinned as measured.
+        # and the edge keys of the one-cell refinements, which iso_screen
+        # compares, merge some.  Their count is pinned as measured.
         graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
-        invariants = set()
+        keys = set()
         for g in graphs:
             (_, _, cell, _), _ = _uniform_refine(g)
-            colours, edges = _refinement_invariant(g, cell)
-            invariants.add((tuple(colours), tuple(edges)))
+            keys.add(tuple(_edge_key(g.edges, [0, *cell])))
         assert len(graphs) == len({fingerprint(g).digest() for g in graphs}) == 995
-        assert len(invariants) == 975
+        assert len(keys) == 975
 
 
 class TestExactResidues:
@@ -614,17 +633,17 @@ class TestIsoScreen:
         assert verify_mapping(g, h, verdict.mapping)
 
     def test_discrete_pair_decided_by_the_colour_mapping(self, monkeypatch):
-        # Two discrete colourings give equal refinement invariants exactly
-        # when the colour mapping keeps every edge and weight, so neither
-        # pair needs the invariants.
+        # Two discrete colourings give equal edge keys exactly when the
+        # colour mapping keeps every edge and weight, so neither pair needs
+        # the keys.
         def refuse(*args):
-            raise AssertionError("built refinement invariants for a discrete pair")
+            raise AssertionError("built edge keys for a discrete pair")
 
         g = weighted_graph(20, 0)
         relabelled, perm = shuffled_copy(g, random.Random(1))
         swapped = double_edge_swap(g, random.Random(2))
         assert all(_uniform_refine(h)[1] == 20 for h in (g, relabelled, swapped))
-        monkeypatch.setattr(signatures, "_refinement_invariant", refuse)
+        monkeypatch.setattr(signatures, "_edge_key", refuse)
         monkeypatch.setattr(signatures, "_pinv_mod", refuse_to_factorize)
         verdict = iso_screen(g, swapped)
         assert (verdict.kind, verdict.reason, verdict.mapping) == (
@@ -650,11 +669,28 @@ class TestIsoScreen:
             assert list(verdict.mapping.items()) == list(zip(*by_colour))
         assert discrete >= 8
 
+    def test_refined_keys_compare_weights(self, monkeypatch):
+        # Equal first splits and equal refined cells, with the weights of
+        # some edges between two cells exchanged.  Caught: refined colourings
+        # compared by edge keys without their weights, which reach fingerprints.
+        pairs = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 4), (2, 5), (2, 6), (2, 7),
+                 (3, 4), (3, 5)]
+        g, h = (Graph(7, [(u, v, float(w)) for (u, v), w in zip(pairs, ws)])
+                for ws in ([1, 2, 1, 2, 1, 1, 2, 2, 2, 2, 1, 2], [2, 1, 2, 1, 1, 1, 2, 1, 2, 2, 2, 2]))
+        assert ({key: len(xs) for key, xs in _weight_groups(g.adj).items()}
+                == {key: len(xs) for key, xs in _weight_groups(h.adj).items()})
+        (_, _, k, _), cells = _uniform_refine(g)
+        l = _uniform_refine(h)[0][2]
+        assert cells < g.n and sorted(k) == sorted(l)
+        monkeypatch.setattr(signatures, "_pinv_mod", refuse_to_factorize)
+        verdict = iso_screen(g, h)
+        assert (verdict.kind, verdict.reason) == (IsoVerdict.DISTINCT, "colour refinement differs")
+
     def test_pair_refinement_cannot_split_reaches_fingerprints(self, monkeypatch):
         g, h = complete_bipartite(3), prism(3)
         (_, _, k, _), cells = _uniform_refine(g)
         l = _uniform_refine(h)[0][2]
-        assert cells == 1 and _refinement_invariant(g, k) == _refinement_invariant(h, l)
+        assert cells == 1 and _edge_key(g.edges, [0, *k]) == _edge_key(h.edges, [0, *l])
         monkeypatch.setattr(signatures, "_canonical", refuse_to_search)
         verdict = iso_screen(g, h)
         assert (verdict.kind, verdict.reason) == (IsoVerdict.DISTINCT, "fingerprints differ")
@@ -673,14 +709,43 @@ class TestIsoScreen:
     @settings(max_examples=50, deadline=None)
     @given(weighted_graphs(max_n=20), st.randoms(use_true_random=False))
     def test_refinement_invariant_orders_each_edge_by_colour(self, g, rng):
-        def reference(graph, colour):
-            edges = sorted((min(colour[u - 1], colour[v - 1]), max(colour[u - 1], colour[v - 1]), w)
-                           for u, v, w in graph.edges)
-            return sorted(colour), edges
+        # iso_screen compares refined colourings by their edge keys, which
+        # must tell apart exactly what the refinement invariant does.  The
+        # colourings are laid out by _layout, from a random grouping shared
+        # by all the graphs or by refinement, so each colour is the last
+        # position of its cell and the cells tile 0..n-1.  An arbitrary
+        # colour list would not do: on a star, centre 0 with leaves 1 and
+        # centre 1 with leaves 0 give equal keys but different colour counts.
+        # Caught: a key that drops the weight (the reweighted copy).
+        weights = [w for _, _, w in g.edges]
+        rng.shuffle(weights)
+        reweighted = Graph(g.n, [(u, v, w) for (u, v, _), w in zip(g.edges, weights)])
+        graphs = [g, shuffled_copy(g, rng)[0], reweighted, double_edge_swap(g, rng)]
+        grouping = _layout(colour_groups([rng.randrange(3) for _ in range(g.n)]))[0][2]
+        colourings = []
+        for h in filter(None, graphs):
+            for colour in (_uniform_refine(h)[0][2], grouping):
+                colourings.append((_edge_key(h.edges, [0, *colour]), _refinement_invariant(h, colour)))
+        for (key1, invariant1), (key2, invariant2) in itertools.product(colourings, repeat=2):
+            assert (key1 == key2) == (invariant1 == invariant2)
 
-        for h in filter(None, [g, shuffled_copy(g, rng)[0], double_edge_swap(g, rng)]):
-            for colour in (_uniform_refine(h)[0][2], [rng.randrange(3) for _ in range(h.n)]):
-                assert _refinement_invariant(h, colour) == reference(h, colour)
+    def test_verdicts_pinned(self):
+        # sha256 of every (kind, reason, mapping), as built, over the connected
+        # graphs on 2-6 nodes, plain and reweighted, each screened against a
+        # relabelled copy and a double edge swap.  Caught: _edge_key without
+        # the weight, with which the search cannot read its form.
+        rng = random.Random(40)
+        verdicts = []
+        for n in range(2, 7):
+            for g in enumerate_connected_graphs(n):
+                reweighted = Graph(n, [(u, v, rng.choice((0.5, 1.0, 2.0))) for u, v, _ in g.edges])
+                for x in (g, reweighted):
+                    for y in filter(None, (shuffled_copy(x, rng)[0], double_edge_swap(x, rng))):
+                        v = iso_screen(x, y)
+                        verdicts.append((v.kind, v.reason, v.mapping and sorted(v.mapping.items())))
+        assert len(verdicts) == 506
+        assert (hashlib.sha256(repr(verdicts).encode()).hexdigest()
+                == "50a9f178d2e4a4280d8d521136a4934e5ba1a5f20dc1e2f272b1d934d773e4f3")
 
     def test_c6_vs_p6_edge_count(self):
         verdict = iso_screen(cycle(6), path(6))
@@ -764,6 +829,11 @@ class TestCFI:
         verdict = iso_screen(g, h)
         assert (verdict.kind, verdict.reason, verdict.mapping) == (
             IsoVerdict.DISTINCT, "canonical forms differ", None)
+
+    def test_form_is_read_off_the_winning_key(self, pair):
+        for g in pair[1:]:
+            lab = canonical_labeling(g)
+            assert lab.form == _form(g.adj, [x - 1 for x in lab.order])
 
     def test_relabelled_copy_certified(self, pair):
         for g in pair[1:]:
@@ -917,6 +987,14 @@ class TestCanonicalLabeling:
             leaves.append((_edge_key(edges, pos), _form(g.adj, order)))
         for (key1, form1), (key2, form2) in itertools.product(leaves, repeat=2):
             assert (key1 < key2, key1 == key2) == (form1 < form2, form1 == form2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_graphs(max_n=12), st.sampled_from([1, 3, DEFAULT_BUDGET]))
+    def test_form_is_read_off_the_winning_key(self, g, budget):
+        # Caught: a form index off by one.
+        for lab in (canonical_labeling(g, budget=budget),
+                    _canonical(g.adj, [list(range(g.n))], budget)):
+            assert lab.form == _form(g.adj, [x - 1 for x in lab.order])
 
     @pytest.mark.parametrize("g, digest", [
         (complete_bipartite(4), "bd091253d0b61b9f6df8a64bd964c20c3d6a2bc8b5557bb9f52e5d6ffd00ecc9"),
