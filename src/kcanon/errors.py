@@ -83,15 +83,7 @@ class SameSourceSinkError(KCanonError):
 
 
 class FactorizationFailedError(KCanonError):
-    """Grounded block is singular, or every prime tried failed (disconnected or corrupted graph)."""
-
-
-class EigendecompositionFailedError(KCanonError):
-    pass
-
-
-class SecondEigenvalueNearZeroError(KCanonError):
-    """Algebraic connectivity is numerically zero; input is effectively disconnected."""
+    """Grounded block singular, every prime tried failed, or MINRES broke down."""
 
 
 class GraphMismatchError(KCanonError):

@@ -12,6 +12,8 @@ import codecs
 import json
 import numbers
 import operator
+import os
+import sys
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -251,18 +253,19 @@ def parse_edge_list(text: str) -> Graph:
             raise MalformedLineError(line_no, f"expected 2 or 3 fields, got {fields}")
         try:
             u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedLineError(
-                line_no, f"node ids must be integers: {lines[line_no - 1].strip()!r}")
+        except ValueError:  # also where decimal digits are past int()'s limit
+            cause = (f"node ids must have at most {sys.get_int_max_str_digits()} digits"
+                     if parts[0].isdecimal() and parts[1].isdecimal() else "node ids must be integers")
+            raise MalformedLineError(line_no, f"{cause}: {_bounded(lines[line_no - 1].strip())}")
         if u < 1 or v < 1:
             raise MalformedLineError(
-                line_no, f"node ids must be positive: {lines[line_no - 1].strip()!r}")
+                line_no, f"node ids must be positive: {_bounded(lines[line_no - 1].strip())}")
         w = 1.0
         if fields == 3:
             try:
                 w = float(parts[2])
             except ValueError:
-                raise MalformedLineError(line_no, f"bad weight: {parts[2]!r}")
+                raise MalformedLineError(line_no, f"bad weight: {_bounded(parts[2])}")
         edges.append((u, v, w))
         if u > max_id:
             max_id = u
@@ -320,14 +323,21 @@ def parse_graph(text: str) -> Graph:
     return parse_edge_list(text)
 
 
-def load_graph(path: str) -> Graph:
+def load_graph(path: str | os.PathLike) -> Graph:
     """Read a graph file as UTF-8; a byte that is not UTF-8 is a MalformedLineError.
 
+    path must be a str or an os.PathLike, checked before anything is opened;
+    anything else, and a file that cannot be opened or read, is a GraphError.
     One leading UTF-8 byte-order mark is dropped from the bytes before they
     are decoded, so a decoding error still names the bad byte and its line.
     """
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    if not isinstance(path, (str, os.PathLike)):
+        raise GraphError(f"graph path must be a str or os.PathLike, got {type(path).__name__}")
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read().removeprefix(codecs.BOM_UTF8)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise GraphError(f"cannot read {_bounded(os.fspath(path))}: {getattr(exc, 'strerror', None) or exc}")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

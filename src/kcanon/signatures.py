@@ -604,7 +604,7 @@ def _canonical(adj, groups: list[list[int]], budget: int) -> CanonicalLabeling:
     # _split's hot loop iterates tuples faster than dict views.
     nbrs = [tuple(a.items()) for a in adj]
     edges = [(x, y, w) for x, a in enumerate(adj) for y, w in a.items() if x < y]
-    autos: list[list[int]] = []
+    autos: list[tuple[list[int], frozenset[int]]] = []  # (gamma, the nodes it moves)
     first = best = None  # leaves: (key, order, path)
     expansions, exhausted = 1, False
     state, cells = _refined_state(adj, nbrs, groups)
@@ -634,7 +634,7 @@ def _canonical(adj, groups: list[list[int]], budget: int) -> CanonicalLabeling:
                         gamma = [0] * n
                         for x, y in zip(ref_order, order):
                             gamma[x] = y
-                        autos.append(gamma)
+                        autos.append((gamma, frozenset(x for x, y in zip(ref_order, order) if x != y)))
                         depth = 0
                         while path[depth] == ref_path[depth]:
                             depth += 1
@@ -656,11 +656,12 @@ def _canonical(adj, groups: list[list[int]], budget: int) -> CanonicalLabeling:
     return CanonicalLabeling(tuple(x + 1 for x in best[1]), tuple(form), not exhausted, expansions)
 
 
-def _orbit_leads(cell: list[int], path: list[int], twin: list[int], autos: list[list[int]]):
+def _orbit_leads(cell: list[int], path: list[int], twin: list[int], autos: list[tuple]):
     """Yield each node of cell, ascending, in no orbit explored so far; autos may grow meanwhile.
 
-    The orbits are those of the automorphisms in autos that fix every node
-    of path, kept in one union-find over cell.  Twin classes seed it (_twins:
+    autos holds pairs (gamma, the nodes x with gamma[x] != x).  The orbits are
+    those of the automorphisms in autos that fix every node of path, kept in
+    one union-find over cell.  Twin classes seed it (_twins:
     a swap of two twins off the path fixes it), and each automorphism in
     autos is folded in once, before the next node is chosen.  Such an
     automorphism maps cell, the target cell of the tree node at path, onto
@@ -671,10 +672,12 @@ def _orbit_leads(cell: list[int], path: list[int], twin: list[int], autos: list[
     lead: dict[int, int] = {}
     rep = {x: lead.setdefault(twin[x], x) for x in cell}
     known, explored = 0, set()  # explored: the roots of the orbits explored
+    fixed = None  # set(path), built on the first fold
     for v in lead.values():  # the first node of each twin class, ascending
         if known < len(autos):
-            for gamma in autos[known:]:
-                if all(gamma[x] == x for x in path):
+            fixed = fixed or set(path)
+            for gamma, moved in autos[known:]:
+                if moved.isdisjoint(fixed):
                     for x in cell:
                         a, b = _find(rep, x), _find(rep, gamma[x])
                         if a != b:

@@ -1,10 +1,23 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from kcanon.errors import DisconnectedError
 from kcanon.graph import Graph
+
+
+def laplacian(g):
+    """L = D - A as one dense N x N array, the referee of the sparse solves."""
+    n = g.n
+    L = np.zeros((n, n))
+    u, v, w = g.arrays
+    L[u, v] = L[v, u] = -w
+    # Subtracting from the zero diagonal, not assigning -sum, keeps it +0.0
+    # where a row has no edge.
+    L.flat[::n + 1] -= L.sum(axis=1)
+    return L
 
 
 def path(n, w=1.0):

@@ -26,12 +26,11 @@ from kcanon.solver import (
     effective_resistance,
     factorization_count,
     kcl_residual,
-    laplacian,
     solve_pair,
     solve_pair_pseudoinverse,
 )
 
-from conftest import complete, cycle, path, random_permutation
+from conftest import complete, cycle, laplacian, path, random_permutation
 from corpus import enumerate_connected_graphs, random_connected_graph
 
 SEED = 20260823

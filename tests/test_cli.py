@@ -135,7 +135,7 @@ class TestVoltages:
         assert err["error"] == "SingularSystem"
 
     def test_singular_pseudoinverse_exit_3(self, runner, write):
-        # The same 1e-17 bridge: the second eigenvalue of L rounds to zero.
+        # The same 1e-17 bridge: MINRES leaves a KCL residual near 1 too.
         text = "4 6 1\n5 6 1e-17\n2 4 1\n3 6 1\n1 6 1\n"
         result = runner.invoke(main, ["voltages", write(text), "5", "3", "--method",
                                       "pseudoinverse", "--format", "json"])
@@ -143,13 +143,25 @@ class TestVoltages:
         assert result.stdout == ""
         err = json.loads(result.stderr)
         validate(err, schema("error"))
-        assert err["error"] == "SecondEigenvalueNearZero"
+        assert err["error"] == "SingularSystem"
+
+    @pytest.mark.parametrize("weight", ["1e-310", "1.7e308"])
+    def test_weight_at_the_float_range_ends_pseudoinverse_exit_3(self, runner, write, weight):
+        # 1/L_ii or the degree overflows; the solve must not warn, and the
+        # residual, nan here, fails the gate.
+        text = f"1 2 {weight}\n2 3 {weight}\n3 1 1\n"
+        result = runner.invoke(main, ["voltages", write(text), "1", "2", "--method",
+                                      "pseudoinverse", "--format", "json"])
+        assert result.exit_code == 3
+        err = json.loads(result.stderr)
+        validate(err, schema("error"))
+        assert err["error"] == "SingularSystem"
 
     @pytest.mark.parametrize("method, target, raised, error", [
         ("grounded", "scipy.sparse.linalg.splu", RuntimeError("Factor is exactly singular"),
          "FactorizationFailed"),
-        ("pseudoinverse", "numpy.linalg.eigh",
-         np.linalg.LinAlgError("Eigenvalues did not converge"), "EigendecompositionFailed"),
+        ("pseudoinverse", "scipy.sparse.linalg.minres", ValueError("non-symmetric matrix"),
+         "FactorizationFailed"),
     ])
     def test_failed_factor_exit_3(self, runner, write, monkeypatch, method, target, raised,
                                   error):

@@ -1,4 +1,5 @@
 import codecs
+import sys
 import time
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from kcanon.errors import (
     NonPositiveWeightError,
     SameSourceSinkError,
     SelfLoopError,
+    _bounded,
 )
 from kcanon import graph as graph_mod
 from kcanon.graph import (
@@ -247,14 +249,29 @@ class TestEchoedInputs:
         (lambda: parse_json('{"n": 2, "edges": [' + "[" * 900 + "]" * 900 + "]}"), GraphError),
         (lambda: solve_pair(build_system(path(3)), BIG, 1), SameSourceSinkError),
         (lambda: canonical_labeling(path(3), budget=-BIG), InvalidBudgetError),
+        (lambda: parse_edge_list("1 " + "2" * 5000), MalformedLineError),
+        (lambda: parse_edge_list("1 " + "x" * 5000), MalformedLineError),
+        (lambda: parse_edge_list("0 " + "2" * 4000), MalformedLineError),
+        (lambda: parse_edge_list("1 2 " + "x" * 5000), MalformedLineError),
+        (lambda: load_graph("/" + "x" * 5000), GraphError),
     ], ids=["Graph-n", "build-n", "build-id", "build-self-loop", "build-duplicate",
             "build-non-positive", "build-infinite", "edge", "weight", "Disconnected",
-            "Graph.weight", "parse_json", "source_sink", "check_budget"])
+            "Graph.weight", "parse_json", "source_sink", "check_budget",
+            "edge-list-digits", "edge-list-id", "edge-list-positive", "edge-list-weight",
+            "load_graph-path"])
     def test_message_is_short(self, call, error):
         with pytest.raises(KCanonError) as exc:
             call()
         assert type(exc.value) is error
         assert len(str(exc.value)) <= 300
+
+
+    def test_digit_limit_is_named(self):
+        # int() refuses the 5,000-digit id; it is an integer all the same.
+        with pytest.raises(MalformedLineError) as exc:
+            parse_edge_list("1 2\n1 " + "2" * 5000)
+        assert str(exc.value).startswith(
+            f"line 2: node ids must have at most {sys.get_int_max_str_digits()} digits: '1 2222")
 
 
 class TestJsonFormat:
@@ -338,6 +355,30 @@ class TestLoadGraph:
         f = tmp_path / "g.txt"
         f.write_bytes(codecs.BOM_UTF8 + text.encode())
         assert load_graph(str(f)) == Graph(3, [(1, 2, 0.5), (2, 3, 1.0)])
+
+    @pytest.mark.parametrize("path", [123, 0, b"g.txt", None, 1.5], ids=repr)
+    def test_path_must_be_str_or_pathlike(self, path):
+        # An int would open a file descriptor: 0 reads stdin.
+        with pytest.raises(GraphError) as exc:
+            load_graph(path)
+        assert type(exc.value) is GraphError
+        assert str(exc.value) == f"graph path must be a str or os.PathLike, got {type(path).__name__}"
+
+    @pytest.mark.parametrize("name, cause", [
+        ("missing.txt", "No such file or directory"), (".", "Is a directory"),
+        ("g\0.txt", "embedded null byte"),
+    ], ids=["missing", "directory", "nul"])
+    def test_unreadable_path_is_a_graph_error(self, tmp_path, name, cause):
+        for path in (str(tmp_path / name), tmp_path / name):
+            with pytest.raises(GraphError) as exc:
+                load_graph(path)
+            assert type(exc.value) is GraphError
+            assert str(exc.value) == f"cannot read {_bounded(str(tmp_path / name))}: {cause}"
+
+    def test_pathlike_is_read(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("1 2 0.5\n")
+        assert load_graph(f) == Graph(2, [(1, 2, 0.5)])
 
     def test_bad_byte_after_a_byte_order_mark_names_its_line_and_byte(self, tmp_path):
         # Decoding as utf-8-sig would count offsets without the mark and
@@ -540,13 +581,17 @@ def read_edge_list(text):
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise MalformedLineError(line_no, f"node ids must be integers: {line.strip()!r}")
+            # Both ids decimal, so one has more digits than int() converts.
+            limit = sys.get_int_max_str_digits()
+            too_long = all(p.isdecimal() for p in parts[:2])
+            cause = f"node ids must have at most {limit} digits" if too_long else "node ids must be integers"
+            raise MalformedLineError(line_no, f"{cause}: {_bounded(line.strip())}")
         if u < 1 or v < 1:
-            raise MalformedLineError(line_no, f"node ids must be positive: {line.strip()!r}")
+            raise MalformedLineError(line_no, f"node ids must be positive: {_bounded(line.strip())}")
         try:
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
-            raise MalformedLineError(line_no, f"bad weight: {parts[2]!r}")
+            raise MalformedLineError(line_no, f"bad weight: {_bounded(parts[2])}")
         edges.append((u, v, w))
     if not edges:
         raise GraphError("no edges found")

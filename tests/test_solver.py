@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,9 +13,8 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
 import kcanon
-from kcanon import oracle, solver
+from kcanon import cli, oracle, solver
 from kcanon.errors import (
-    EigendecompositionFailedError,
     FactorizationFailedError,
     GraphError,
     NonFiniteWeightError,
@@ -28,14 +28,13 @@ from kcanon.solver import (
     effective_resistance,
     factorization_count,
     kcl_residual,
-    laplacian,
     pair_currents,
     solve_pair,
     solve_pair_pseudoinverse,
     solve_pair_universal_sink,
 )
 
-from conftest import complete, cycle, path, random_cubic
+from conftest import complete, cycle, laplacian, path, random_cubic
 from corpus import random_connected_graph
 
 
@@ -67,6 +66,8 @@ class TestBuildSystem:
             for u, v, w in g.edges:
                 A[u - 1, v - 1] = A[v - 1, u - 1] = w
             assert laplacian(g).tobytes() == (np.diag(A.sum(axis=1)) - A).tobytes()
+            # The sparse L sums each degree in edge order, so only rounding differs.
+            assert np.allclose(solver._sparse_laplacian(g).toarray(), laplacian(g), rtol=1e-14, atol=0)
 
     def test_laplacian_rows_sum_zero(self):
         g = Graph(4, [(1, 2, 0.5), (2, 3, 2.0), (3, 4, 1.0), (1, 4, 3.0)])
@@ -177,6 +178,24 @@ class TestSolvePair:
         assert vac == pytest.approx(vab + vbc, abs=1e-9)
 
 
+def sparse_graph(n, rng, weight):
+    """A random spanning path plus random edges, m = 3n, each weight drawn by weight()."""
+    order = rng.sample(range(1, n + 1), n)
+    edges = {(min(x, y), max(x, y)) for x, y in zip(order, order[1:])}
+    while len(edges) < 3 * n:
+        x, y = rng.sample(range(1, n + 1), 2)
+        edges.add((min(x, y), max(x, y)))
+    return Graph(n, [(x, y, weight()) for x, y in sorted(edges)])
+
+
+def wide_weight_queries():
+    """30 graphs, n = 200, weights 10^U(-6, 6), with 5 queries each."""
+    rng = random.Random(7)
+    for _ in range(30):
+        g = sparse_graph(200, rng, lambda: 10 ** rng.uniform(-6, 6))
+        yield g, [rng.sample(range(1, 201), 2) for _ in range(5)]
+
+
 class TestPseudoinverse:
     def test_p2(self):
         v = solve_pair_pseudoinverse(path(2), 1, 2).v
@@ -194,13 +213,49 @@ class TestPseudoinverse:
             v2 = solve_pair_pseudoinverse(g, a, b).v
             assert np.abs(v1 - v2).max() < 1e-8
 
-    def test_failed_eigendecomposition_is_typed(self, monkeypatch):
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def test_wide_weights_agree_with_grounded(self):
+        # Caught: MINRES without the Jacobi preconditioner, which stops short
+        # on most of these queries, up to 0.95 relative off.
+        for g, queries in wide_weight_queries():
+            system = build_system(g)
+            for a, b in queries:
+                want = solve_pair(system, a, b).v
+                got = solve_pair_pseudoinverse(g, a, b).v
+                assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(EigendecompositionFailedError, match="did not converge"):
-            solve_pair_pseudoinverse(complete(3), 1, 2)
+    def test_long_path_is_refined_below_the_gate(self):
+        # Caught: no refinement.  One preconditioned MINRES run leaves 2.9e-9
+        # here; a refinement step on the true residual brings it to 1e-13.
+        g = path(2000)
+        assert kcl_residual(g, solve_pair_pseudoinverse(g, 1, 2000)) <= cli.KCL_LIMIT
+
+    def test_ten_thousand_nodes_under_a_second(self):
+        # Caught: any dense solve, such as eigh of L, which needs 800 MB here.
+        rng = random.Random(10**4)
+        g = sparse_graph(10**4, rng, lambda: rng.choice([0.5, 1.0, 2.0, 4.0]))
+        start = time.process_time()
+        v = solve_pair_pseudoinverse(g, 17, 9001).v
+        assert time.process_time() - start < 1.0
+        assert np.abs(v - solve_pair(build_system(g), 17, 9001).v).max() <= 1e-8
+
+    def test_singular_bridge_fails_the_gate(self):
+        # Node 5 hangs on a 1e-17 edge: MINRES converges in its own measure,
+        # but the residual is near 1, which the CLI refuses.  Caught: a solve
+        # that raises here instead, as the eigh solve did.
+        g = Graph(6, [(4, 6, 1.0), (5, 6, 1e-17), (2, 4, 1.0), (3, 6, 1.0), (1, 6, 1.0)])
+        assert kcl_residual(g, solve_pair_pseudoinverse(g, 5, 3)) > cli.KCL_LIMIT
+
+    def test_minres_breakdown_is_typed(self, monkeypatch):
+        # SciPy's MINRES raises ValueError where it breaks down, and documents
+        # a negative info for it.
+        def raises(*args, **kwargs):
+            raise ValueError("non-symmetric matrix")
+
+        for breakdown, message in [(raises, "non-symmetric matrix"),
+                                   (lambda *args, **kwargs: (np.zeros(3), -1), "MINRES broke down")]:
+            monkeypatch.setattr(scipy.sparse.linalg, "minres", breakdown)
+            with pytest.raises(FactorizationFailedError, match=message):
+                solve_pair_pseudoinverse(complete(3), 1, 2)
 
 
 class TestUniversalSink:
@@ -547,13 +602,13 @@ def test_import_leaves_sparse_solver_unloaded():
     loaded = _loaded_modules("import sys, kcanon, kcanon.cli")
     assert "scipy.sparse.linalg" not in loaded
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
-    # Nor do the signature analysis and the pseudoinverse solve load dense SciPy.
+    # Nor does the signature analysis load dense SciPy.  (The pseudoinverse
+    # solve runs MINRES, whose module loads scipy.linalg.)
     loaded = _loaded_modules(
         "import sys, kcanon; "
         "g = kcanon.Graph(4, [(1, 2, 0.5), (2, 3, 2.0), (3, 4, 1.0), (4, 1, 0.25), (1, 3, 3.0)]); "
         "kcanon.fingerprint(g).digest(); kcanon.orbit_partition(g); "
-        "kcanon.canonical_labeling(g); kcanon.iso_screen(g, g); "
-        "kcanon.solve_pair_pseudoinverse(g, 1, 3)"
+        "kcanon.canonical_labeling(g); kcanon.iso_screen(g, g)"
     )
     assert "scipy.linalg" not in loaded
 
